@@ -8,8 +8,8 @@ uniform random points.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Tuple
+from dataclasses import dataclass
+from typing import List, Mapping, Optional, Tuple
 
 import numpy as np
 
@@ -37,8 +37,7 @@ class Chart:
         return tuple(f"x{i + 1}" for i in range(self.dim))
 
     def contains(self, x, slack=1e-9):
-        return all(lo - slack <= xi <= hi + slack
-                   for xi, (lo, hi) in zip(x, self.box))
+        return in_box(x, self.box, slack)
 
 
 @dataclass(frozen=True)
@@ -52,28 +51,52 @@ class Overlap:
     coord_change: Tuple[ExprAST, ...]
     mask: Optional[ExprAST] = None
 
-    def map_point(self, x, params=None):
-        if not _in_box(x, self.domain):
+    def _require_inside(self, x):
+        inside = in_box(x, self.domain)
+        if not np.all(inside):
+            first = np.asarray(x)[np.unravel_index(
+                np.argmin(inside), np.shape(inside))]
             raise DomainError(
-                f"point {list(x)} outside overlap domain {self.src}->{self.dst}")
-        return np.array([ast.eval(x, params) for ast in self.coord_change])
+                f"point {first.tolist()} outside overlap domain "
+                f"{self.src}->{self.dst}")
+
+    def map_point(self, x, params=None):
+        """psi(x) for one point (d,) or a stack batch + (d,)."""
+        self._require_inside(x)
+        return np.stack([ast.eval(x, params) for ast in self.coord_change],
+                        axis=-1)
 
     def push(self, x, v, params=None):
-        """Return (psi(x), Dpsi(x) v)."""
-        if not _in_box(x, self.domain):
-            raise DomainError(
-                f"point {list(x)} outside overlap domain {self.src}->{self.dst}")
-        y = np.empty(len(self.coord_change))
-        w = np.empty(len(self.coord_change))
-        for i, ast in enumerate(self.coord_change):
-            value, tangents = ast.eval_dual(x, params, [v])
-            y[i] = value
-            w[i] = tangents[0]
-        return y, w
+        """Return (psi(x), Dpsi(x) v).  `v` has shape dirs + (d,) with dirs
+        broadcastable against the points' batch; Dpsi(x) v has shape
+        broadcast + (d',)."""
+        self._require_inside(x)
+        seeds = np.asarray(v, dtype=float)[None]
+        pairs = [ast.eval_dual(x, params, seeds) for ast in self.coord_change]
+        return (np.stack([y for y, _ in pairs], axis=-1),
+                np.stack([w[0] for _, w in pairs], axis=-1))
 
 
-def _in_box(x, box, slack=1e-9):
-    return all(lo - slack <= xi <= hi + slack for xi, (lo, hi) in zip(x, box))
+def in_box(points, box, slack=1e-9):
+    """Mask of the points (shape batch + (d,)) that lie in the box, widened
+    by `slack` on every side; a bool for one point."""
+    points = np.asarray(points, dtype=float)
+    lo, hi = np.asarray(box, dtype=float).reshape(-1, 2).T
+    return np.all((lo - slack <= points) & (points <= hi + slack), axis=-1)
+
+
+def directions(dim):
+    """Every unit coordinate direction, shaped (dim, 1, dim) so that it
+    broadcasts against a stack of points."""
+    return np.eye(dim)[:, None, :]
+
+
+def mask_keep(mask: Optional[ExprAST], points, params=None) -> np.ndarray:
+    """Mask of the points at which the mask expression is positive (all of
+    them when there is no mask)."""
+    if mask is None:
+        return np.ones(np.shape(points)[:-1], dtype=bool)
+    return np.asarray(mask.eval(points, params)) > 0
 
 
 @dataclass(frozen=True)
@@ -106,10 +129,7 @@ def sample(plan: SamplePlan, box, mask: Optional[ExprAST] = None,
         highs = np.array([hi for _, hi in box])
         points.append(rng.uniform(lows, highs, (plan.n_random, d)))
     pts = np.concatenate(points, axis=0)
-    if mask is not None:
-        keep = np.array([mask.eval(p, params) > 0 for p in pts])
-        pts = pts[keep]
-    return pts
+    return pts[mask_keep(mask, pts, params)]
 
 
 @dataclass(frozen=True)
@@ -140,9 +160,3 @@ class Atlas:
             return False
         return all(self.charts[c].box == other.charts[c].box
                    for c in self.charts)
-
-
-def pushforward_vector(overlap: Overlap, x, v, params=None):
-    """Coordinate change of a point and a tangent direction through an
-    overlap's declared chart transition."""
-    return overlap.push(x, v, params)

@@ -10,7 +10,6 @@ structural reference; errors name the offending chart/overlap/form.
 from __future__ import annotations
 
 import json
-from pathlib import Path
 from typing import Dict, Tuple
 
 import numpy as np
@@ -18,7 +17,7 @@ import numpy as np
 from .atlas import Atlas, Chart, Overlap, SamplePlan
 from .christoffel import ChristoffelData
 from .connection import ExprForm, LocalConnectionData, PathSegment
-from .errors import LocalFormsError, ValidationError
+from .errors import ValidationError
 from .expr import parse
 from .lie import ExprGroupMap, GroupMorphismSpec, GroupSpec
 from .morphism import MorphismData

@@ -1,6 +1,9 @@
 """Cocycle and overlap-compatibility checks for local connection data.
 
-Compatibility is verified in the source chart's coordinates: the
+Every check evaluates its whole sample set at once: each map, form and
+coordinate change is walked once per sample set, with every coordinate
+direction as a seed of the same walk, and the residuals are reduced over the
+stack.  Compatibility is verified in the source chart's coordinates: the
 destination-side form is evaluated at the transported point on the
 transported direction, and compared against Ad(g^-1).omega + g^-1 dg
 computed at the source point.
@@ -10,14 +13,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..atlas import sample
-from ..lie import adjoint, inverse, log_diff_left
-from ..report import Report
+from ..atlas import directions, in_box, mask_keep, sample
+from ..lie import adjoint, inverse
+from ..report import Report, max_residual
 from .data import DEFAULT_TOLERANCE, LocalConnectionData
-
-
-def _norm(m):
-    return float(np.linalg.norm(m))
 
 
 def _overlap_samples(data, overlap):
@@ -35,8 +34,8 @@ def check_cocycle(data: LocalConnectionData, tolerance=DEFAULT_TOLERANCE) -> Rep
         if a == b:
             chart = data.atlas.chart(a)
             pts = sample(data.sample_plan, chart.box, params=data.params)
-            residual = max(_norm(g.value(x) - identity) for x in pts)
-            report.add(f"cocycle:identity:{a}", residual, len(pts))
+            report.add(f"cocycle:identity:{a}",
+                       max_residual(g.value(pts) - identity), len(pts))
 
     seen = set()
     for (a, b) in sorted(data.transitions):
@@ -46,15 +45,12 @@ def check_cocycle(data: LocalConnectionData, tolerance=DEFAULT_TOLERANCE) -> Rep
         overlap = data.atlas.overlap(a, b)
         if overlap is None:
             continue
-        g_ab = data.transitions[(a, b)]
-        g_ba = data.transitions[(b, a)]
         pts = _overlap_samples(data, overlap)
-        residual = 0.0
-        for x in pts:
-            y = overlap.map_point(x, data.params)
-            residual = max(residual,
-                           _norm(g_ba.value(y) @ g_ab.value(x) - identity))
-        report.add(f"cocycle:{a},{b}", residual, len(pts))
+        y = overlap.map_point(pts, data.params)
+        product = data.transitions[(b, a)].value(y) \
+            @ data.transitions[(a, b)].value(pts)
+        report.add(f"cocycle:{a},{b}", max_residual(product - identity),
+                   len(pts))
 
     charts = sorted(data.atlas.charts)
     for a in charts:
@@ -74,20 +70,18 @@ def check_cocycle(data: LocalConnectionData, tolerance=DEFAULT_TOLERANCE) -> Rep
                 if domain is None:
                     continue
                 pts = sample(data.sample_plan, domain, ov_ab.mask, data.params)
-                residual = 0.0
-                count = 0
-                for x in pts:
-                    y = ov_ab.map_point(x, data.params)
-                    if not all(lo <= yi <= hi
-                               for yi, (lo, hi) in zip(y, ov_bc.domain)):
-                        continue
-                    count += 1
-                    lhs = data.transitions[(a, b)].value(x) \
-                        @ data.transitions[(b, c)].value(y)
-                    residual = max(residual,
-                                   _norm(lhs - data.transitions[(a, c)].value(x)))
-                if count:
-                    report.add(f"cocycle:{a},{b},{c}", residual, count)
+                pts = pts[mask_keep(ov_ac.mask, pts, data.params)]
+                y = ov_ab.map_point(pts, data.params)
+                keep = in_box(y, ov_bc.domain)
+                keep[keep] = mask_keep(ov_bc.mask, y[keep], data.params)
+                pts, y = pts[keep], y[keep]
+                if not len(pts):
+                    continue
+                lhs = data.transitions[(a, b)].value(pts) \
+                    @ data.transitions[(b, c)].value(y)
+                rhs = data.transitions[(a, c)].value(pts)
+                report.add(f"cocycle:{a},{b},{c}", max_residual(lhs - rhs),
+                           len(pts))
     return report
 
 
@@ -110,32 +104,19 @@ def check_overlaps(data: LocalConnectionData, tolerance=1e-9) -> Report:
         reverse = data.atlas.overlap(ov.dst, ov.src)
         pts = _overlap_samples(data, ov)
         dim = data.atlas.chart(ov.src).dim
-        jac_bad = 0.0
-        roundtrip = 0.0
-        count = 0
-        for x in pts:
-            jacobian = np.column_stack(
-                [ov.push(x, e, data.params)[1] for e in np.eye(dim)])
-            if abs(np.linalg.det(jacobian)) <= 1e-10:
-                jac_bad = 1.0
-            if reverse is None:
-                continue
-            y = ov.map_point(x, data.params)
-            if not _in_domain(y, reverse.domain):
-                continue
-            count += 1
-            roundtrip = max(roundtrip, float(np.linalg.norm(
-                reverse.map_point(y, data.params) - x)))
+        y, columns = ov.push(pts, directions(dim), data.params)
+        jacobian = np.moveaxis(columns, 0, -1)
+        jac_bad = float(np.any(np.abs(np.linalg.det(jacobian)) <= 1e-10))
         report.add(f"overlap-jacobian:{ov.src},{ov.dst}", jac_bad, len(pts))
-        if reverse is not None and count:
-            report.add(f"overlap-roundtrip:{ov.src},{ov.dst}", roundtrip,
-                       count)
+        if reverse is None:
+            continue
+        inside = in_box(y, reverse.domain)
+        if np.any(inside):
+            back = reverse.map_point(y[inside], data.params)
+            report.add(f"overlap-roundtrip:{ov.src},{ov.dst}",
+                       max_residual(back - pts[inside], axis=-1),
+                       np.count_nonzero(inside))
     return report
-
-
-def _in_domain(x, box, slack=1e-9):
-    return all(lo - slack <= xi <= hi + slack
-               for xi, (lo, hi) in zip(x, box))
 
 
 def check_compatibility(data: LocalConnectionData,
@@ -151,16 +132,11 @@ def check_compatibility(data: LocalConnectionData,
         form_b = data.forms[ov.dst]
         pts = _overlap_samples(data, ov)
         dim = data.atlas.chart(ov.src).dim
-        residual = 0.0
-        for x in pts:
-            g_inv = inverse(g.value(x))
-            for i in range(dim):
-                e = np.zeros(dim)
-                e[i] = 1.0
-                y, w = ov.push(x, e, data.params)
-                lhs = form_b(y, w)
-                rhs = adjoint(g_inv, form_a(x, e)) + g_inv @ g.derivative(x, e)
-                residual = max(residual, _norm(lhs - rhs))
-        report.add(f"compatibility:{ov.src},{ov.dst}", residual,
-                   len(pts) * dim)
+        e = directions(dim)
+        g_inv = inverse(g.value(pts))
+        y, w = ov.push(pts, e, data.params)
+        lhs = form_b(y, w)
+        rhs = adjoint(g_inv, form_a(pts, e)) + g_inv @ g.derivative(pts, e)
+        report.add(f"compatibility:{ov.src},{ov.dst}",
+                   max_residual(lhs - rhs), len(pts) * dim)
     return report

@@ -4,9 +4,7 @@ atlas, matrix group, transition-function family and local-form family."""
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Mapping, Tuple
-
-import numpy as np
+from typing import Mapping, Tuple
 
 from ..atlas import Atlas, Overlap, SamplePlan
 from ..errors import ValidationError

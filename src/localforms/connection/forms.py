@@ -1,7 +1,10 @@
 """Lie-algebra-valued local 1-forms on a chart.
 
 A local form assigns to each chart point x and base direction v an (n, n)
-algebra element, linearly in v.  Forms are either backed by one coefficient
+algebra element, linearly in v.  Points are one (d,) array or a stack
+batch + (d,); directions have shape dirs + (d,) with dirs broadcastable
+against the batch, and the value has shape broadcast + (n, n), computed in
+one pass over the stack.  Forms are either backed by one coefficient
 expression per coordinate (the i-th coefficient multiplies v_i) or by a
 composite evaluator closing over other forms and maps, as produced by gauge
 transformation, pushforward and tower projection.
@@ -15,7 +18,7 @@ from typing import Callable, Mapping, Tuple
 import numpy as np
 
 from ..expr import ExprAST
-from ..lie import GroupMap, adjoint, inverse, log_diff_left
+from ..lie import GroupMap, adjoint, batch_shape, inverse
 
 
 class LocalForm:
@@ -44,10 +47,17 @@ class ExprForm(LocalForm):
     params: Mapping[str, float] = field(default_factory=dict)
 
     def __call__(self, x, v):
-        out = np.zeros((self.n, self.n))
-        for vi, ast in zip(v, self.coeffs):
-            if vi != 0.0:
-                out += vi * ast.eval(x, self.params)
+        x = np.asarray(x, dtype=float)
+        v = np.asarray(v, dtype=float)
+        out = np.zeros(batch_shape(x, v) + (self.n, self.n))
+        for j, ast in enumerate(self.coeffs):
+            vj = v[..., j, None, None]
+            nonzero = vj != 0.0
+            if not np.any(nonzero):
+                continue
+            # zero components are skipped, so 0 * inf never becomes NaN
+            with np.errstate(invalid="ignore"):
+                out += np.where(nonzero, vj * ast.eval(x, self.params), 0.0)
         return out
 
     def coefficient(self, x, i):
@@ -66,7 +76,8 @@ class CallableForm(LocalForm):
 
 
 def zero_form(chart, dim, n) -> LocalForm:
-    return CallableForm(chart, dim, n, lambda x, v: np.zeros((n, n)))
+    return CallableForm(chart, dim, n,
+                        lambda x, v: np.zeros(batch_shape(x, v) + (n, n)))
 
 
 def gauge_transform(form: LocalForm, g: GroupMap) -> LocalForm:

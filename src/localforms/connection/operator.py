@@ -1,6 +1,6 @@
 """Operator view of a connection acting on local sections.
 
-A local section over a sub-box of a chart is the natural section times a
+A local section over a chart is the natural section times a
 group-valued map g; the connection operator sends it to the gauge transform
 of the chart's local form by g.  The natural section itself (g = identity)
 maps to the local form, and the operator obeys the equivariance law
@@ -10,7 +10,6 @@ D(sigma . a) = Ad(a^-1) . D(sigma) + a^-1 da.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple
 
 from ..errors import ValidationError
 from ..lie import GroupMap
@@ -20,11 +19,10 @@ from .forms import LocalForm, gauge_transform
 
 @dataclass(frozen=True)
 class SectionRep:
-    """The section s_chart . g over an open sub-box of the chart."""
+    """The section s_chart . g over the chart."""
 
     chart: str
     g: GroupMap
-    box: Optional[Tuple[Tuple[float, float], ...]] = None
 
 
 def connection_operator(data: LocalConnectionData,

@@ -11,6 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..atlas import in_box
 from ..errors import DomainError, ValidationError
 from ..lie import adjoint, ensure_invertible, inverse
 from .data import LocalConnectionData
@@ -69,8 +70,7 @@ def chart_change(data: LocalConnectionData, p: PointRep, target,
     overlap = data.atlas.overlap(p.chart, target)
     if overlap is None:
         raise ValidationError(f"no declared overlap {p.chart}->{target}")
-    if not all(lo - 1e-9 <= xi <= hi + 1e-9
-               for xi, (lo, hi) in zip(p.x, overlap.domain)):
+    if not in_box(p.x, overlap.domain):
         raise DomainError(
             f"point {list(p.x)} outside overlap {p.chart}->{target}")
     g_rev = data.reverse_transition(p.chart, target)

@@ -24,7 +24,15 @@ class ShapeError(LocalFormsError):
 
 class DomainError(LocalFormsError):
     """Evaluation outside the domain of a scalar function (log of a
-    non-positive number, division by zero, ...)."""
+    non-positive number, division by zero, ...).
+
+    `index` is the batch index of the first offending sample, when the
+    error comes from a batched evaluation that has not yet named its point.
+    """
+
+    def __init__(self, message, index=None):
+        super().__init__(message)
+        self.index = index
 
 
 class SingularMatrixError(LocalFormsError):

@@ -1,20 +1,27 @@
-"""Forward-mode dual values.
+"""Forward-mode dual values over a batch of sample points.
 
-A Dual carries a primal value (a float or an (n, m) matrix) together with one
-tangent per active seed direction.  Scalar tangents are stored as a (k,)
-array, matrix tangents as (k, n, m), where k is the number of seeds of the
-current evaluation.  All arithmetic propagates tangents by the exact product
-and chain rules; the matrix exponential is differentiated through the
-augmented block exponential
+A Dual carries a primal value together with one tangent per active seed
+direction.  The primal has shape `batch + value_shape`, where the value
+shape is () for a scalar and (n, m) for a matrix; the tangent has shape
+`(k,) + batch + value_shape`, seed axis first, and is None when it is
+identically zero (constants, and every value of a seedless evaluation).
+The batch may be () (one point); any batch axis may have length 1 and
+broadcast against the others, and a tangent may carry extra leading batch
+axes (for example one direction per coordinate).
+
+All arithmetic propagates tangents by the exact product and chain rules; the
+matrix exponential is differentiated through the augmented block exponential
 
     exp([[A, E], [0, A]]) = [[exp A, Dexp_A(E)], [0, exp A]],
 
-which is exact to rounding, never by finite differences.
+applied to the whole stack of blocks in one call, which is exact to
+rounding, never by finite differences.
+
+A domain violation at any sample raises DomainError carrying the batch index
+of the first offending sample.
 """
 
 from __future__ import annotations
-
-import math
 
 import numpy as np
 from scipy.linalg import expm
@@ -23,81 +30,89 @@ from ..errors import DomainError, ShapeError
 
 
 class Dual:
-    __slots__ = ("primal", "tangent")
+    __slots__ = ("primal", "tangent", "is_matrix")
 
-    def __init__(self, primal, tangent):
+    def __init__(self, primal, tangent=None, is_matrix=False):
         self.primal = primal
         self.tangent = tangent
-
-    @property
-    def is_matrix(self):
-        return isinstance(self.primal, np.ndarray)
-
-    @property
-    def n_seeds(self):
-        return self.tangent.shape[0]
+        self.is_matrix = is_matrix
 
     @classmethod
-    def constant(cls, value, n_seeds):
-        if isinstance(value, np.ndarray):
-            return cls(value.astype(float), np.zeros((n_seeds,) + value.shape))
-        return cls(float(value), np.zeros(n_seeds))
+    def scalar(cls, value, tangent=None):
+        return cls._seeded(np.asarray(value, dtype=float), tangent, False)
 
     @classmethod
-    def scalar(cls, value, tangent):
-        return cls(float(value), np.asarray(tangent, dtype=float))
-
-    @classmethod
-    def matrix(cls, value, tangent):
+    def matrix(cls, value, tangent=None):
         value = np.asarray(value, dtype=float)
-        tangent = np.asarray(tangent, dtype=float)
-        if tangent.shape[1:] != value.shape:
+        if tangent is not None and np.shape(tangent)[-2:] != value.shape[-2:]:
             raise ShapeError("matrix tangent shape does not match primal")
-        return cls(value, tangent)
+        return cls._seeded(value, tangent, True)
+
+    @classmethod
+    def _seeded(cls, value, tangent, is_matrix):
+        """Pad the tangent's batch axes so they line up with the primal's."""
+        if tangent is not None:
+            tangent = np.asarray(tangent, dtype=float)
+            missing = value.ndim + 1 - tangent.ndim
+            if missing > 0:
+                tangent = tangent.reshape(
+                    tangent.shape[:1] + (1,) * missing + tangent.shape[1:])
+        return cls(value, tangent, is_matrix)
 
     # ----- arithmetic -------------------------------------------------
 
     def __add__(self, other):
         _require_same_kind(self, other, "+")
-        return Dual(self.primal + other.primal, self.tangent + other.tangent)
+        return Dual(self.primal + other.primal,
+                    _sum(self.tangent, other.tangent), self.is_matrix)
 
     def __sub__(self, other):
         _require_same_kind(self, other, "-")
-        return Dual(self.primal - other.primal, self.tangent - other.tangent)
+        return Dual(self.primal - other.primal,
+                    _sum(self.tangent, _neg(other.tangent)), self.is_matrix)
 
     def __neg__(self):
-        return Dual(-self.primal, -self.tangent)
+        return Dual(-self.primal, _neg(self.tangent), self.is_matrix)
 
     def __mul__(self, other):
         a, b = self, other
+        if a.is_matrix and not b.is_matrix:
+            a, b = b, a
         if not a.is_matrix and not b.is_matrix:
             return Dual(a.primal * b.primal,
-                        a.tangent * b.primal + a.primal * b.tangent)
+                        _sum(_mul(a.tangent, b.primal),
+                             _mul(b.tangent, a.primal)))
         if not a.is_matrix:
-            return Dual(a.primal * b.primal,
-                        a.tangent[:, None, None] * b.primal + a.primal * b.tangent)
-        if not b.is_matrix:
-            return b.__mul__(a)
-        if a.primal.shape[1] != b.primal.shape[0]:
+            return Dual(_lift(a.primal) * b.primal,
+                        _sum(_mul(_lift_tangent(a.tangent), b.primal),
+                             _mul(b.tangent, _lift(a.primal))),
+                        True)
+        if a.primal.shape[-1] != b.primal.shape[-2]:
             raise ShapeError(
-                f"matrix product of {a.primal.shape} by {b.primal.shape}")
+                f"matrix product of {a.primal.shape[-2:]} by "
+                f"{b.primal.shape[-2:]}")
         return Dual(a.primal @ b.primal,
-                    a.tangent @ b.primal + a.primal @ b.tangent)
+                    _sum(_matmul(a.tangent, b.primal),
+                         _matmul(a.primal, b.tangent)), True)
 
     def __truediv__(self, other):
         if other.is_matrix:
             raise ShapeError("division by a matrix is not defined")
-        if other.primal == 0.0:
-            raise DomainError("division by zero")
-        if not self.is_matrix:
-            inv = 1.0 / other.primal
-            return Dual(self.primal * inv,
-                        (self.tangent * other.primal
-                         - self.primal * other.tangent) * inv * inv)
+        _domain(other.primal == 0.0, "division by zero")
         inv = 1.0 / other.primal
+        if not self.is_matrix:
+            tangent = None
+            if self.tangent is not None or other.tangent is not None:
+                tangent = _sum(_mul(self.tangent, other.primal),
+                               _neg(_mul(other.tangent, self.primal))) \
+                    * inv * inv
+            return Dual(self.primal * inv, tangent)
+        inv = _lift(inv)
+        quotient = _mul(_lift_tangent(other.tangent), self.primal)
+        if quotient is not None:
+            quotient = quotient * inv * inv
         return Dual(self.primal * inv,
-                    self.tangent * inv
-                    - other.tangent[:, None, None] * self.primal * inv * inv)
+                    _sum(_mul(self.tangent, inv), _neg(quotient)), True)
 
     def powi(self, exponent):
         """Integer power of a scalar."""
@@ -105,60 +120,63 @@ class Dual:
             raise ShapeError("^ applies to scalars only")
         p = self.primal
         if exponent == 0:
-            return Dual.constant(1.0, self.n_seeds)
-        if p == 0.0 and exponent < 0:
-            raise DomainError("zero raised to a negative power")
-        if p == 0.0 and exponent == 1:
+            return Dual(np.ones_like(p))
+        if exponent == 1:
             return self
-        value = p ** exponent
-        deriv = exponent * p ** (exponent - 1)
+        if exponent < 0:
+            _domain(p == 0.0, "zero raised to a negative power")
+        value = np.power(p, float(exponent))
+        if self.tangent is None:
+            return Dual(value)
+        deriv = exponent * np.power(p, float(exponent - 1))
         return Dual(value, deriv * self.tangent)
 
     # ----- scalar functions -------------------------------------------
 
-    def _map(self, fn, dfn):
+    def _map(self, fn, chain):
+        """fn applied to a scalar; chain(primal, value, tangent) gives the
+        new tangent."""
         if self.is_matrix:
             raise ShapeError("scalar function applied to a matrix")
-        return Dual(fn(self.primal), dfn(self.primal) * self.tangent)
+        value = fn(self.primal)
+        if self.tangent is None:
+            return Dual(value)
+        return Dual(value, chain(self.primal, value, self.tangent))
 
     def sin(self):
-        return self._map(math.sin, math.cos)
+        return self._map(np.sin, lambda p, _, t: np.cos(p) * t)
 
     def cos(self):
-        return self._map(math.cos, lambda p: -math.sin(p))
+        return self._map(np.cos, lambda p, _, t: -np.sin(p) * t)
 
     def tan(self):
-        return self._map(math.tan, lambda p: 1.0 / math.cos(p) ** 2)
+        return self._map(np.tan, lambda p, _, t: 1.0 / np.cos(p) ** 2 * t)
 
     def exp(self):
-        return self._map(math.exp, math.exp)
+        return self._map(np.exp, lambda _, value, t: value * t)
 
     def log(self):
-        if self.is_matrix:
-            raise ShapeError("log applied to a matrix")
-        if self.primal <= 0.0:
-            raise DomainError("log of a non-positive number")
-        return Dual(math.log(self.primal), self.tangent / self.primal)
+        if not self.is_matrix:
+            _domain(self.primal <= 0.0, "log of a non-positive number")
+        return self._map(np.log, lambda p, _, t: t / p)
 
     def sqrt(self):
-        if self.is_matrix:
-            raise ShapeError("sqrt applied to a matrix")
-        if self.primal < 0.0:
-            raise DomainError("sqrt of a negative number")
-        if self.primal == 0.0:
-            raise DomainError("sqrt differentiated at zero")
-        root = math.sqrt(self.primal)
-        return Dual(root, self.tangent / (2.0 * root))
+        if not self.is_matrix:
+            _domain(self.primal < 0.0, "sqrt of a negative number")
+            _domain(self.primal == 0.0, "sqrt differentiated at zero")
+        return self._map(np.sqrt, lambda _, root, t: t / (2.0 * root))
 
     @staticmethod
     def atan2(y, x):
         if y.is_matrix or x.is_matrix:
             raise ShapeError("atan2 applied to a matrix")
         denom = y.primal * y.primal + x.primal * x.primal
-        if denom == 0.0:
-            raise DomainError("atan2 at the origin")
-        value = math.atan2(y.primal, x.primal)
-        deriv = (x.primal * y.tangent - y.primal * x.tangent) / denom
+        _domain(denom == 0.0, "atan2 at the origin")
+        value = np.arctan2(y.primal, x.primal)
+        if y.tangent is None and x.tangent is None:
+            return Dual(value)
+        deriv = _sum(_mul(y.tangent, x.primal),
+                     _neg(_mul(x.tangent, y.primal))) / denom
         return Dual(value, deriv)
 
     # ----- matrix functions -------------------------------------------
@@ -166,35 +184,81 @@ class Dual:
     def transpose(self):
         if not self.is_matrix:
             raise ShapeError("transpose applied to a scalar")
-        return Dual(self.primal.T.copy(),
-                    np.transpose(self.tangent, (0, 2, 1)).copy())
+        tangent = None
+        if self.tangent is not None:
+            tangent = np.swapaxes(self.tangent, -1, -2)
+        return Dual(np.swapaxes(self.primal, -1, -2), tangent, True)
 
     def mexp(self):
-        if not self.is_matrix or self.primal.shape[0] != self.primal.shape[1]:
+        if not self.is_matrix or self.primal.shape[-1] != self.primal.shape[-2]:
             raise ShapeError("mexp requires a square matrix")
-        n = self.primal.shape[0]
-        value = expm(self.primal)
-        tangents = np.empty_like(self.tangent)
-        for k in range(self.n_seeds):
-            block = np.zeros((2 * n, 2 * n))
-            block[:n, :n] = self.primal
-            block[n:, n:] = self.primal
-            block[:n, n:] = self.tangent[k]
-            tangents[k] = expm(block)[:n, n:]
-        return Dual(value, tangents)
+        value = _expm(self.primal)
+        if self.tangent is None:
+            return Dual(value, None, True)
+        n = self.primal.shape[-1]
+        block = np.zeros(np.broadcast_shapes(
+            self.tangent.shape[:-2], self.primal.shape[:-2]) + (2 * n, 2 * n))
+        block[..., :n, :n] = self.primal
+        block[..., n:, n:] = self.primal
+        block[..., :n, n:] = self.tangent
+        return Dual(value, _expm(block)[..., :n, n:], True)
 
     def inv(self):
-        if not self.is_matrix or self.primal.shape[0] != self.primal.shape[1]:
+        if not self.is_matrix or self.primal.shape[-1] != self.primal.shape[-2]:
             raise ShapeError("inv requires a square matrix")
-        if abs(np.linalg.det(self.primal)) <= 1e-10:
-            raise DomainError("inverse of a (near-)singular matrix")
+        _domain(np.abs(np.linalg.det(self.primal)) <= 1e-10,
+                "inverse of a (near-)singular matrix")
         b = np.linalg.inv(self.primal)
-        return Dual(b, -b @ self.tangent @ b)
+        tangent = None if self.tangent is None else -b @ self.tangent @ b
+        return Dual(b, tangent, True)
+
+
+def _expm(stack):
+    return expm(stack) if stack.size else np.zeros(stack.shape)
+
+
+def _domain(bad, message):
+    """Raise DomainError at the first sample where `bad` holds."""
+    if np.any(bad):
+        bad = np.asarray(bad)
+        raise DomainError(message, np.unravel_index(np.argmax(bad), bad.shape))
+
+
+def _lift(scalar):
+    """A batch of scalars as a batch of 1x1 factors of matrices."""
+    return scalar[..., None, None] if np.ndim(scalar) else scalar
+
+
+def _lift_tangent(tangent):
+    return None if tangent is None else tangent[..., None, None]
+
+
+def _sum(a, b):
+    if a is None:
+        return b
+    if b is None:
+        return a
+    return a + b
+
+
+def _neg(tangent):
+    return None if tangent is None else -tangent
+
+
+def _mul(tangent, factor):
+    return None if tangent is None else tangent * factor
+
+
+def _matmul(a, b):
+    if a is None or b is None:
+        return None
+    return a @ b
 
 
 def _require_same_kind(a, b, op):
     if a.is_matrix != b.is_matrix:
         raise ShapeError(f"'{op}' mixes a scalar and a matrix")
-    if a.is_matrix and a.primal.shape != b.primal.shape:
+    if a.is_matrix and a.primal.shape[-2:] != b.primal.shape[-2:]:
         raise ShapeError(
-            f"'{op}' on matrices of shapes {a.primal.shape} and {b.primal.shape}")
+            f"'{op}' on matrices of shapes {a.primal.shape[-2:]} and "
+            f"{b.primal.shape[-2:]}")

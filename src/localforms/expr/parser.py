@@ -9,9 +9,11 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from typing import Dict, Mapping, Sequence, Tuple
+from typing import Dict, Mapping, Tuple
 
-from ..errors import ExpressionSyntaxError, ValidationError
+import numpy as np
+
+from ..errors import DomainError, ExpressionSyntaxError, ValidationError
 from .evaluate import evaluate
 from .dual import Dual
 from .nodes import (Binary, Call, MatLit, Name, Node, Num, Unary,
@@ -190,48 +192,108 @@ class ExprAST:
     def __str__(self):
         return self.to_source()
 
-    def _bindings(self, point, params, seeds):
-        point = [float(v) for v in point]
-        if len(point) != len(self.coords):
+    def _bindings(self, points, params, seeds):
+        """Coordinate and parameter bindings for points of shape batch + (d,)
+        and seeds (None, or shape (k,) + seed batch + (d,))."""
+        if points.shape[-1:] != (len(self.coords),):
             raise ValidationError(
-                f"expected {len(self.coords)} coordinates, got {len(point)}")
+                f"expected {len(self.coords)} coordinates, got "
+                f"{points.shape[-1] if points.ndim else 0}")
         params = dict(params or {})
-        k = len(seeds)
         bindings = {}
         for j, name in enumerate(self.coords):
-            bindings[name] = Dual.scalar(point[j], [s[j] for s in seeds])
+            tangent = None if seeds is None else seeds[..., j]
+            bindings[name] = Dual.scalar(points[..., j], tangent)
         for name in self.params:
             if name not in params:
                 raise ValidationError(f"parameter '{name}' is not bound")
-            bindings[name] = Dual.constant(float(params[name]), k)
+            bindings[name] = Dual(np.float64(params[name]))
         for name in self.matrix_params:
             if name not in params:
                 raise ValidationError(f"parameter '{name}' is not bound")
-            bindings[name] = Dual.constant(params[name], k)
+            bindings[name] = Dual.matrix(params[name])
         return bindings
 
-    def eval(self, point, params=None):
-        """Evaluate at a coordinate point; returns a float or an ndarray."""
-        result = evaluate(self.root, self._bindings(point, params, []), 0)
-        return result.primal
+    def _walk(self, bindings, points=None):
+        """One evaluation of the tree over the whole batch.  Overflow gives
+        inf and invalid operations NaN, which the checks report as failing;
+        a domain violation names its sample point."""
+        with np.errstate(all="ignore"):
+            try:
+                return evaluate(self.root, bindings)
+            except DomainError as exc:
+                if exc.index is None:
+                    raise
+                raise DomainError(f"{exc} at {_where(exc.index, points)}") \
+                    from None
 
-    def eval_dual(self, point, params=None, seeds=()):
+    def eval(self, points, params=None):
+        """Evaluate at one coordinate point (shape (d,)) or at a stack of
+        points (shape batch + (d,)) in one walk; returns an array of shape
+        batch + value shape (a float for one point of a scalar expression).
+        """
+        points = np.asarray(points, dtype=float)
+        result = self._walk(self._bindings(points, params, None), points)
+        return _broadcast(result.primal,
+                          points.shape[:-1] + _value_shape(result))
+
+    def eval_dual(self, points, params=None, seeds=()):
         """Evaluate together with directional derivatives along each seed.
 
-        Returns (value, [derivative per seed]).
+        `seeds` has shape (k, d), the same directions at every point, or
+        (k,) + seed batch + (d,), directions varying over a batch that
+        broadcasts against the points' batch.  Returns (value, tangents):
+        tangents[i] is the derivative along seed i, and tangents has shape
+        (k,) + broadcast batch + value shape.
         """
-        seeds = [list(map(float, s)) for s in seeds]
-        for s in seeds:
-            if len(s) != len(self.coords):
-                raise ValidationError("seed dimension mismatch")
-        result = evaluate(self.root, self._bindings(point, params, seeds),
-                          len(seeds))
-        return result.primal, [result.tangent[k] for k in range(len(seeds))]
+        points = np.asarray(points, dtype=float)
+        seeds = np.asarray(seeds, dtype=float)
+        if seeds.size == 0:
+            seeds = seeds.reshape(len(seeds), len(self.coords))
+        if seeds.ndim < 2 or seeds.shape[-1] != len(self.coords):
+            raise ValidationError("seed dimension mismatch")
+        result = self._walk(self._bindings(points, params, seeds), points)
+        value_shape = _value_shape(result)
+        batch = points.shape[:-1]
+        tangent_shape = (len(seeds),) + np.broadcast_shapes(
+            seeds.shape[1:-1], batch) + value_shape
+        tangent = result.tangent
+        if tangent is None:
+            tangent = np.zeros(tangent_shape)
+        return (_broadcast(result.primal, batch + value_shape),
+                _broadcast(tangent, tangent_shape))
 
     def eval_bound(self, bindings, n_seeds):
         """Evaluate with explicit Dual bindings (used to differentiate through
-        matrix-valued parameters)."""
-        return evaluate(self.root, bindings, n_seeds)
+        matrix-valued parameters); a tangent that vanishes identically is
+        returned as zeros with `n_seeds` seeds."""
+        result = self._walk(bindings)
+        if result.tangent is None and n_seeds:
+            return Dual(result.primal,
+                        np.zeros((n_seeds,) + np.shape(result.primal)),
+                        result.is_matrix)
+        return result
+
+
+def _value_shape(result):
+    return result.primal.shape[-2:] if result.is_matrix else ()
+
+
+def _broadcast(value, shape):
+    """`value` as a writable array of exactly `shape`; a float for ()."""
+    if np.shape(value) != shape:
+        value = np.array(np.broadcast_to(value, shape))
+    return value[()] if shape == () else value
+
+
+def _where(index, points):
+    """The sample at batch index `index`, for error messages."""
+    if points is None:
+        return f"sample {list(index)}"
+    batch = points.shape[:-1]
+    index = index[max(0, len(index) - len(batch)):]
+    index = (0,) * (len(batch) - len(index)) + tuple(index)
+    return f"point {points[index].tolist()}"
 
 
 def parse(source, coords, params=(), matrix_params=None) -> ExprAST:

@@ -10,7 +10,7 @@ dual-number differentiation at the identity, never by finite differences).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Mapping, Optional, Sequence, Tuple
+from typing import Mapping, Optional, Tuple
 
 import numpy as np
 from scipy.linalg import expm
@@ -22,20 +22,25 @@ DET_THRESHOLD = 1e-10
 
 
 def ensure_invertible(g):
-    """Return g unchanged, raising if |det g| falls below the threshold."""
+    """Return g (one matrix or a stack) as floats, raising if any |det g|
+    falls below the threshold."""
     g = np.asarray(g, dtype=float)
-    if abs(np.linalg.det(g)) <= DET_THRESHOLD:
+    dets = np.abs(np.linalg.det(g))
+    bad = dets <= DET_THRESHOLD
+    if np.any(bad):
+        first = np.ravel(dets)[np.argmax(np.ravel(bad))]
         raise SingularMatrixError(
-            f"matrix with |det| = {abs(np.linalg.det(g)):.3e} treated as singular")
+            f"matrix with |det| = {first:.3e} treated as singular")
     return g
 
 
 def inverse(g):
+    """Inverse of a matrix or of every matrix in a stack."""
     return np.linalg.inv(ensure_invertible(g))
 
 
 def adjoint(g, X):
-    """Ad(g)X = g X g^-1."""
+    """Ad(g)X = g X g^-1, broadcast over stacks of g and X."""
     g = ensure_invertible(g)
     return g @ np.asarray(X, dtype=float) @ np.linalg.inv(g)
 
@@ -45,7 +50,7 @@ def commutator(X, Y):
 
 
 def exp_matrix(X):
-    """Matrix exponential (scaling-and-squaring)."""
+    """Matrix exponential (scaling-and-squaring) of a matrix or a stack."""
     return expm(np.asarray(X, dtype=float))
 
 
@@ -56,9 +61,6 @@ class GroupSpec:
     name: str
     n: int
     generators: Optional[Tuple[np.ndarray, ...]] = None
-
-    def identity(self):
-        return np.eye(self.n)
 
     def sample_algebra(self, rng, scale=1.0):
         if self.generators is not None:
@@ -76,8 +78,11 @@ class GroupSpec:
 class GroupMap:
     """A smooth map from chart coordinates into a matrix group.
 
-    Subclasses provide value(x) -> (n, n) array and derivative(x, v) -> the
-    raw directional derivative of the matrix entries.
+    Subclasses provide value(x) -> matrices and derivative(x, v) -> the raw
+    directional derivative of the matrix entries.  `x` is one point (d,) or a
+    stack batch + (d,); `v` has shape dirs + (d,) with dirs broadcastable
+    against the batch (for example (d, 1, d) for every coordinate direction
+    at every point), and the derivative has shape broadcast + (n, n).
     """
 
     def value(self, x):
@@ -85,6 +90,13 @@ class GroupMap:
 
     def derivative(self, x, v):
         raise NotImplementedError
+
+
+def batch_shape(x, v=None):
+    """Broadcast batch shape of points x and directions v."""
+    x_batch = np.shape(x)[:-1]
+    return x_batch if v is None else np.broadcast_shapes(
+        x_batch, np.shape(v)[:-1])
 
 
 @dataclass(frozen=True)
@@ -97,7 +109,8 @@ class ExprGroupMap(GroupMap):
         return self.ast.eval(x, self.params)
 
     def derivative(self, x, v):
-        _, tangents = self.ast.eval_dual(x, self.params, [v])
+        _, tangents = self.ast.eval_dual(
+            x, self.params, np.asarray(v, dtype=float)[None])
         return tangents[0]
 
 
@@ -106,10 +119,11 @@ class ConstGroupMap(GroupMap):
     matrix: np.ndarray
 
     def value(self, x):
-        return np.asarray(self.matrix, dtype=float)
+        matrix = np.asarray(self.matrix, dtype=float)
+        return np.broadcast_to(matrix, batch_shape(x) + matrix.shape)
 
     def derivative(self, x, v):
-        return np.zeros_like(np.asarray(self.matrix, dtype=float))
+        return np.zeros(batch_shape(x, v) + np.shape(self.matrix))
 
 
 @dataclass(frozen=True)
@@ -154,7 +168,10 @@ def log_diff_right(f: GroupMap, x, v):
 class GroupMorphismSpec:
     """A smooth homomorphism between matrix groups, given as an expression in
     one matrix-valued parameter, together with the Lie-algebra morphism it
-    induces by differentiation at the identity."""
+    induces by differentiation at the identity.
+
+    Every method takes one matrix or a stack of them and evaluates the whole
+    stack in one walk."""
 
     source_dim: int
     target_dim: int
@@ -162,34 +179,36 @@ class GroupMorphismSpec:
     arg_name: str = "g"
     params: Mapping[str, float] = field(default_factory=dict)
 
-    def _bindings(self, dual_arg):
-        k = dual_arg.n_seeds
-        bindings = {self.arg_name: dual_arg}
+    def _check_source(self, g, what):
+        if g.shape[-2:] != (self.source_dim, self.source_dim):
+            raise GroupMismatchError(
+                f"{what} has shape {g.shape[-2:]}, "
+                f"expected ({self.source_dim}, {self.source_dim})")
+
+    def _eval(self, arg, n_seeds):
+        bindings = {self.arg_name: arg}
         for name in self.phi.params:
-            bindings[name] = Dual.constant(float(self.params[name]), k)
-        return bindings
+            bindings[name] = Dual(np.float64(self.params[name]))
+        return self.phi.eval_bound(bindings, n_seeds)
 
     def apply(self, g):
         g = np.asarray(g, dtype=float)
-        if g.shape != (self.source_dim, self.source_dim):
-            raise GroupMismatchError(
-                f"morphism argument has shape {g.shape}, "
-                f"expected ({self.source_dim}, {self.source_dim})")
-        arg = Dual.constant(g, 0)
-        return self.phi.eval_bound(self._bindings(arg), 0).primal
+        self._check_source(g, "morphism argument")
+        image = self._eval(Dual.matrix(g), 0).primal
+        return np.broadcast_to(image, g.shape[:-2] + image.shape[-2:])
 
     def differential(self, g, E):
         """Directional derivative of the morphism at g along the matrix E."""
-        arg = Dual.matrix(g, [np.asarray(E, dtype=float)])
-        return self.phi.eval_bound(self._bindings(arg), 1).tangent[0]
+        g = np.asarray(g, dtype=float)
+        E = np.asarray(E, dtype=float)
+        tangent = self._eval(Dual.matrix(g, E[None]), 1).tangent[0]
+        batch = np.broadcast_shapes(g.shape[:-2], E.shape[:-2])
+        return np.broadcast_to(tangent, batch + tangent.shape[-2:])
 
     def induced(self, X):
         """Induced algebra morphism: d/dt phi(exp(tX)) at t = 0."""
         X = np.asarray(X, dtype=float)
-        if X.shape != (self.source_dim, self.source_dim):
-            raise GroupMismatchError(
-                f"algebra element has shape {X.shape}, "
-                f"expected ({self.source_dim}, {self.source_dim})")
+        self._check_source(X, "algebra element")
         return self.differential(np.eye(self.source_dim), X)
 
     def compose(self, other: "GroupMorphismSpec") -> "GroupMorphismSpec":

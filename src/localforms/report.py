@@ -8,8 +8,11 @@ runs produce byte-identical files.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
+
+import numpy as np
 
 from . import __version__
 from .atlas import SamplePlan
@@ -24,7 +27,10 @@ class CheckResult:
 
     @property
     def passed(self):
-        return self.max_residual < self.tolerance
+        """Fail closed: a check passes only if it saw at least one sample
+        and its largest residual is finite and below tolerance."""
+        return (self.sample_count > 0 and math.isfinite(self.max_residual)
+                and self.max_residual < self.tolerance)
 
     def to_dict(self):
         return {
@@ -79,11 +85,19 @@ class Report:
         return canonical_json(self.to_dict()) + "\n"
 
 
+def max_residual(diff, axis=(-2, -1)):
+    """Largest norm over a stack of residual matrices (vectors with
+    axis=-1); 0.0 for an empty stack, NaN if any residual is NaN."""
+    return float(np.max(np.linalg.norm(diff, axis=axis), initial=0.0))
+
+
 def _format_value(value):
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, float):
-        return format(value, ".17g")
+        text = format(value, ".17g")
+        # JSON has no literal for nan and inf; they are written as strings
+        return text if math.isfinite(value) else f'"{text}"'
     if isinstance(value, int):
         return str(value)
     if isinstance(value, str):

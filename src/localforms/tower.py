@@ -10,17 +10,18 @@ and projective consistency of pointwise connection values.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Mapping, Tuple
 
 import numpy as np
 
-from .atlas import sample
-from .connection import (CallableForm, LocalConnectionData, PointRep,
-                         TangentRep, global_form_eval)
+from .atlas import directions, sample
+from .connection import (LocalConnectionData, PointRep, TangentRep,
+                         global_form_eval)
 from .errors import LevelOutOfRange, TowerInvariantViolation
-from .lie import ComposedGroupMap, GroupMorphismSpec, identity_morphism
-from .report import Report
+from .lie import GroupMorphismSpec, exp_matrix, identity_morphism
+from .morphism import associated_connection
+from .report import Report, max_residual
 
 
 @dataclass(frozen=True)
@@ -61,18 +62,16 @@ class TowerSpec:
                 raise TowerInvariantViolation("levels do not share an atlas")
         rng = np.random.default_rng(seed)
         for j in range(3, self.depth + 1):
+            group = self.level(j).group
             for i in range(1, j - 1):
                 direct = self.connector(j, i)
                 for k in range(i + 1, j):
                     composed = self.connector(k, i).compose(self.connector(j, k))
-                    for _ in range(n_samples):
-                        g = self.level(j).group.sample_group(rng)
-                        residual = np.linalg.norm(
-                            direct.apply(g) - composed.apply(g))
-                        if residual > tolerance:
-                            raise TowerInvariantViolation(
-                                f"connectors ({j},{i}) vs ({k},{i}).({j},{k}) "
-                                f"differ by {residual:.3e}")
+                    g = exp_matrix(np.stack([group.sample_algebra(rng)
+                                             for _ in range(n_samples)]))
+                    _first_violation(
+                        direct.apply(g) - composed.apply(g), tolerance,
+                        f"connectors ({j},{i}) vs ({k},{i}).({j},{k}) differ")
         for i in range(1, self.depth):
             upper = self.level(i + 1)
             lower = self.level(i)
@@ -84,14 +83,22 @@ class TowerSpec:
                 ov = upper.atlas.overlap(*key)
                 pts = sample(upper.sample_plan, ov.domain, ov.mask,
                              upper.params)
-                for x in pts:
-                    residual = np.linalg.norm(
-                        g_lower.value(x) - phi.apply(g_upper.value(x)))
-                    if residual > tolerance:
-                        raise TowerInvariantViolation(
-                            f"transition {key} at level {i} deviates from the "
-                            f"projected level-{i + 1} transition by {residual:.3e}")
+                _first_violation(
+                    g_lower.value(pts) - phi.apply(g_upper.value(pts)),
+                    tolerance,
+                    f"transition {key} at level {i} deviates from the "
+                    f"projected level-{i + 1} transition")
         return self
+
+
+def _first_violation(diff, tolerance, message):
+    """Raise with the residual of the first sample whose residual matrix
+    exceeds the tolerance."""
+    residuals = np.linalg.norm(diff, axis=(-2, -1))
+    bad = residuals > tolerance
+    if np.any(bad):
+        raise TowerInvariantViolation(
+            f"{message} by {residuals[np.argmax(bad)]:.3e}")
 
 
 def check_tower_related(tower: TowerSpec, tolerance=1e-8) -> Report:
@@ -107,17 +114,11 @@ def check_tower_related(tower: TowerSpec, tolerance=1e-8) -> Report:
             for chart_id in sorted(upper.atlas.charts):
                 chart = upper.atlas.chart(chart_id)
                 pts = sample(upper.sample_plan, chart.box, params=upper.params)
-                residual = 0.0
-                for x in pts:
-                    for d in range(chart.dim):
-                        e = np.zeros(chart.dim)
-                        e[d] = 1.0
-                        lhs = phi.induced(upper.forms[chart_id](x, e))
-                        rhs = lower.forms[chart_id](x, e)
-                        residual = max(residual,
-                                       float(np.linalg.norm(lhs - rhs)))
-                report.add(f"tower-related:{j}->{i}:{chart_id}", residual,
-                           len(pts) * chart.dim)
+                e = directions(chart.dim)
+                lhs = phi.induced(upper.forms[chart_id](pts, e))
+                rhs = lower.forms[chart_id](pts, e)
+                report.add(f"tower-related:{j}->{i}:{chart_id}",
+                           max_residual(lhs - rhs), len(pts) * chart.dim)
     return report
 
 
@@ -128,17 +129,8 @@ def project_connection(tower: TowerSpec, i) -> LocalConnectionData:
     top = tower.level(tower.depth)
     if i == tower.depth:
         return top
-    phi = tower.connector(tower.depth, i)
-    group = tower.level(i).group
-    transitions = {key: ComposedGroupMap(phi, g)
-                   for key, g in top.transitions.items()}
-    forms = {}
-    for chart_id, form in top.forms.items():
-        forms[chart_id] = CallableForm(
-            form.chart, form.dim, group.n,
-            lambda x, v, _f=form: phi.induced(_f(x, v)))
-    return LocalConnectionData(top.atlas, group, transitions, forms,
-                               top.sample_plan, top.params)
+    return associated_connection(top, tower.connector(tower.depth, i),
+                                 tower.level(i).group)
 
 
 def limit_eval(tower: TowerSpec, p: PointRep, u: TangentRep) -> List[np.ndarray]:

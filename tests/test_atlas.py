@@ -3,7 +3,8 @@ import json
 import numpy as np
 import pytest
 
-from localforms.atlas import Atlas, Chart, Overlap, SamplePlan, sample
+from localforms.atlas import (Atlas, Chart, Overlap, SamplePlan, in_box,
+                              sample)
 from localforms.bundle_io import load_bundle
 from localforms.errors import DomainError, ValidationError
 from localforms.expr import parse
@@ -155,3 +156,16 @@ def test_fixture_files_load():
         data = load_bundle(fixture_path(name))
         assert data.sample_plan.grid == 20
         assert data.sample_plan.n_random == 50
+
+
+def test_in_box_is_a_vectorised_mask_with_slack():
+    box = ((0.0, 1.0), (2.0, 3.0))
+    points = np.array([[0.5, 2.5], [1.5, 2.5], [1.0 + 5e-10, 3.0],
+                       [-2e-9, 2.0]])
+    assert in_box(points, box).tolist() == [True, False, True, False]
+    assert in_box(points, box, slack=0.0).tolist() == [True, False, False,
+                                                        False]
+    assert in_box(points.reshape(2, 2, 2), box).shape == (2, 2)
+    chart = Chart("U", 2, box)
+    assert chart.contains(points[2])
+    assert not chart.contains(points[2], slack=0.0)

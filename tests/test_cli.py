@@ -154,3 +154,38 @@ def test_tower(tmp_path):
     code, report = run(tmp_path, "tower",
                        fixture_path("tower_unipotent_mutated.json"))
     assert code == 1
+
+
+def _abelian_variant(tmp_path, edit):
+    doc = json.loads(open(fixture_path("abelian.json")).read())
+    edit(doc)
+    path = tmp_path / "variant.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+def test_non_finite_residual_fails_closed(tmp_path):
+    def overflow(doc):
+        doc["forms"]["U1"] = ["1e308*10*[[0,-1],[1,0]]"]
+
+    code, report = run(tmp_path, "verify", _abelian_variant(tmp_path, overflow))
+    assert code == 1
+    check = next(c for c in report["checks"]
+                 if c["name"] == "compatibility:U1,U2")
+    assert check["passed"] is False
+    assert check["max_residual"] == "nan"  # JSON has no NaN literal
+
+
+def test_check_without_samples_fails_closed(tmp_path):
+    def mask_everything(doc):
+        for overlap in doc["overlaps"]:
+            overlap["mask"] = "-1"
+        doc["forms"]["U2"] = ["(sin(x1)+2)*[[0,-1],[1,0]]"]  # incompatible
+
+    code, report = run(tmp_path, "verify",
+                       _abelian_variant(tmp_path, mask_everything))
+    assert code == 1
+    check = next(c for c in report["checks"]
+                 if c["name"] == "compatibility:U1,U2")
+    assert check["sample_count"] == 0
+    assert check["passed"] is False

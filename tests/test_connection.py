@@ -178,3 +178,66 @@ def test_compatibility_failing_check_is_named():
     data = load_fixture("monopole_k1_mutated.json", grid=5, random=5)
     report = check_compatibility(data, 1e-8)
     assert "compatibility:U_N,U_S" in report.failing()
+
+
+def _three_chart_bundle(ac_mask=None, bc_mask=None, broken=False):
+    """Three 1-d charts whose SO(2) transitions g_ab = R(f_a - f_b) satisfy
+    the triple cocycle (unless `broken`).  The U2->U3 overlap ends 5e-10
+    short of the grid point x = 1.6875, which it keeps only through the
+    containment slack."""
+    from localforms.atlas import Atlas, Chart, Overlap, SamplePlan
+    from localforms.connection import LocalConnectionData, zero_form
+    from localforms.lie import GroupSpec
+
+    def ast(text):
+        return parse(text, ["x1"])
+
+    charts = {c: Chart(c, 1, box) for c, box in
+              (("U1", ((0.0, 2.0),)), ("U2", ((1.0, 3.0),)),
+               ("U3", ((1.5, 4.0),)))}
+    overlaps = (
+        Overlap("U1", "U2", ((1.0, 2.0),), (ast("x1"),)),
+        Overlap("U1", "U3", ((1.5, 2.0),), (ast("x1"),),
+                None if ac_mask is None else ast(ac_mask)),
+        Overlap("U2", "U3", ((1.5, 1.6875 - 5e-10),), (ast("x1"),),
+                None if bc_mask is None else ast(bc_mask)),
+    )
+    f = {"U1": "x1", "U2": "2*x1", "U3": "sin(x1)"}
+
+    def g(a, b, extra=""):
+        return ExprGroupMap(a, ast(
+            f"mexp(({f[a]} - ({f[b]}){extra}) * [[0,-1],[1,0]])"))
+
+    transitions = {("U1", "U2"): g("U1", "U2"), ("U2", "U3"): g("U2", "U3"),
+                   ("U1", "U3"): g("U1", "U3", " + 0.01" if broken else "")}
+    forms = {c: zero_form(c, 1, 2) for c in charts}
+    return LocalConnectionData(Atlas(charts, overlaps),
+                               GroupSpec("SO(2)", 2, (J,)), transitions,
+                               forms, SamplePlan(grid=4, n_random=0))
+
+
+def _triple(data):
+    checks = {c.name: c for c in check_cocycle(data, 1e-8).checks}
+    return checks.get("cocycle:U1,U2,U3")
+
+
+def test_triple_cocycle_passes_with_slack():
+    # grid points of [1.5, 2]: 1.5625, 1.6875, 1.8125, 1.9375; the first
+    # two lie in the U2->U3 overlap, the second only within the slack
+    check = _triple(_three_chart_bundle())
+    assert check.passed
+    assert check.sample_count == 2
+
+
+def test_triple_cocycle_applies_the_other_overlap_masks():
+    assert _triple(_three_chart_bundle(ac_mask="x1 - 1.6")).sample_count == 1
+    assert _triple(_three_chart_bundle(bc_mask="1.6 - x1")).sample_count == 1
+    assert _triple(_three_chart_bundle(ac_mask="x1 - 1.6",
+                                       bc_mask="1.6 - x1")) is None
+
+
+def test_triple_cocycle_detects_a_broken_transition():
+    check = _triple(_three_chart_bundle(broken=True))
+    assert not check.passed
+    want = 2.0 * np.sqrt(2.0) * np.sin(0.005)  # ||R(0.01) - I||_F
+    assert check.max_residual == pytest.approx(want, abs=1e-12)

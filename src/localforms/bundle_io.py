@@ -9,6 +9,7 @@ structural reference; errors name the offending chart/overlap/form.
 
 from __future__ import annotations
 
+import functools
 import json
 from typing import Dict, Tuple
 
@@ -32,6 +33,23 @@ def _load_json(path):
         raise ValidationError(f"cannot read '{path}': {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ValidationError(f"'{path}' is not valid JSON: {exc}") from exc
+
+
+def _document_loader(load):
+    """Wrap a public loader so that a missing key or a value of the wrong
+    type or form anywhere in the document is a ValidationError naming the
+    file, not a KeyError, TypeError or ValueError."""
+
+    @functools.wraps(load)
+    def wrapper(path, *args, **kwargs):
+        try:
+            return load(path, *args, **kwargs)
+        except KeyError as exc:
+            raise ValidationError(f"'{path}': missing key {exc}") from exc
+        except (TypeError, ValueError) as exc:
+            raise ValidationError(f"'{path}': invalid value: {exc}") from exc
+
+    return wrapper
 
 
 def _parse_group(doc) -> GroupSpec:
@@ -142,6 +160,7 @@ def _parse_forms(doc, atlas, n, params):
     return forms
 
 
+@_document_loader
 def load_bundle(path) -> LocalConnectionData:
     """Load and validate a bundle description file."""
     doc = _load_json(path)
@@ -156,6 +175,7 @@ def load_bundle(path) -> LocalConnectionData:
     return data.validate()
 
 
+@_document_loader
 def load_morphism(path, atlas=None, params=None) -> MorphismData:
     """Load a morphism description: phi (expression in the matrix parameter
     g), optional per-chart h maps, and group dimensions."""
@@ -191,6 +211,7 @@ def load_morphism(path, atlas=None, params=None) -> MorphismData:
     return morphism, target_transitions
 
 
+@_document_loader
 def load_christoffel(path) -> Tuple[ChristoffelData, dict]:
     """Load Christoffel data plus the vector bundle's transition family."""
     doc = _load_json(path)
@@ -214,6 +235,7 @@ def load_christoffel(path) -> Tuple[ChristoffelData, dict]:
     return data, transitions
 
 
+@_document_loader
 def load_tower(path) -> TowerSpec:
     """Load a tower description: shared atlas, per-level bundle data and the
     connecting morphisms keyed 'j,i'."""
@@ -249,6 +271,7 @@ def load_tower(path) -> TowerSpec:
     return TowerSpec(tuple(levels), connectors)
 
 
+@_document_loader
 def load_path(path, atlas, params=None):
     """Load a transport path: a list of curve segments plus an optional
     starting group element."""

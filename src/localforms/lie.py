@@ -13,10 +13,10 @@ from dataclasses import dataclass, field
 from typing import Mapping, Optional, Tuple
 
 import numpy as np
-from scipy.linalg import expm
 
 from .errors import GroupMismatchError, SingularMatrixError
 from .expr import Dual, ExprAST
+from .expr.dual import expm
 
 DET_THRESHOLD = 1e-10
 
@@ -49,9 +49,9 @@ def commutator(X, Y):
     return X @ Y - Y @ X
 
 
-def exp_matrix(X):
-    """Matrix exponential (scaling-and-squaring) of a matrix or a stack."""
-    return expm(np.asarray(X, dtype=float))
+# The exponential of a matrix or a stack under its Lie-group name, for
+# callers outside the package; inside it, call `expm`.
+exp_matrix = expm
 
 
 @dataclass(frozen=True)
@@ -69,7 +69,7 @@ class GroupSpec:
         return rng.uniform(-scale, scale, (self.n, self.n))
 
     def sample_group(self, rng, scale=1.0):
-        return exp_matrix(self.sample_algebra(rng, scale))
+        return expm(self.sample_algebra(rng, scale))
 
 
 # ----- group-valued maps on a chart -----------------------------------

@@ -189,3 +189,29 @@ def test_check_without_samples_fails_closed(tmp_path):
                  if c["name"] == "compatibility:U1,U2")
     assert check["sample_count"] == 0
     assert check["passed"] is False
+
+
+def _drop_group(doc):
+    del doc["group"]
+
+
+def _drop_box(doc):
+    del doc["charts"][0]["box"]
+
+
+def _bad_grid(doc):
+    doc["sample_plan"] = {"grid": "x"}
+
+
+@pytest.mark.parametrize("edit, needle", [(_drop_group, "'group'"),
+                                          (_drop_box, "'box'"),
+                                          (_bad_grid, "'x'")])
+def test_malformed_document_is_a_usage_error(tmp_path, capsys, edit, needle):
+    path = _abelian_variant(tmp_path, edit)
+    code, report = run(tmp_path, "verify", path)
+    assert code == 2
+    assert report is None
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert path in err and needle in err
+    assert "Traceback" not in err

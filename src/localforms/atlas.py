@@ -106,6 +106,10 @@ class SamplePlan:
     seed: int = 0
 
     def __post_init__(self):
+        if self.grid < 0 or self.n_random < 0:
+            raise ValidationError(
+                f"sample plan grid {self.grid} and random {self.n_random} "
+                f"must not be negative")
         if self.grid < 1 and self.n_random < 1:
             raise ValidationError("sample plan produces no points")
 

@@ -25,8 +25,19 @@ from .report import Report
 from .tower import check_tower_related
 
 
+def _tolerance(text):
+    try:
+        value = float(text)
+    except ValueError:
+        value = np.nan
+    if not np.isfinite(value) or value <= 0.0:
+        raise argparse.ArgumentTypeError(
+            f"must be a finite number > 0, got {text!r}")
+    return value
+
+
 def _add_common(parser):
-    parser.add_argument("--tolerance", type=float, default=1e-8)
+    parser.add_argument("--tolerance", type=_tolerance, default=1e-8)
     parser.add_argument("--grid", type=int, default=None)
     parser.add_argument("--random", type=int, default=None)
     parser.add_argument("--seed", type=int, default=None)

@@ -3,9 +3,10 @@
 Integrates the horizontal ODE a'(t) = -omega_{gamma(t)}(gamma'(t)) . a(t)
 with classical fixed-step RK4 per segment (deterministic by construction).
 The right-hand side does not depend on a, so the curve, its velocity and the
-form are evaluated once per segment at all 2 * steps + 1 RK4 nodes; only the
-n x n RK4 recursion runs step by step.  Chart switches at segment junctions
-go through chart_change.
+form are evaluated once per segment at all 2 * steps + 1 RK4 nodes, and each
+RK4 step is a linear map a -> (I + D_s) a.  All D_s are built as one stack
+and multiplied in order, pairwise, with no loop over steps.  Chart switches
+at segment junctions go through chart_change.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from typing import Sequence, Tuple
 
 import numpy as np
 
-from ..errors import PathDiscontinuityError
+from ..errors import PathDiscontinuityError, ValidationError
 from ..expr import ExprAST
 from .data import LocalConnectionData
 from .points import PointRep, chart_change
@@ -42,6 +43,9 @@ class PathSegment:
 def parallel_transport(data: LocalConnectionData,
                        path: Sequence[PathSegment],
                        a0, steps=1000) -> np.ndarray:
+    if steps < 1:
+        raise ValidationError(
+            f"transport needs at least one step, got {steps}")
     a = np.asarray(a0, dtype=float)
     prev = None  # (chart, end point)
     for segment in path:
@@ -75,10 +79,24 @@ def _integrate_segment(data, segment, a, steps):
                          data.params)
     rhs = -data.forms[segment.chart](x, xdot)
     ends, mids = rhs[:steps + 1], rhs[steps + 1:]
-    for s in range(steps):
-        k1 = ends[s] @ a
-        k2 = mids[s] @ (a + 0.5 * h * k1)
-        k3 = mids[s] @ (a + 0.5 * h * k2)
-        k4 = ends[s + 1] @ (a + h * k3)
-        a = a + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    return a
+    # RK4 is linear in a: step s maps a to (I + D_s) a, with D_s built from
+    # the RK4 stages applied to the identity
+    k1 = ends[:-1]
+    k2 = mids + (0.5 * h) * (mids @ k1)
+    k3 = mids + (0.5 * h) * (mids @ k2)
+    k4 = ends[1:] + h * (ends[1:] @ k3)
+    increments = (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    return a + _ordered_product(increments) @ a
+
+
+def _ordered_product(increments):
+    """D with I + D = (I + D_{m-1}) ... (I + D_1)(I + D_0) for a stack of m
+    increments, multiplied pairwise in order: (I + L)(I + E) = I + (L + E +
+    L E).  I + D is never rounded, so no per-step rounding of I + D_s adds
+    up over the steps."""
+    d = increments
+    while len(d) > 1:
+        paired = len(d) - len(d) % 2
+        early, late = d[0:paired:2], d[1:paired:2]
+        d = np.concatenate((late + early + late @ early, d[paired:]))
+    return d[0]

@@ -54,9 +54,10 @@ class Binary(Node):
 
     def __str__(self):
         prec = _PRECEDENCE[self.op]
-        left = _paren(self.left, prec)
-        # -, / and ^ are left-associative / non-associative on the right
-        right = _paren(self.right, prec + (0 if self.op == "+" else 1))
+        # the base of ^ is an atom; an operator on the right keeps its
+        # parentheses, since reassociating a float sum changes its value
+        left = _paren(self.left, prec + (1 if self.op == "^" else 0))
+        right = _paren(self.right, prec + 1)
         return f"{left} {self.op} {right}" if self.op != "^" else f"{left}^{right}"
 
 

@@ -62,14 +62,18 @@ class GroupSpec:
     n: int
     generators: Optional[Tuple[np.ndarray, ...]] = None
 
-    def sample_algebra(self, rng, scale=1.0):
+    def sample_algebra(self, rng, scale=1.0, shape=()):
+        """Random algebra elements, shape + (n, n), drawn by one rng call:
+        uniform coefficients of the generators, else uniform entries."""
+        shape = tuple(shape)
         if self.generators is not None:
-            coeffs = rng.uniform(-scale, scale, len(self.generators))
-            return sum(c * g for c, g in zip(coeffs, self.generators))
-        return rng.uniform(-scale, scale, (self.n, self.n))
+            coeffs = rng.uniform(-scale, scale,
+                                 shape + (len(self.generators),))
+            return np.tensordot(coeffs, np.stack(self.generators), axes=1)
+        return rng.uniform(-scale, scale, shape + (self.n, self.n))
 
-    def sample_group(self, rng, scale=1.0):
-        return expm(self.sample_algebra(rng, scale))
+    def sample_group(self, rng, scale=1.0, shape=()):
+        return expm(self.sample_algebra(rng, scale, shape))
 
 
 # ----- group-valued maps on a chart -----------------------------------

@@ -19,7 +19,7 @@ from .atlas import directions, sample
 from .connection import (LocalConnectionData, PointRep, TangentRep,
                          global_form_eval)
 from .errors import LevelOutOfRange, TowerInvariantViolation
-from .lie import GroupMorphismSpec, expm, identity_morphism
+from .lie import GroupMorphismSpec, identity_morphism
 from .morphism import associated_connection
 from .report import Report, max_residual
 
@@ -67,8 +67,7 @@ class TowerSpec:
                 direct = self.connector(j, i)
                 for k in range(i + 1, j):
                     composed = self.connector(k, i).compose(self.connector(j, k))
-                    g = expm(np.stack([group.sample_algebra(rng)
-                                       for _ in range(n_samples)]))
+                    g = group.sample_group(rng, shape=(n_samples,))
                     _first_violation(
                         direct.apply(g) - composed.apply(g), tolerance,
                         f"connectors ({j},{i}) vs ({k},{i}).({j},{k}) differ")

@@ -215,3 +215,46 @@ def test_malformed_document_is_a_usage_error(tmp_path, capsys, edit, needle):
     assert err.startswith("error:")
     assert path in err and needle in err
     assert "Traceback" not in err
+
+
+_TRANSPORT = ["transport", fixture_path("monopole_k1.json"),
+              fixture_path("path_monopole_equator.json")]
+_VERIFY = ["verify", fixture_path("flat.json")]
+
+
+@pytest.mark.parametrize("argv", [
+    _TRANSPORT + ["--steps", "0"],
+    _TRANSPORT + ["--steps", "-3"],
+    _VERIFY + ["--grid", "-2"],
+    _VERIFY + ["--random", "-1"],
+])
+def test_invalid_numeric_argument_is_a_usage_error(tmp_path, capsys, argv):
+    code = main(argv + ["--out", str(tmp_path / "report.json")])
+    assert code == 2
+    assert not (tmp_path / "report.json").exists()
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "0", "-1e-8", "x"])
+def test_invalid_tolerance_is_a_usage_error(tmp_path, capsys, value):
+    with pytest.raises(SystemExit) as exc:
+        main(_VERIFY + ["--tolerance", value,
+                        "--out", str(tmp_path / "report.json")])
+    assert exc.value.code == 2
+    assert not (tmp_path / "report.json").exists()
+    err = capsys.readouterr().err
+    assert "usage:" in err and "--tolerance" in err
+    assert "Traceback" not in err
+
+
+def test_negative_plan_in_document_is_a_usage_error(tmp_path, capsys):
+    def negative_grid(doc):
+        doc["sample_plan"] = {"grid": -2, "random": 5}
+
+    code, report = run(tmp_path, "verify",
+                       _abelian_variant(tmp_path, negative_grid), fast=False)
+    assert code == 2
+    assert report is None
+    assert capsys.readouterr().err.startswith("error:")

@@ -81,6 +81,19 @@ def test_group_spec_sampling_uses_generators():
         assert np.allclose(g @ g.T, np.eye(2), atol=1e-12)
 
 
+@pytest.mark.parametrize("generators", [None, (J, np.eye(2))])
+def test_stacked_algebra_samples_continue_the_single_stream(generators):
+    spec = GroupSpec("G", 2, generators)
+    single = np.random.default_rng(5)
+    stacked = np.random.default_rng(5)
+    one_by_one = np.stack([spec.sample_algebra(single) for _ in range(6)])
+    assert one_by_one.shape == (6, 2, 2)
+    assert np.allclose(spec.sample_algebra(stacked, shape=(2, 3)),
+                       one_by_one.reshape(2, 3, 2, 2), rtol=0, atol=1e-15)
+    assert single.random() == stacked.random()
+    assert spec.sample_group(stacked, shape=(4,)).shape == (4, 2, 2)
+
+
 def test_log_diff_product_rule():
     # d(g h) translated on the left: Ad(h^-1) (g^-1 dg) + h^-1 dh
     rng = np.random.default_rng(11)

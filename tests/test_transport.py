@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 from localforms.bundle_io import load_path
-from localforms.connection import PathSegment, parallel_transport
-from localforms.errors import PathDiscontinuityError
+from localforms.connection import PathSegment, PointRep, parallel_transport
+from localforms.connection.points import chart_change
+from localforms.errors import PathDiscontinuityError, ValidationError
 from localforms.expr import parse
 from localforms.lie import exp_matrix
 
@@ -124,3 +125,85 @@ def test_transport_is_deterministic():
     a = parallel_transport(data, segments, a0, steps=250)
     b = parallel_transport(data, segments, a0, steps=250)
     assert np.array_equal(a, b)
+
+
+def rk4_reference(data, path, a, steps):
+    """Classical RK4 one step at a time on the nodes t += h, with the chart
+    switch of parallel_transport at junctions."""
+    for before, segment in zip([None] + list(path), path):
+        if before is not None and before.chart != segment.chart:
+            x_end, _ = before.at(before.t1, data.params)
+            a = chart_change(data, PointRep(before.chart, x_end, a),
+                             segment.chart).a
+        h = (segment.t1 - segment.t0) / steps
+        ticks = [segment.t0]
+        for _ in range(steps):
+            ticks.append(ticks[-1] + h)
+        x, xdot = segment.at(ticks, data.params)
+        ends = -data.forms[segment.chart](x, xdot)
+        x, xdot = segment.at(np.array(ticks[:-1]) + 0.5 * h, data.params)
+        mids = -data.forms[segment.chart](x, xdot)
+        for s in range(steps):
+            k1 = ends[s] @ a
+            k2 = mids[s] @ (a + 0.5 * h * k1)
+            k3 = mids[s] @ (a + 0.5 * h * k2)
+            k4 = ends[s + 1] @ (a + h * k3)
+            a = a + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    return a
+
+
+def _sphere_path(two_charts):
+    """A path in sphere_frame whose form values do not commute: x1 and x2
+    both move, and the second variant crosses from U_N into U_S."""
+    first = PathSegment("U_N", (parse("0.6 + 0.8*t", ["t"]),
+                                parse("3*t", ["t"])), 0.0, 1.0)
+    if not two_charts:
+        return [first]
+    return [first, PathSegment("U_S", (parse("3.141592653589793 - 1.4 + 0.5*t",
+                                              ["t"]),
+                                        parse("3 + t", ["t"])), 0.0, 1.0)]
+
+
+def _equivalence_cases():
+    sphere = load_fixture("sphere_frame.json")
+    abelian = load_fixture("abelian.json")
+    a0 = np.array([[1.0, 0.5], [-0.25, 2.0]])
+    return {
+        "sphere": (sphere, _sphere_path(False), a0),
+        "sphere-two-charts": (sphere, _sphere_path(True), a0),
+        "abelian-two-charts": (abelian,) + _path(
+            abelian, "path_abelian_two_charts.json"),
+    }
+
+
+@pytest.mark.parametrize("case", ["sphere", "sphere-two-charts",
+                                  "abelian-two-charts"])
+@pytest.mark.parametrize("steps", [1, 2, 3, 7, 2001])
+def test_transport_matches_step_by_step_rk4(case, steps):
+    data, path, a0 = _equivalence_cases()[case]
+    result = parallel_transport(data, path, a0, steps=steps)
+    want = rk4_reference(data, path, a0, steps)
+    assert np.linalg.norm(result - want) < 1e-13
+
+
+def test_sphere_path_does_not_commute():
+    data, path, _ = _equivalence_cases()["sphere"]
+    x, xdot = path[0].at([0.0, 1.0], data.params)
+    start, end = data.forms["U_N"](x, xdot)
+    assert np.linalg.norm(start @ end - end @ start) > 0.1
+
+
+def test_long_monopole_transport_stays_on_the_group():
+    data = load_fixture("monopole_k1.json")
+    segments, a0 = _path(data, "path_monopole_equator.json")
+    result = parallel_transport(data, segments, a0, steps=100_000)
+    assert np.linalg.norm(result - rotation(-np.pi)) < 1e-9
+    assert np.linalg.norm(result.T @ result - np.eye(2)) <= 1e-12
+
+
+@pytest.mark.parametrize("steps", [0, -3])
+def test_transport_needs_a_step(steps):
+    data = load_fixture("monopole_k1.json")
+    segments, a0 = _path(data, "path_monopole_equator.json")
+    with pytest.raises(ValidationError):
+        parallel_transport(data, segments, a0, steps=steps)

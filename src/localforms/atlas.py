@@ -27,10 +27,7 @@ class Chart:
         if len(self.box) != self.dim:
             raise ValidationError(
                 f"chart '{self.id}': box has {len(self.box)} intervals, dim is {self.dim}")
-        for lo, hi in self.box:
-            if not hi > lo:
-                raise ValidationError(
-                    f"chart '{self.id}': degenerate interval [{lo}, {hi}]")
+        _require_intervals(self.box, f"chart '{self.id}'")
 
     @property
     def coords(self):
@@ -50,6 +47,9 @@ class Overlap:
     domain: Tuple[Tuple[float, float], ...]
     coord_change: Tuple[ExprAST, ...]
     mask: Optional[ExprAST] = None
+
+    def __post_init__(self):
+        _require_intervals(self.domain, f"overlap {self.src}->{self.dst}")
 
     def _require_inside(self, x):
         inside = in_box(x, self.domain)
@@ -75,6 +75,13 @@ class Overlap:
         pairs = [ast.eval_dual(x, params, seeds) for ast in self.coord_change]
         return (np.stack([y for y, _ in pairs], axis=-1),
                 np.stack([w[0] for _, w in pairs], axis=-1))
+
+
+def _require_intervals(box, owner):
+    for lo, hi in box:
+        if not hi > lo:
+            raise ValidationError(
+                f"{owner}: degenerate interval [{lo}, {hi}]")
 
 
 def in_box(points, box, slack=1e-9):
@@ -112,6 +119,9 @@ class SamplePlan:
                 f"must not be negative")
         if self.grid < 1 and self.n_random < 1:
             raise ValidationError("sample plan produces no points")
+        if self.seed < 0:
+            raise ValidationError(
+                f"sample plan seed {self.seed} must not be negative")
 
 
 def sample(plan: SamplePlan, box, mask: Optional[ExprAST] = None,

@@ -18,7 +18,7 @@ import numpy as np
 from .atlas import Atlas, Chart, Overlap, SamplePlan
 from .christoffel import ChristoffelData
 from .connection import ExprForm, LocalConnectionData, PathSegment
-from .errors import ValidationError
+from .errors import LocalFormsError, ValidationError
 from .expr import parse
 from .lie import ExprGroupMap, GroupMorphismSpec, GroupSpec
 from .morphism import MorphismData
@@ -36,9 +36,11 @@ def _load_json(path):
 
 
 def _document_loader(load):
-    """Wrap a public loader so that a missing key or a value of the wrong
-    type or form anywhere in the document is a ValidationError naming the
-    file, not a KeyError, TypeError or ValueError."""
+    """Wrap a public loader so that every error in the document names the
+    file: a missing key or a value of the wrong type or form is a
+    ValidationError, not a KeyError, AttributeError, OverflowError,
+    TypeError or ValueError, and any other error of this package that does
+    not name the file yet is re-raised as a ValidationError that does."""
 
     @functools.wraps(load)
     def wrapper(path, *args, **kwargs):
@@ -46,8 +48,12 @@ def _document_loader(load):
             return load(path, *args, **kwargs)
         except KeyError as exc:
             raise ValidationError(f"'{path}': missing key {exc}") from exc
-        except (TypeError, ValueError) as exc:
+        except (AttributeError, OverflowError, TypeError, ValueError) as exc:
             raise ValidationError(f"'{path}': invalid value: {exc}") from exc
+        except LocalFormsError as exc:
+            if str(path) in str(exc):
+                raise
+            raise ValidationError(f"'{path}': {exc}") from exc
 
     return wrapper
 
@@ -251,6 +257,9 @@ def load_tower(path) -> TowerSpec:
         forms = _parse_forms(entry.get("forms", {}), atlas, group.n, params)
         levels.append(LocalConnectionData(atlas, group, transitions, forms,
                                           plan, params).validate())
+        if set(transitions) != set(levels[0].transitions):
+            raise ValidationError(
+                f"levels 1 and {len(levels)} declare different transitions")
     connectors = {}
     for key, entry in doc.get("connectors", {}).items():
         parts = key.split(",")
@@ -268,6 +277,9 @@ def load_tower(path) -> TowerSpec:
                 f"connector '{key}' has shape {phi_ast.shape}, "
                 f"expected ({m}, {m})")
         connectors[(j, i)] = GroupMorphismSpec(n, m, phi_ast, "g", params)
+    for j in range(2, len(levels) + 1):
+        if (j, j - 1) not in connectors:
+            raise ValidationError(f"connector '{j},{j - 1}' is missing")
     return TowerSpec(tuple(levels), connectors)
 
 

@@ -34,6 +34,10 @@ class ChristoffelData:
 
     def validate(self):
         n = self.fiber_dim
+        for chart_id in self.atlas.charts:
+            if chart_id not in self.gamma:
+                raise ValidationError(
+                    f"chart '{chart_id}' has no Christoffel symbols")
         for chart_id, table in self.gamma.items():
             chart = self.atlas.chart(chart_id)
             if len(table) != chart.dim:

@@ -37,6 +37,8 @@ def evaluate(node, bindings) -> Dual:
             return Dual.atan2(args[0], args[1])
         return getattr(args[0], node.fn)()
     if isinstance(node, MatLit):
+        if node.constant is not None:
+            return Dual(node.constant, None, True)
         entries = [[evaluate(entry, bindings) for entry in row]
                    for row in node.rows]
         flat = [value for row in entries for value in row]

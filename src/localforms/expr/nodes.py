@@ -7,8 +7,10 @@ sums and function arguments is checked once at validation time.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional, Tuple
+
+import numpy as np
 
 from ..errors import ShapeError, ValidationError
 
@@ -72,12 +74,36 @@ class Call(Node):
 
 @dataclass(frozen=True)
 class MatLit(Node):
+    """A matrix literal.  When every entry is a number or a negated number,
+    `constant` holds its value as a read-only array, built once here and
+    returned by every evaluation; otherwise it is None."""
+
     rows: Tuple[Tuple[Node, ...], ...]
+    constant: Optional[np.ndarray] = field(init=False, compare=False,
+                                           repr=False)
+
+    def __post_init__(self):
+        values = [[_entry_value(entry) for entry in row] for row in self.rows]
+        constant = None
+        if (len({len(row) for row in values}) == 1
+                and all(v is not None for row in values for v in row)):
+            constant = np.array(values, dtype=float)
+            constant.flags.writeable = False
+        object.__setattr__(self, "constant", constant)
 
     def __str__(self):
         rows = ", ".join(
             "[" + ", ".join(str(e) for e in row) + "]" for row in self.rows)
         return f"[{rows}]"
+
+
+def _entry_value(node):
+    """The value of a number or a negated number; None for anything else."""
+    if isinstance(node, Num):
+        return float(node.value)
+    if isinstance(node, Unary) and isinstance(node.operand, Num):
+        return -float(node.operand.value)
+    return None
 
 
 _PRECEDENCE = {"+": 10, "-": 10, "*": 20, "/": 20, "^": 30}

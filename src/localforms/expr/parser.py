@@ -7,9 +7,10 @@ as the (left-associative) matrix product whenever an operand is a matrix.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass, field
-from typing import Dict, Mapping, Tuple
+from typing import Dict, Mapping, NamedTuple, Tuple
 
 import numpy as np
 
@@ -27,32 +28,41 @@ _TOKEN_RE = re.compile(
 _FUNCTIONS = set(SCALAR_FUNCTIONS) | set(MATRIX_FUNCTIONS) | {"atan2"}
 
 
-@dataclass(frozen=True)
-class _Token:
+class _Token(NamedTuple):
     kind: str
     text: str
     pos: int
 
 
 def _tokenize(source):
+    """The tokens of `source` from one scan, ending with an 'end' token.  A
+    match that does not start where the previous one ended leaves a gap, and
+    the gap's first non-space character is the one no token can start with;
+    so is any non-space character left after the last match."""
     tokens = []
-    pos = 0
-    while pos < len(source):
-        match = _TOKEN_RE.match(source, pos)
-        if match is None:
-            stripped = source[pos:].lstrip()
-            if not stripped:
-                break
-            at = len(source) - len(stripped)
-            raise ExpressionSyntaxError(
-                f"unexpected character '{source[at]}'", at)
-        if match.lastgroup is None:
+    end = 0
+    for match in _TOKEN_RE.finditer(source):
+        if match.start() != end:
             break
-        tokens.append(_Token(match.lastgroup, match.group(match.lastgroup),
-                             match.start(match.lastgroup)))
-        pos = match.end()
+        kind = match.lastgroup
+        tokens.append(_Token(kind, match[kind], match.start(kind)))
+        end = match.end()
+    rest = source[end:].lstrip()
+    if rest:
+        at = len(source) - len(rest)
+        raise ExpressionSyntaxError(f"unexpected character '{source[at]}'", at)
     tokens.append(_Token("end", "", len(source)))
     return tokens
+
+
+def _number(token):
+    """The value of a number token; a literal too large for a float is a
+    syntax error, since it has no finite value to print back."""
+    value = float(token.text)
+    if not math.isfinite(value):
+        raise ExpressionSyntaxError(
+            f"number '{token.text}' is too large", token.pos)
+    return value
 
 
 class _Parser:
@@ -114,16 +124,17 @@ class _Parser:
                 self.advance()
                 sign = -1
             token = self.advance()
-            if token.kind != "num" or float(token.text) != int(float(token.text)):
+            value = _number(token) if token.kind == "num" else None
+            if value is None or value != int(value):
                 raise ExpressionSyntaxError(
                     "'^' requires an integer exponent", token.pos)
-            node = Binary("^", node, Num(sign * float(token.text)))
+            node = Binary("^", node, Num(sign * value))
         return node
 
     def atom(self):
         token = self.advance()
         if token.kind == "num":
-            return Num(float(token.text))
+            return Num(_number(token))
         if token.kind == "ident":
             if self.peek().text == "(":
                 if token.text not in _FUNCTIONS:
@@ -280,8 +291,9 @@ def _value_shape(result):
 
 
 def _broadcast(value, shape):
-    """`value` as a writable array of exactly `shape`; a float for ()."""
-    if np.shape(value) != shape:
+    """`value` as a writable array of exactly `shape`; a float for ().  A
+    read-only array (a constant matrix literal's value) is copied."""
+    if np.shape(value) != shape or (shape and not value.flags.writeable):
         value = np.array(np.broadcast_to(value, shape))
     return value[()] if shape == () else value
 

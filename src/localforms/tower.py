@@ -10,6 +10,7 @@ and projective consistency of pointwise connection values.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import List, Mapping, Tuple
 
@@ -102,22 +103,34 @@ def _first_violation(diff, tolerance, message):
 
 def check_tower_related(tower: TowerSpec, tolerance=1e-8) -> Report:
     """Levelwise relatedness: for every pair j > i, chart and sample
-    direction, phibar^(ji)(omega^j) must equal omega^i."""
+    direction, phibar^(ji)(omega^j) must equal omega^i.
+
+    Each level's form is evaluated once per chart and sample set (the plan
+    and box the points come from), however many pairs it takes part in."""
     top = tower.level(tower.depth)
     report = Report(tolerance, top.sample_plan)
+
+    @functools.cache
+    def points(plan, box):
+        return sample(plan, box)
+
+    @functools.cache
+    def form_values(level, chart_id, plan, box):
+        return tower.level(level).forms[chart_id](points(plan, box),
+                                                  directions(len(box)))
+
     for j in range(2, tower.depth + 1):
         upper = tower.level(j)
         for i in range(1, j):
-            lower = tower.level(i)
             phi = tower.connector(j, i)
             for chart_id in sorted(upper.atlas.charts):
-                chart = upper.atlas.chart(chart_id)
-                pts = sample(upper.sample_plan, chart.box, params=upper.params)
-                e = directions(chart.dim)
-                lhs = phi.induced(upper.forms[chart_id](pts, e))
-                rhs = lower.forms[chart_id](pts, e)
+                sample_set = (upper.sample_plan,
+                              upper.atlas.chart(chart_id).box)
+                omega_j = form_values(j, chart_id, *sample_set)
+                omega_i = form_values(i, chart_id, *sample_set)
                 report.add(f"tower-related:{j}->{i}:{chart_id}",
-                           max_residual(lhs - rhs), len(pts) * chart.dim)
+                           max_residual(phi.induced(omega_j) - omega_i),
+                           len(points(*sample_set)) * len(sample_set[1]))
     return report
 
 

@@ -258,3 +258,97 @@ def test_negative_plan_in_document_is_a_usage_error(tmp_path, capsys):
     assert code == 2
     assert report is None
     assert capsys.readouterr().err.startswith("error:")
+
+
+def _duplicate_chart(doc):
+    doc["charts"].append(dict(doc["charts"][0]))
+
+
+def _negative_plan(doc):
+    doc["sample_plan"] = {"grid": -2, "random": 5}
+
+
+def _infinite_literal(doc):
+    doc["forms"]["U1"] = ["1e400*[[0,-1],[1,0]]"]
+
+
+@pytest.mark.parametrize("edit, needle", [
+    (_duplicate_chart, "duplicate chart 'U1'"),
+    (_negative_plan, "must not be negative"),
+    (_infinite_literal, "number '1e400' is too large"),
+])
+def test_document_error_names_the_file(tmp_path, capsys, edit, needle):
+    path = _abelian_variant(tmp_path, edit)
+    code, report = run(tmp_path, "verify", path, fast=False)
+    assert code == 2
+    assert report is None
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: '{path}': ")
+    assert needle in err
+    assert "Traceback" not in err
+
+
+def _variant(tmp_path, name, edit):
+    doc = json.loads(open(fixture_path(name)).read())
+    edit(doc)
+    path = tmp_path / name
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+def _degenerate_domain(doc):
+    doc["overlaps"][0]["domain"][0] = [1.0, 1.0]
+
+
+def _negative_seed(doc):
+    doc["sample_plan"]["seed"] = -1
+
+
+def _drop_connector(doc):
+    del doc["connectors"]["3,2"]
+
+
+def _flip_level_transitions(doc):
+    level = doc["levels"][1]
+    level["transitions"] = {"U2,U1": text for text in
+                            level["transitions"].values()}
+
+
+def _drop_gamma(doc):
+    del doc["gamma"]["U_S"]
+
+
+def _infinite_dim(doc):
+    doc["source_n"] = float("inf")
+
+
+@pytest.mark.parametrize("name, argv, edit, needle", [
+    ("abelian.json", ["verify"], _degenerate_domain,
+     "overlap U1->U2: degenerate interval [1.0, 1.0]"),
+    ("abelian.json", ["verify"], _negative_seed, "seed -1"),
+    ("tower_unipotent.json", ["tower"], _drop_connector,
+     "connector '3,2' is missing"),
+    ("tower_unipotent.json", ["tower"], _flip_level_transitions,
+     "levels 1 and 2 declare different transitions"),
+    ("sphere_levi_civita.json", ["convert-christoffel"], _drop_gamma,
+     "chart 'U_S' has no Christoffel symbols"),
+    ("morphism_squaring.json", ["push", fixture_path("monopole_k1.json")],
+     _infinite_dim, "invalid value"),
+])
+def test_inconsistent_document_is_a_usage_error(tmp_path, capsys, name, argv,
+                                                edit, needle):
+    path = _variant(tmp_path, name, edit)
+    code, report = run(tmp_path, *argv, path)
+    assert code == 2
+    assert report is None
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: '{path}': ")
+    assert needle in err
+    assert "Traceback" not in err
+
+
+def test_negative_seed_flag_is_a_usage_error(tmp_path, capsys):
+    code = main(_VERIFY + ["--seed", "-1",
+                           "--out", str(tmp_path / "report.json")])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: sample plan seed -1")

@@ -4,6 +4,7 @@ import pytest
 from localforms.errors import (DomainError, ExpressionSyntaxError, ShapeError,
                                ValidationError)
 from localforms.expr import parse
+from localforms.expr.evaluate import evaluate
 
 
 def test_precedence():
@@ -142,3 +143,59 @@ def test_print_parse_round_trip_is_stable():
             x = rng.uniform(0.1, 2.0, 2)
             assert np.allclose(ast.eval(x), reparsed.eval(x), rtol=0,
                                atol=0.0)
+
+
+@pytest.mark.parametrize("source, position", [
+    ("1e400*x1", 0), ("x1 + [[1, -1e308 * 10, 9e999]]", 23),
+    ("x1^1e400", 3)])
+def test_non_finite_literal_rejected(source, position):
+    with pytest.raises(ExpressionSyntaxError, match="too large") as err:
+        parse(source, ["x1"])
+    assert err.value.position == position
+    # a finite product that overflows only when evaluated still parses
+    assert parse("1e308*10*x1", ["x1"]).eval([1.0]) == np.inf
+
+
+def _entrywise(lit):
+    """A matrix literal's value built entry by entry from each entry's own
+    evaluation, as a walk without the constant cache builds it."""
+    value = np.empty((len(lit.rows), len(lit.rows[0])))
+    for i, row in enumerate(lit.rows):
+        for j, entry in enumerate(row):
+            value[i, j] = evaluate(entry, {}).primal
+    return value
+
+
+def test_constant_matrix_literal_is_built_once_read_only():
+    ast = parse("[[1, -2.5], [-0, 0.1]]", [])
+    constant = ast.root.constant
+    assert constant is not None and not constant.flags.writeable
+    with pytest.raises(ValueError):
+        constant[0, 0] = 7.0
+    assert evaluate(ast.root, {}).primal is constant
+    assert ast.to_source() == "[[1, -2.5], [-0, 0.1]]"
+    assert ast.root == parse("[[1, -2.5], [-0, 0.1]]", []).root
+    # an entry that is not a (negated) number keeps the entrywise walk
+    for source in ("[[1, x1]]", "[[1, 2^2]]", "[[1, --2]]", "[[1, (2)*1]]"):
+        assert parse(source, ["x1"]).root.constant is None
+
+
+def test_constant_matrix_literal_value_is_bit_identical():
+    for source in ("[[-0, 0], [-1e-300, 1e308]]",
+                   "[[0.1, -0.2, 0.3], [-5e-324, 7, -0.0]]",
+                   "[[1, 0, 0, 0, 0, 0, 0, 0, 0]]"):
+        lit = parse(source, []).root
+        assert lit.constant.tobytes() == _entrywise(lit).tobytes()
+    assert np.signbit(parse("[[-0]]", []).eval([])[0, 0])
+
+
+def test_eval_never_returns_the_cached_literal():
+    for source in ("[[1, 0], [0, -1]]", "transpose([[1, 2], [3, 4]])"):
+        ast = parse(source, ["x1"])
+        first = ast.eval([0.5])
+        assert first.flags.writeable
+        want = first.copy()
+        first[...] = 99.0
+        assert np.array_equal(ast.eval([0.5]), want)
+        value, tangents = ast.eval_dual([0.5], seeds=[[1.0]])
+        assert value.flags.writeable and not np.any(tangents)

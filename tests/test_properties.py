@@ -1,11 +1,24 @@
 """Property tests: printing an expression and parsing it back gives an
-expression with the same value, on random fully parenthesised sources."""
+expression with the same value, on random fully parenthesised sources; the
+tokenizer agrees with a per-position reference on random text; and a fixture
+with one key dropped or one value replaced makes the CLI exit with 0, 1 or 2,
+never with an uncaught exception."""
+
+import contextlib
+import io
+import json
+import os
+import tempfile
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from localforms.errors import DomainError
+from localforms.cli import main
+from localforms.errors import DomainError, ExpressionSyntaxError
 from localforms.expr import parse
+from localforms.expr.parser import _TOKEN_RE, _tokenize
+
+from conftest import fixture_path
 
 COORDS = ["x1", "x2"]
 POINTS = np.array([[0.7, 1.3], [-2.5, 0.25], [0.0, 3.0]])
@@ -80,3 +93,111 @@ def test_scalar_round_trip_keeps_values(source):
 @given(matrices)
 def test_matrix_round_trip_keeps_values(source):
     _assert_round_trip(source)
+
+
+# ----- the tokenizer against a per-position reference -----------------
+
+def _reference_tokenize(source):
+    """The tokenizer as one anchored match per token: the reference the
+    one-scan tokenizer must agree with, token for token and error for
+    error."""
+    tokens = []
+    pos = 0
+    while pos < len(source):
+        match = _TOKEN_RE.match(source, pos)
+        if match is None:
+            stripped = source[pos:].lstrip()
+            if not stripped:
+                break
+            at = len(source) - len(stripped)
+            raise ExpressionSyntaxError(
+                f"unexpected character '{source[at]}'", at)
+        tokens.append((match.lastgroup, match.group(match.lastgroup),
+                       match.start(match.lastgroup)))
+        pos = match.end()
+    tokens.append(("end", "", len(source)))
+    return tokens
+
+
+def _outcome(tokenize, source):
+    try:
+        return [tuple(token) for token in tokenize(source)]
+    except ExpressionSyntaxError as exc:
+        return ("error", str(exc), exc.position)
+
+
+# the grammar's characters, characters no token starts with (a non-ASCII
+# digit does start a number: float() reads it), and whitespace of several
+# kinds, non-ASCII included
+texts = st.text(
+    alphabet=st.sampled_from(
+        list("0123456789.eE+-*/^(),[]xg_ sintmapw@$#!;'\"\\{}~")
+        + ["\u00e9", "\u0663", "\t", "\n", "\u00a0", "\u2003"]),
+    max_size=40)
+
+
+@SETTINGS
+@given(texts)
+def test_tokenizer_matches_per_position_reference(source):
+    assert _outcome(_tokenize, source) \
+        == _outcome(_reference_tokenize, source)
+
+
+# ----- mutated fixtures: exit code 0, 1 or 2, never a traceback -------
+
+# fixture -> the CLI call that reads it, "{}" standing for its path
+_FIXTURE_RUNS = {
+    "abelian.json": ["verify", "{}"],
+    "flat.json": ["verify", "{}"],
+    "tower_unipotent.json": ["tower", "{}"],
+    "morphism_squaring.json": ["push", fixture_path("monopole_k1.json"),
+                               "{}"],
+    "sphere_levi_civita.json": ["convert-christoffel", "{}"],
+    "path_abelian_two_charts.json": ["transport", fixture_path("abelian.json"),
+                                     "{}", "--steps", "20"],
+}
+
+replacements = st.one_of(
+    st.none(), st.booleans(), st.integers(-3, 6),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.text(alphabet="x12[],+-*e.() ", max_size=10),
+    st.just([]), st.just({}), st.lists(st.integers(-1, 3), max_size=3),
+    st.just("1e400*[[0,-1],[1,0]]"), st.just("U1,U2"))
+
+
+def _locations(node, path=()):
+    """Every (container path, key) in a JSON document."""
+    items = (node.items() if isinstance(node, dict)
+             else enumerate(node) if isinstance(node, list) else ())
+    for key, value in items:
+        yield path, key
+        yield from _locations(value, path + (key,))
+
+
+@settings(derandomize=True, max_examples=120, deadline=None)
+@given(st.sampled_from(sorted(_FIXTURE_RUNS)), st.data())
+def test_mutated_fixture_exits_with_a_code(name, data):
+    with open(fixture_path(name), encoding="utf-8") as handle:
+        doc = json.load(handle)
+    path, key = data.draw(st.sampled_from(list(_locations(doc))))
+    container = doc
+    for step in path:
+        container = container[step]
+    if data.draw(st.booleans()):
+        del container[key]
+    else:
+        container[key] = data.draw(replacements)
+    with tempfile.TemporaryDirectory() as tmp:
+        variant = os.path.join(tmp, name)
+        with open(variant, "w", encoding="utf-8") as handle:
+            json.dump(doc, handle)
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), \
+                contextlib.redirect_stdout(io.StringIO()):
+            code = main([variant if arg == "{}" else arg
+                         for arg in _FIXTURE_RUNS[name]]
+                        + ["--grid", "2", "--random", "2",
+                           "--out", os.path.join(tmp, "report.json")])
+    assert code in (0, 1, 2)
+    lines = err.getvalue().splitlines()
+    assert (code == 2) == any(line.startswith("error:") for line in lines)

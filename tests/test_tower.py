@@ -3,11 +3,13 @@ import dataclasses
 import numpy as np
 import pytest
 
-from localforms.atlas import sample
+from localforms.atlas import directions, sample
 from localforms.bundle_io import load_tower
-from localforms.connection import PointRep, TangentRep, check_compatibility
+from localforms.connection import (CallableForm, PointRep, TangentRep,
+                                   check_compatibility)
 from localforms.errors import LevelOutOfRange, TowerInvariantViolation
 from localforms.lie import ConstGroupMap
+from localforms.report import Report, max_residual
 from localforms.tower import (check_tower_related, limit_consistency_residual,
                               limit_eval, project_connection)
 
@@ -149,3 +151,67 @@ def test_validate_rejects_inconsistent_connectors():
     connectors[(4, 1)] = wrong
     with pytest.raises(TowerInvariantViolation):
         dataclasses.replace(tower, connectors=connectors).validate()
+
+
+def _related_per_pair(tower, tolerance):
+    """check_tower_related as one sampling and two form evaluations per
+    level pair and chart."""
+    report = Report(tolerance, tower.level(tower.depth).sample_plan)
+    for j in range(2, tower.depth + 1):
+        upper = tower.level(j)
+        for i in range(1, j):
+            phi = tower.connector(j, i)
+            for chart_id in sorted(upper.atlas.charts):
+                chart = upper.atlas.chart(chart_id)
+                pts = sample(upper.sample_plan, chart.box,
+                             params=upper.params)
+                e = directions(chart.dim)
+                lhs = phi.induced(upper.forms[chart_id](pts, e))
+                rhs = tower.level(i).forms[chart_id](pts, e)
+                report.add(f"tower-related:{j}->{i}:{chart_id}",
+                           max_residual(lhs - rhs), len(pts) * chart.dim)
+    return report
+
+
+def _entries(report):
+    return [(c.name, c.max_residual, c.sample_count, c.tolerance)
+            for c in report.checks]
+
+
+def _counting(tower):
+    """The tower with every form wrapped to count its evaluations."""
+    calls = []
+
+    def wrap(form):
+        def fn(x, v):
+            calls.append(form.chart)
+            return form(x, v)
+        return CallableForm(form.chart, form.dim, form.n, fn)
+
+    levels = tuple(level.with_forms({c: wrap(f) for c, f in
+                                     level.forms.items()})
+                   for level in tower.levels)
+    return dataclasses.replace(tower, levels=levels), calls
+
+
+@pytest.mark.parametrize("name", ["tower_unipotent.json",
+                                  "tower_unipotent_mutated.json"])
+def test_tower_related_matches_per_pair_reference(name):
+    tower = load_tower(fixture_path(name))
+    want = _entries(_related_per_pair(tower, 1e-8))
+    counted, calls = _counting(tower)
+    assert _entries(check_tower_related(counted, 1e-8)) == want
+    # one evaluation per level and chart instead of two per pair and chart
+    assert len(calls) == tower.depth * 2
+
+
+def test_tower_related_with_a_sample_plan_per_level():
+    tower = load_tower(fixture_path("tower_unipotent_mutated.json"))
+    levels = tuple(
+        dataclasses.replace(level, sample_plan=dataclasses.replace(
+            level.sample_plan, grid=2 + k % 2, n_random=3 + k, seed=k))
+        for k, level in enumerate(tower.levels))
+    tower = dataclasses.replace(tower, levels=levels)
+    want = _entries(_related_per_pair(tower, 1e-8))
+    assert _entries(check_tower_related(tower, 1e-8)) == want
+    assert len({count for _, _, count, _ in want}) > 1

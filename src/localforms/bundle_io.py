@@ -30,17 +30,18 @@ def _load_json(path):
         with open(path, "r", encoding="utf-8") as handle:
             return json.load(handle)
     except OSError as exc:
-        raise ValidationError(f"cannot read '{path}': {exc}") from exc
+        raise ValidationError(
+            f"cannot read: {exc.strerror or exc}") from exc
     except json.JSONDecodeError as exc:
-        raise ValidationError(f"'{path}' is not valid JSON: {exc}") from exc
+        raise ValidationError(f"not valid JSON: {exc}") from exc
 
 
 def _document_loader(load):
     """Wrap a public loader so that every error in the document names the
     file: a missing key or a value of the wrong type or form is a
     ValidationError, not a KeyError, AttributeError, OverflowError,
-    TypeError or ValueError, and any other error of this package that does
-    not name the file yet is re-raised as a ValidationError that does."""
+    TypeError or ValueError, and any other error of this package is
+    re-raised as a ValidationError that names the file."""
 
     @functools.wraps(load)
     def wrapper(path, *args, **kwargs):
@@ -51,8 +52,6 @@ def _document_loader(load):
         except (AttributeError, OverflowError, TypeError, ValueError) as exc:
             raise ValidationError(f"'{path}': invalid value: {exc}") from exc
         except LocalFormsError as exc:
-            if str(path) in str(exc):
-                raise
             raise ValidationError(f"'{path}': {exc}") from exc
 
     return wrapper

@@ -288,6 +288,32 @@ def test_document_error_names_the_file(tmp_path, capsys, edit, needle):
     assert "Traceback" not in err
 
 
+def test_short_path_in_message_is_still_named(tmp_path, capsys, monkeypatch):
+    doc = json.loads(open(fixture_path("abelian.json")).read())
+    _duplicate_chart(doc)
+    (tmp_path / "U1").write_text(json.dumps(doc))
+    monkeypatch.chdir(tmp_path)
+    assert main(["verify", "U1", "--out", "report.json"]) == 2
+    assert capsys.readouterr().err == "error: 'U1': duplicate chart 'U1'\n"
+
+
+@pytest.mark.parametrize("content, needle", [
+    (None, "cannot read: No such file or directory"),
+    ("{", "not valid JSON: "),
+])
+def test_unreadable_document_names_the_file_once(tmp_path, capsys, content,
+                                                 needle):
+    path = tmp_path / "bundle.json"
+    if content is not None:
+        path.write_text(content)
+    code, report = run(tmp_path, "verify", str(path))
+    assert code == 2
+    assert report is None
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: '{path}': {needle}")
+    assert err.count(str(path)) == 1
+
+
 def _variant(tmp_path, name, edit):
     doc = json.loads(open(fixture_path(name)).read())
     edit(doc)

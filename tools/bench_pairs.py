@@ -1,21 +1,21 @@
 #!/usr/bin/env python3
 """Benchmark a change against a parent revision in alternating pairs.
 
-    python3 tools/bench_pairs.py --parent HEAD --first-seed 701 --pairs 10 \
-        --seconds 30 --claim tower-deep:tower_s:0.7 --out BENCH_n.json
+    python3 tools/bench_pairs.py --parent HEAD --first-seed 701 \
+        --claim tower-deep:tower_s:0.7 --out BENCH_n.json
 
-The parent revision is checked out into a temporary `git worktree` (removed
-again at the end).  For every workload of BENCHMARK.json, pair k runs
-`perfbench/run.py --trace 0` with seed first-seed + k once in the parent
-checkout and once in this working tree, one run at a time, the parent first
-in even pairs and the change first in odd ones.  A traced run (`--trace 1`)
-of each `--traced` workload follows on both sides.  The output file has the
-layout of the committed BENCH_<n>.json files: per workload and end-to-end
-metric the runs, median and inclusive quartiles of each side, the pairs the
-change wins, the ratio of the medians and whether it stays within the
-metric's bound; the error rate of each side as failed/attempted; and the
-per-layer metrics of the traced runs.  "notes" is left empty for the
-reader's findings.
+The committed files of the parent revision are unpacked into a temporary
+directory (removed again at the end).  For every workload of BENCHMARK.json,
+pair k of ten runs `perfbench/run.py --trace 0` at the benchmark's run length
+with seed first-seed + k once in the parent checkout and once in this working
+tree, one run at a time, the parent first in even pairs and the change first
+in odd ones.  A traced run (`--trace 1`, seed 101) of each `--traced`
+workload follows on both sides.  The output file has the layout of the
+committed BENCH_<n>.json files: per workload and end-to-end metric the runs,
+median and inclusive quartiles of each side, the pairs the change wins, the
+ratio of the medians and whether it stays within the metric's bound; the
+error rate of each side as failed/attempted; and the per-layer metrics of
+the traced runs.  "notes" is left empty for the reader's findings.
 """
 
 from __future__ import annotations
@@ -35,6 +35,8 @@ from pathlib import Path
 import numpy
 
 ROOT = Path(__file__).resolve().parent.parent
+PAIRS = 10
+TRACE_SEED = 101
 
 
 def _git(*args, cwd=ROOT):
@@ -83,12 +85,19 @@ def compare(spec, parent_runs, change_runs):
             "within_bound": worse_by <= spec["bound"]}
 
 
-def claim_result(entry, target):
+def _failed(error_rate):
+    return int(error_rate.split("/")[0])
+
+
+def claim_result(workload, metric, target):
     """A claimed ratio of medians: met when the ratio reaches the target,
-    the change wins at least 9 pairs in 10, and the medians differ by more
-    than the parent's interquartile range."""
+    the change wins at least 9 pairs in 10 over at least ten pairs, the
+    medians differ by more than the parent's interquartile range, and the
+    change fails no more operations than the parent."""
+    entry = workload["metrics"][metric]
     parent, change = entry["parent"], entry["change"]
     wins, pairs = (int(n) for n in entry["change_wins"].split("/"))
+    errors = workload["error_rate"]
     iqr = parent["q3"] - parent["q1"]
     lower = entry["better"] == "lower"
     reached = (entry["change_over_parent"] <= target if lower
@@ -97,8 +106,9 @@ def claim_result(entry, target):
             "change_median": change["median"],
             "ratio": entry["change_over_parent"],
             "change_wins": entry["change_wins"], "parent_iqr": iqr,
-            "met": reached and wins >= 0.9 * pairs
-            and abs(change["median"] - parent["median"]) > iqr}
+            "met": reached and pairs >= PAIRS and wins >= 0.9 * pairs
+            and abs(change["median"] - parent["median"]) > iqr
+            and _failed(errors["change"]) <= _failed(errors["parent"])}
 
 
 def main(argv=None):
@@ -106,39 +116,37 @@ def main(argv=None):
     parser.add_argument("--parent", required=True,
                         help="git revision to compare against")
     parser.add_argument("--first-seed", type=int, required=True)
-    parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--seconds", type=float, default=30.0)
-    parser.add_argument("--workloads", nargs="*",
-                        help="default: every workload of BENCHMARK.json")
     parser.add_argument("--traced", nargs="*", default=["tower-deep"],
                         help="workloads given one traced run per side")
-    parser.add_argument("--trace-seed", type=int, default=101)
     parser.add_argument("--claim", metavar="WORKLOAD:METRIC:RATIO",
                         help="a claimed ratio of the change's median to the "
                              "parent's")
     parser.add_argument("--out", required=True)
     args = parser.parse_args(argv)
-    if args.pairs < 2:
-        parser.error("--pairs must be at least 2 (for quartiles)")
 
     bench = json.loads((ROOT / "BENCHMARK.json").read_text())
     specs = {m["name"]: m for m in bench["end_to_end"]}
-    workloads = args.workloads or [w["name"] for w in bench["workloads"]]
-    seeds = list(range(args.first_seed, args.first_seed + args.pairs))
+    workloads = [w["name"] for w in bench["workloads"]]
+    seconds = bench["run_seconds"]
+    seeds = list(range(args.first_seed, args.first_seed + PAIRS))
     revision = _git("rev-parse", args.parent)
     scratch = Path(tempfile.mkdtemp(prefix="bench-pairs-"))
     parent_tree = scratch / "parent"
-    _git("worktree", "add", "--detach", str(parent_tree), revision)
+    parent_tree.mkdir()
+    archive = subprocess.run(["git", "archive", revision], cwd=ROOT,
+                             check=True, capture_output=True).stdout
+    subprocess.run(["tar", "-x", "-C", str(parent_tree)], input=archive,
+                   check=True)
     trees = {"parent": parent_tree, "change": ROOT}
     doc = {
         "harness": (f"python3 perfbench/run.py --workload W --seed S "
-                    f"--seconds {args.seconds:g} --trace 0 (end to end); "
-                    f"--trace 1 --seed {args.trace_seed} (per layer)"),
+                    f"--seconds {seconds:g} --trace 0 (end to end); "
+                    f"--trace 1 --seed {TRACE_SEED} (per layer)"),
         "machine": (f"{os.cpu_count()}-CPU {platform.machine()}, Python "
                     f"{platform.python_version()}, numpy {numpy.__version__}, "
                     f"BLAS threads 1"),
         "parent": revision,
-        "method": (f"{args.pairs} pairs per workload, seeds "
+        "method": (f"{PAIRS} pairs per workload, seeds "
                    f"{seeds[0]}-{seeds[-1]}, parent and change alternating "
                    f"which runs first, one run at a time; median and "
                    f"quartiles (inclusive method) over the runs of each "
@@ -160,7 +168,7 @@ def main(argv=None):
                     print(f"{workload} seed {seed} {side}", file=sys.stderr,
                           flush=True)
                     results[side].append(run_once(
-                        trees[side], workload, seed, args.seconds, 0))
+                        trees[side], workload, seed, seconds, 0))
             doc["end_to_end"][workload] = {
                 "seeds": seeds,
                 "error_rate": {side: f"{sum(r['failed'] for r in runs)}/"
@@ -175,20 +183,21 @@ def main(argv=None):
         for workload in args.traced:
             doc["traced_per_pass"][workload] = {
                 side: {name: metric["value"] for name, metric in run_once(
-                    trees[side], workload, args.trace_seed, args.seconds,
+                    trees[side], workload, TRACE_SEED, seconds,
                     1)["metrics"].items()}
                 for side in ("parent", "change")}
             write()
         if args.claim:
             workload, metric, target = args.claim.split(":")
-            entry = doc["end_to_end"][workload]["metrics"][metric]
-            verb = "at most" if entry["better"] == "lower" else "at least"
+            results = doc["end_to_end"][workload]
+            lower = results["metrics"][metric]["better"] == "lower"
+            verb = "at most" if lower else "at least"
             doc["claim"] = {"workload": workload, "metric": metric,
                             "target": f"{verb} {target}x the parent's median",
-                            "result": claim_result(entry, float(target))}
+                            "result": claim_result(results, metric,
+                                                   float(target))}
         write()
     finally:
-        _git("worktree", "remove", "--force", str(parent_tree))
         shutil.rmtree(scratch, ignore_errors=True)
     return 0
 

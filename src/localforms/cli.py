@@ -197,7 +197,10 @@ _RUNNERS = {
 def main(argv=None):
     args = _build_parser().parse_args(argv)
     try:
-        report = _RUNNERS[args.command](args)
+        # overflow and invalid operations give inf and NaN, which fail the
+        # checks or raise a LocalFormsError; they need no warning besides
+        with np.errstate(all="ignore"):
+            report = _RUNNERS[args.command](args)
     except LocalFormsError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -181,6 +181,8 @@ def infer_shape(node, name_shapes) -> Shape:
             return (shapes[0][1], shapes[0][0])
         raise ValidationError(f"unknown function '{node.fn}'")
     if isinstance(node, MatLit):
+        if node.constant is not None:
+            return node.constant.shape
         widths = {len(row) for row in node.rows}
         if len(widths) != 1:
             raise ValidationError("ragged matrix literal")

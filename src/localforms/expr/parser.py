@@ -20,10 +20,20 @@ from .dual import Dual
 from .nodes import (Binary, Call, MatLit, Name, Node, Num, Unary,
                     MATRIX_FUNCTIONS, SCALAR_FUNCTIONS, infer_shape)
 
+_NUMBER = r"\d+(?:\.\d*)?(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?"
+_PLAIN = (rf"(?P<num>{_NUMBER})"
+          r"|(?P<ident>[A-Za-z_][A-Za-z_0-9]*)"
+          r"|(?P<punct>[-+*/^(),\[\]])")
+# a row of numbers and negated numbers, such as [1, -2.5, - 0]
+_ROW = rf"\[\s*(?:-\s*)?(?:{_NUMBER})\s*(?:,\s*(?:-\s*)?(?:{_NUMBER})\s*)*\]"
+# A matrix literal made only of such rows is one token.  Its text is the
+# opening '[' alone, so a message that names the token reads as it would for
+# the plain '[' token; the match itself runs to the closing ']'.
 _TOKEN_RE = re.compile(
-    r"\s*(?:(?P<num>\d+(?:\.\d*)?(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?)"
-    r"|(?P<ident>[A-Za-z_][A-Za-z_0-9]*)"
-    r"|(?P<punct>[-+*/^(),\[\]]))")
+    rf"\s*(?:(?P<mat>\[)\s*{_ROW}(?:\s*,\s*{_ROW})*\s*\]|{_PLAIN})")
+_PLAIN_RE = re.compile(rf"\s*(?:{_PLAIN})")
+_ROW_RE = re.compile(_ROW)
+_ENTRY_RE = re.compile(rf"(?P<neg>-)?\s*(?P<num>{_NUMBER})")
 
 _FUNCTIONS = set(SCALAR_FUNCTIONS) | set(MATRIX_FUNCTIONS) | {"atan2"}
 
@@ -55,14 +65,20 @@ def _tokenize(source):
     return tokens
 
 
-def _number(token):
-    """The value of a number token; a literal too large for a float is a
-    syntax error, since it has no finite value to print back."""
-    value = float(token.text)
+def _number(text, pos):
+    """The value of a number literal at `pos`; a literal too large for a
+    float is a syntax error, since it has no finite value to print back."""
+    value = float(text)
     if not math.isfinite(value):
-        raise ExpressionSyntaxError(
-            f"number '{token.text}' is too large", token.pos)
+        raise ExpressionSyntaxError(f"number '{text}' is too large", pos)
     return value
+
+
+def _matrix(rows):
+    """The literal of `rows`, which must all have the same length."""
+    if len({len(row) for row in rows}) != 1:
+        raise ValidationError("ragged matrix literal")
+    return MatLit(tuple(rows))
 
 
 class _Parser:
@@ -124,7 +140,8 @@ class _Parser:
                 self.advance()
                 sign = -1
             token = self.advance()
-            value = _number(token) if token.kind == "num" else None
+            value = (_number(token.text, token.pos) if token.kind == "num"
+                     else None)
             if value is None or value != int(value):
                 raise ExpressionSyntaxError(
                     "'^' requires an integer exponent", token.pos)
@@ -134,7 +151,9 @@ class _Parser:
     def atom(self):
         token = self.advance()
         if token.kind == "num":
-            return Num(_number(token))
+            return Num(_number(token.text, token.pos))
+        if token.kind == "mat":
+            return self.literal(token.pos)
         if token.kind == "ident":
             if self.peek().text == "(":
                 if token.text not in _FUNCTIONS:
@@ -163,12 +182,35 @@ class _Parser:
             self.advance()
             rows.append(self.row())
         self.expect("]")
-        widths = {len(row) for row in rows}
-        if len(widths) != 1:
-            raise ValidationError("ragged matrix literal")
-        return MatLit(tuple(rows))
+        return _matrix(rows)
+
+    def literal(self, start):
+        """The number-only matrix literal scanned as one token at `start`,
+        built as the descent would build it: Num and Unary(Num) entries."""
+        stop = _TOKEN_RE.match(self.source, start).end()
+        nodes = {}  # (sign, digits) -> entry node; nodes are immutable
+        rows = []
+        for row in _ROW_RE.finditer(self.source, start + 1, stop):
+            entries = []
+            for entry in _ENTRY_RE.finditer(self.source, row.start(),
+                                            row.end()):
+                key = entry.group("neg", "num")
+                if key not in nodes:
+                    value = Num(_number(entry["num"], entry.start("num")))
+                    nodes[key] = Unary(value) if entry["neg"] else value
+                entries.append(nodes[key])
+            rows.append(tuple(entries))
+        return _matrix(rows)
 
     def row(self):
+        token = self.peek()
+        if token.kind == "mat":
+            # a literal where a row belongs: its first '[' opens the row,
+            # so the descent continues on its plain tokens
+            stop = _TOKEN_RE.match(self.source, token.pos).end()
+            self.tokens[self.index:self.index + 1] = [
+                _Token(m.lastgroup, m[m.lastgroup], m.start(m.lastgroup))
+                for m in _PLAIN_RE.finditer(self.source, token.pos, stop)]
         self.expect("[")
         entries = [self.expression()]
         while self.peek().text == ",":

@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -378,3 +379,22 @@ def test_negative_seed_flag_is_a_usage_error(tmp_path, capsys):
                            "--out", str(tmp_path / "report.json")])
     assert code == 2
     assert capsys.readouterr().err.startswith("error: sample plan seed -1")
+
+
+def _huge_overlap(doc):
+    doc["overlaps"][0]["domain"][0][1] = 1.7e19
+
+
+def test_overflow_warnings_stay_off_stderr(tmp_path, capsys):
+    # the overflowing overlap gives inf transitions and a singular matrix:
+    # one error line, no numpy RuntimeWarning ahead of it
+    path = _variant(tmp_path, "abelian.json", _huge_overlap)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, report = run(tmp_path, "verify", path)
+    assert code == 2
+    assert report is None
+    assert [str(w.message) for w in caught] == []
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("error: matrix with |det| = ")

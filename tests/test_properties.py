@@ -1,6 +1,8 @@
 """Property tests: printing an expression and parsing it back gives an
 expression with the same value, on random fully parenthesised sources; the
-tokenizer agrees with a per-position reference on random text; and a fixture
+tokenizer agrees with a per-position reference on random text; the parser,
+which reads a number-only matrix literal as one token, agrees with a
+descent-only reference, tree for tree and error for error; and a fixture
 with one key dropped or one value replaced makes the CLI exit with 0, 1 or 2,
 never with an uncaught exception."""
 
@@ -8,15 +10,18 @@ import contextlib
 import io
 import json
 import os
+import re
 import tempfile
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from localforms.cli import main
-from localforms.errors import DomainError, ExpressionSyntaxError
+from localforms.errors import (DomainError, ExpressionSyntaxError,
+                               ValidationError)
 from localforms.expr import parse
-from localforms.expr.parser import _TOKEN_RE, _tokenize
+from localforms.expr.parser import _TOKEN_RE, _Parser, _Token, _tokenize
 
 from conftest import fixture_path
 
@@ -97,14 +102,14 @@ def test_matrix_round_trip_keeps_values(source):
 
 # ----- the tokenizer against a per-position reference -----------------
 
-def _reference_tokenize(source):
+def _reference_tokenize(source, pattern=_TOKEN_RE):
     """The tokenizer as one anchored match per token: the reference the
     one-scan tokenizer must agree with, token for token and error for
     error."""
     tokens = []
     pos = 0
     while pos < len(source):
-        match = _TOKEN_RE.match(source, pos)
+        match = pattern.match(source, pos)
         if match is None:
             stripped = source[pos:].lstrip()
             if not stripped:
@@ -141,6 +146,108 @@ texts = st.text(
 def test_tokenizer_matches_per_position_reference(source):
     assert _outcome(_tokenize, source) \
         == _outcome(_reference_tokenize, source)
+
+
+# ----- number-only matrix literals against a descent-only parser -------
+
+# the token grammar without the one-token matrix literal
+_DESCENT_TOKEN_RE = re.compile(
+    r"\s*(?:(?P<num>\d+(?:\.\d*)?(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?)"
+    r"|(?P<ident>[A-Za-z_][A-Za-z_0-9]*)"
+    r"|(?P<punct>[-+*/^(),\[\]]))")
+
+
+class _DescentParser(_Parser):
+    """The parser on tokens of the grammar without literal tokens, so that
+    every matrix literal is descended into entry by entry."""
+
+    def __init__(self, source):
+        self.source = source
+        self.tokens = [_Token(*token) for token in
+                       _reference_tokenize(source, _DESCENT_TOKEN_RE)]
+        self.index = 0
+
+
+def _parsed(parser, source):
+    try:
+        tree = parser(source).parse()
+    except (ExpressionSyntaxError, ValidationError) as exc:
+        return type(exc), str(exc), getattr(exc, "position", None)
+    return tree, str(tree)
+
+
+def _assert_parses_as_descent(source):
+    assert _parsed(_Parser, source) == _parsed(_DescentParser, source)
+
+
+_numbers = ["0", "1", "2.5", ".5", "3.", "007", "1e-3", "2E+2", "1e400", "1e",
+            "9" * 400]
+# an entry: a number, negated with or without spaces, blanks around it, or
+# anything else that keeps the literal from being one token
+_entries = st.sampled_from(
+    _numbers
+    + [sign + number for sign in ("-", "- ", "-\t", "--")
+       for number in _numbers]
+    + [" 1", "1 ", " - 1 ", "\n0\t", "x1", "2^2", "-x2", "(1)", "+1", "",
+       "1 2"])
+
+
+def _literal_step(inner):
+    """Rows of entries or of nested literals, ragged or not, with an
+    occasional missing bracket or comma."""
+    row = st.tuples(st.lists(inner, min_size=1, max_size=3),
+                    st.sampled_from([",", ", ", " , ", ""])).map(
+        lambda t: f"[{t[1].join(t[0])}]")
+    return st.tuples(st.lists(row, min_size=1, max_size=3),
+                     st.sampled_from(["]", "]", " ]", ""])).map(
+        lambda t: f"[{', '.join(t[0])}{t[1]}")
+
+
+_literals = st.recursive(_entries, _literal_step, max_leaves=10)
+_prefixes = st.sampled_from(["", "", "(", "x1^", "-", "- ", "2 * ", "(1 ",
+                             "sin(", "transpose(", "["])
+_suffixes = st.sampled_from(["", "", "^2", "^-1", "^[[1]]", ")", "))",
+                             " x1", "*x1", " [[1]]", " + [[2]]", "]",
+                             ", [1]]", " 1e400", "$"])
+_sources = st.tuples(_prefixes, _literals, _suffixes).map("".join)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(_sources)
+def test_literal_token_parses_as_descent(source):
+    _assert_parses_as_descent(source)
+
+
+@SETTINGS
+@given(texts)
+def test_literal_token_parses_random_text_as_descent(source):
+    _assert_parses_as_descent(source)
+
+
+@pytest.mark.parametrize("source, outcome", [
+    ("[[[1,2]]]", (ExpressionSyntaxError, "expected '[', found '1'", 3)),
+    ("[[1e400]]", (ExpressionSyntaxError, "number '1e400' is too large", 2)),
+    ("x1^[[1]]", (ExpressionSyntaxError, "'^' requires an integer exponent",
+                  3)),
+    ("(1 [[1]]", (ExpressionSyntaxError, "expected ')', found '['", 3)),
+    ("1 [[1]]", (ExpressionSyntaxError, "unexpected trailing '['", 2)),
+    ("[[1], [2, 3]]", (ValidationError, "ragged matrix literal", None)),
+])
+def test_literal_token_errors(source, outcome):
+    kind, message, position = outcome
+    assert [token.kind for token in _tokenize(source)].count("mat") == 1
+    got = _parsed(_Parser, source)
+    assert got[0] is kind and got[1].startswith(message) and got[2] == position
+    assert got == _parsed(_DescentParser, source)
+
+
+def test_literal_token_builds_the_descent_tree():
+    source = "[[1, - 2.5, -0], [ .5 ,3., 1e-3]] * x1"
+    assert [token.kind for token in _tokenize(source)] \
+        == ["mat", "punct", "ident", "end"]
+    got, want = _parsed(_Parser, source), _parsed(_DescentParser, source)
+    assert got == want
+    assert got[1] == "[[1, -2.5, -0], [0.5, 3, 0.001]] * x1"
 
 
 # ----- mutated fixtures: exit code 0, 1 or 2, never a traceback -------

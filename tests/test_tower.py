@@ -7,8 +7,10 @@ from localforms.atlas import directions, sample
 from localforms.bundle_io import load_tower
 from localforms.connection import (CallableForm, PointRep, TangentRep,
                                    check_compatibility)
-from localforms.errors import LevelOutOfRange, TowerInvariantViolation
-from localforms.lie import ConstGroupMap
+from localforms.errors import (LevelOutOfRange, TowerInvariantViolation,
+                               ValidationError)
+from localforms.expr import parse
+from localforms.lie import ConstGroupMap, GroupMap, GroupMorphismSpec, GroupSpec
 from localforms.report import Report, max_residual
 from localforms.tower import (check_tower_related, limit_consistency_residual,
                               limit_eval, project_connection)
@@ -142,8 +144,6 @@ def test_validate_rejects_inconsistent_connectors():
     # still fine: composition agrees with the declared direct connector
     dataclasses.replace(tower, connectors=connectors).validate()
     # replacing it with a different row extraction breaks consistency
-    from localforms.expr import parse
-    from localforms.lie import GroupMorphismSpec
     a = "[[1,0,0,0,0],[0,0,1,0,0]]"
     wrong = GroupMorphismSpec(
         5, 2, parse(f"{a} * g * transpose({a})", [],
@@ -215,3 +215,183 @@ def test_tower_related_with_a_sample_plan_per_level():
     want = _entries(_related_per_pair(tower, 1e-8))
     assert _entries(check_tower_related(tower, 1e-8)) == want
     assert len({count for _, _, count, _ in want}) > 1
+
+
+# ----- structure checks of the dataclass --------------------------------
+
+@pytest.mark.parametrize("j", [2, 3, 4])
+def test_tower_without_a_consecutive_connector_is_rejected(j):
+    tower = _tower(grid=3, random=3)
+    connectors = dict(tower.connectors)
+    del connectors[(j, j - 1)]
+    with pytest.raises(ValidationError,
+                       match=f"connector '{j},{j - 1}' is missing"):
+        dataclasses.replace(tower, connectors=connectors)
+
+
+def test_tower_levels_with_different_transitions_are_rejected():
+    tower = _tower(grid=3, random=3)
+    level2 = tower.level(2)
+    # as many keys as level 1 declares, but not the same ones
+    flipped = {("U2", "U1"): level2.transitions[("U1", "U2")],
+               ("U2", "U2"): level2.transitions[("U2", "U1")]}
+    levels = (tower.level(1),
+              dataclasses.replace(level2, transitions=flipped)) \
+        + tower.levels[2:]
+    with pytest.raises(ValidationError,
+                       match="levels 1 and 2 declare different transitions"):
+        dataclasses.replace(tower, levels=levels)
+
+
+# ----- validate against the triple-loop reference ----------------------
+
+def _validate_by_triples(tower, tolerance=1e-9, n_samples=20, seed=7):
+    """TowerSpec.validate checking every (j, i) against (k, i).(j, k) for
+    each k between, one sample stack per triple; returns the first
+    violation's message or None."""
+    top = tower.level(tower.depth)
+    for data in tower.levels[:-1]:
+        if not data.atlas.same_charts(top.atlas):
+            return "levels do not share an atlas"
+    rng = np.random.default_rng(seed)
+
+    def violation(diff, message):
+        residuals = np.linalg.norm(diff, axis=(-2, -1))
+        if np.any(residuals > tolerance):
+            return f"{message} by {residuals.max():.3e}"
+        return None
+
+    for j in range(3, tower.depth + 1):
+        group = tower.level(j).group
+        for i in range(1, j - 1):
+            direct = tower.connector(j, i)
+            for k in range(i + 1, j):
+                composed = tower.connector(k, i).compose(tower.connector(j, k))
+                g = group.sample_group(rng, shape=(n_samples,))
+                found = violation(direct.apply(g) - composed.apply(g),
+                                  f"connectors ({j},{i}) vs ({k},{i}).({j},{k})")
+                if found:
+                    return found
+    for i in range(1, tower.depth):
+        upper, lower = tower.level(i + 1), tower.level(i)
+        phi = tower.connector(i + 1, i)
+        for key, g_upper in upper.transitions.items():
+            if key[0] == key[1]:
+                continue
+            ov = upper.atlas.overlap(*key)
+            pts = sample(upper.sample_plan, ov.domain, ov.mask, upper.params)
+            found = violation(
+                lower.transitions[key].value(pts)
+                - phi.apply(g_upper.value(pts)),
+                f"transition {key} at level {i}")
+            if found:
+                return found
+    return None
+
+
+def _verdict(tower):
+    try:
+        tower.validate()
+    except TowerInvariantViolation as exc:
+        return str(exc)
+    return None
+
+
+def _shifted_block(j, i):
+    """A morphism UT(j+1) -> UT(i+1) that is not the truncation: the
+    diagonal block on indices 1..i+1 instead of 0..i."""
+    a = str([[1 if c == r + 1 else 0 for c in range(j + 1)]
+             for r in range(i + 1)])
+    return GroupMorphismSpec(
+        j + 1, i + 1, parse(f"{a} * g * transpose({a})", [],
+                            matrix_params={"g": (j + 1, j + 1)}))
+
+
+def _variants():
+    """The fixture tower, the same without its non-consecutive connectors
+    into level 1 (those become chains), and every copy of either with one
+    declared connector replaced by a wrong morphism, by name."""
+    tower = _tower(grid=3, random=3)
+    sparse = dataclasses.replace(tower, connectors={
+        key: phi for key, phi in tower.connectors.items()
+        if key[1] != 1 or key[0] == 2})
+    for name, base in (("fixture", tower), ("sparse", sparse)):
+        yield name, base
+        for j, i in sorted(base.connectors):
+            connectors = dict(base.connectors)
+            connectors[(j, i)] = _shifted_block(j, i)
+            yield (f"{name} ({j},{i})",
+                   dataclasses.replace(base, connectors=connectors))
+
+
+def test_validate_gives_the_triple_loop_verdict():
+    verdicts = {name: (_verdict(tower), _validate_by_triples(tower))
+                for name, tower in _variants()}
+    assert len(verdicts) == 2 + 6 + 4
+    assert {name: got is None for name, (got, _) in verdicts.items()} \
+        == {name: want is None for name, (_, want) in verdicts.items()}
+    # every wrong connector is caught, consecutive or not, except (2,1) in
+    # the sparse tower: no declared connector constrains it there, and the
+    # shifted block projects the level transitions as the truncation does
+    assert {name for name, (got, _) in verdicts.items() if got is None} \
+        == {"fixture", "sparse", "sparse (2,1)"}
+    assert all(got.startswith("connectors (")
+               for got, _ in verdicts.values() if got is not None)
+
+
+class _CountingMap(GroupMap):
+    def __init__(self, inner, calls, name):
+        self.inner, self.calls, self.name = inner, calls, name
+
+    def value(self, x):
+        self.calls.append(self.name)
+        return self.inner.value(x)
+
+
+def _counting_transitions(tower):
+    """The tower with every transition wrapped to record (level, key) per
+    evaluation."""
+    calls = []
+    levels = tuple(
+        dataclasses.replace(level, transitions={
+            key: _CountingMap(g, calls, (i, key))
+            for key, g in level.transitions.items()})
+        for i, level in enumerate(tower.levels, start=1))
+    return dataclasses.replace(tower, levels=levels), calls
+
+
+def test_validate_samples_once_per_level_and_evaluates_once_per_key(
+        monkeypatch):
+    tower, calls = _counting_transitions(_tower(grid=3, random=3))
+    draws = []
+    sample_group = GroupSpec.sample_group
+
+    def counting_sample_group(self, *args, **kwargs):
+        draws.append(self.n)
+        return sample_group(self, *args, **kwargs)
+
+    monkeypatch.setattr(GroupSpec, "sample_group", counting_sample_group)
+    tower.validate()
+    # one sample stack for each level j >= 3 (groups UT(4) and UT(5))
+    assert draws == [4, 5]
+    off_diagonal = [key for key in tower.level(1).transitions
+                    if key[0] != key[1]]
+    assert sorted(calls) == sorted(
+        (i, key) for i in range(1, tower.depth + 1) for key in off_diagonal)
+
+
+def test_validate_with_a_sample_plan_per_level():
+    # a pair's sample set is its upper level's: an inner level's transitions
+    # are evaluated on its own set and again on the set of the level above
+    tower = _tower(grid=3, random=3)
+    levels = tuple(
+        dataclasses.replace(level, sample_plan=dataclasses.replace(
+            level.sample_plan, grid=2 + k % 2, n_random=3 + k, seed=k))
+        for k, level in enumerate(tower.levels))
+    tower, calls = _counting_transitions(
+        dataclasses.replace(tower, levels=levels))
+    tower.validate()
+    keys = len(tower.level(1).transitions)
+    assert [calls.count((i, ("U1", "U2"))) for i in range(1, 5)] \
+        == [1, 2, 2, 1]
+    assert len(calls) == keys * 6

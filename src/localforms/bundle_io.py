@@ -180,6 +180,16 @@ def load_bundle(path) -> LocalConnectionData:
     return data.validate()
 
 
+def _parse_phi(text, n, m, params, owner) -> GroupMorphismSpec:
+    """A group morphism GL(n) -> GL(m): an expression in the (n, n) matrix
+    parameter g whose value is (m, m)."""
+    ast = parse(text, [], sorted(params), matrix_params={"g": (n, n)})
+    if ast.shape != (m, m):
+        raise ValidationError(
+            f"{owner} has shape {ast.shape}, expected ({m}, {m})")
+    return GroupMorphismSpec(n, m, ast, params)
+
+
 @_document_loader
 def load_morphism(path, atlas=None, params=None) -> MorphismData:
     """Load a morphism description: phi (expression in the matrix parameter
@@ -189,14 +199,8 @@ def load_morphism(path, atlas=None, params=None) -> MorphismData:
                    for k, v in doc.get("params", {}).items()}
     merged = dict(params or {})
     merged.update(file_params)
-    n = int(doc["source_n"])
-    m = int(doc["target_n"])
-    phi_ast = parse(doc["phi"], [], sorted(merged),
-                    matrix_params={"g": (n, n)})
-    if phi_ast.shape != (m, m):
-        raise ValidationError(
-            f"phi has shape {phi_ast.shape}, expected ({m}, {m})")
-    phi = GroupMorphismSpec(n, m, phi_ast, "g", merged)
+    n, m = int(doc["source_n"]), int(doc["target_n"])
+    phi = _parse_phi(doc["phi"], n, m, merged, "phi")
     target_group = GroupSpec(doc.get("target_group_name", "H"), m)
     h = {}
     for chart_id, text in doc.get("h", {}).items():
@@ -264,15 +268,9 @@ def load_tower(path) -> TowerSpec:
         j, i = int(parts[0]), int(parts[1])
         if not (1 <= i < j <= len(levels)):
             raise ValidationError(f"connector '{key}' is out of range")
-        n = levels[j - 1].group.n
-        m = levels[i - 1].group.n
-        phi_ast = parse(entry["phi"], [], sorted(params),
-                        matrix_params={"g": (n, n)})
-        if phi_ast.shape != (m, m):
-            raise ValidationError(
-                f"connector '{key}' has shape {phi_ast.shape}, "
-                f"expected ({m}, {m})")
-        connectors[(j, i)] = GroupMorphismSpec(n, m, phi_ast, "g", params)
+        connectors[(j, i)] = _parse_phi(
+            entry["phi"], levels[j - 1].group.n, levels[i - 1].group.n,
+            params, f"connector '{key}'")
     return TowerSpec(tuple(levels), connectors)
 
 

@@ -1,6 +1,8 @@
-from .checks import check_cocycle, check_compatibility, check_overlaps
+from .checks import (check_cocycle, check_compatibility, check_overlaps,
+                     check_relation)
 from .data import DEFAULT_TOLERANCE, LocalConnectionData, PulledBackGroupMap
-from .forms import CallableForm, ExprForm, LocalForm, gauge_transform, zero_form
+from .forms import (CallableForm, ExprForm, LocalForm, gauge, gauge_transform,
+                    zero_form)
 from .operator import SectionRep, connection_operator
 from .points import (PointRep, TangentRep, chart_change, fundamental_tangent,
                      global_form_eval, horizontal_lift)
@@ -10,7 +12,7 @@ __all__ = [
     "CallableForm", "DEFAULT_TOLERANCE", "ExprForm", "LocalConnectionData",
     "LocalForm", "PathSegment", "PointRep", "PulledBackGroupMap", "SectionRep",
     "TangentRep", "chart_change", "check_cocycle", "check_compatibility",
-    "check_overlaps", "connection_operator", "fundamental_tangent",
-    "gauge_transform",
+    "check_overlaps", "check_relation", "connection_operator",
+    "fundamental_tangent", "gauge", "gauge_transform",
     "global_form_eval", "horizontal_lift", "parallel_transport", "zero_form",
 ]

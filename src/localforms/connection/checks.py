@@ -5,8 +5,8 @@ coordinate change is walked once per sample set, with every coordinate
 direction as a seed of the same walk, and the residuals are reduced over the
 stack.  Compatibility is verified in the source chart's coordinates: the
 destination-side form is evaluated at the transported point on the
-transported direction, and compared against Ad(g^-1).omega + g^-1 dg
-computed at the source point.
+transported direction, and compared by `check_relation` against the gauge
+of omega by g computed at the source point.
 """
 
 from __future__ import annotations
@@ -14,9 +14,9 @@ from __future__ import annotations
 import numpy as np
 
 from ..atlas import directions, in_box, mask_keep, sample
-from ..lie import adjoint, inverse
 from ..report import Report, max_residual
 from .data import DEFAULT_TOLERANCE, LocalConnectionData
+from .forms import gauge
 
 
 def _overlap_samples(data, overlap):
@@ -119,6 +119,15 @@ def check_overlaps(data: LocalConnectionData, tolerance=1e-9) -> Report:
     return report
 
 
+def check_relation(report: Report, name, lhs, theta, g, pts, e):
+    """Add one relation check to the report: lhs against the gauge of theta
+    by the group map g at points pts in directions e, or against theta
+    itself when g is None, over len(pts) * dim samples."""
+    rhs = theta if g is None else gauge(g.value(pts), g.derivative(pts, e),
+                                        theta)
+    report.add(name, max_residual(lhs - rhs), len(pts) * e.shape[-1])
+
+
 def check_compatibility(data: LocalConnectionData,
                         tolerance=DEFAULT_TOLERANCE) -> Report:
     """Overlap relation omega_b = Ad(g_ab^-1).omega_a + g_ab^-1 dg_ab,
@@ -127,16 +136,10 @@ def check_compatibility(data: LocalConnectionData,
     for ov in data.atlas.overlaps:
         if (ov.src, ov.dst) not in data.transitions:
             continue
-        g = data.transitions[(ov.src, ov.dst)]
-        form_a = data.forms[ov.src]
-        form_b = data.forms[ov.dst]
         pts = _overlap_samples(data, ov)
-        dim = data.atlas.chart(ov.src).dim
-        e = directions(dim)
-        g_inv = inverse(g.value(pts))
+        e = directions(data.atlas.chart(ov.src).dim)
         y, w = ov.push(pts, e, data.params)
-        lhs = form_b(y, w)
-        rhs = adjoint(g_inv, form_a(pts, e)) + g_inv @ g.derivative(pts, e)
-        report.add(f"compatibility:{ov.src},{ov.dst}",
-                   max_residual(lhs - rhs), len(pts) * dim)
+        check_relation(report, f"compatibility:{ov.src},{ov.dst}",
+                       data.forms[ov.dst](y, w), data.forms[ov.src](pts, e),
+                       data.transitions[(ov.src, ov.dst)], pts, e)
     return report

@@ -80,15 +80,21 @@ def zero_form(chart, dim, n) -> LocalForm:
                         lambda x, v: np.zeros(batch_shape(x, v) + (n, n)))
 
 
+def gauge(g, dg, omega):
+    """The gauge law at values: Ad(g^-1) . omega + g^-1 . dg for group values
+    g, their derivatives dg and algebra values omega (stacks broadcast)."""
+    g_inv = inverse(g)
+    return adjoint(g_inv, omega) + g_inv @ dg
+
+
 def gauge_transform(form: LocalForm, g: GroupMap) -> LocalForm:
-    """Gauge law: x, v -> Ad(g(x)^-1) . form_x(v) + (g^-1 dg)_x(v).
+    """The gauge law as a form: x, v -> gauge(g(x), dg_x(v), form_x(v)).
 
     The result is a composite evaluator over the same chart; it is also the
     value of the connection operator on the local section s . g.
     """
 
     def fn(x, v):
-        gx_inv = inverse(g.value(x))
-        return adjoint(gx_inv, form(x, v)) + gx_inv @ g.derivative(x, v)
+        return gauge(g.value(x), g.derivative(x, v), form(x, v))
 
     return CallableForm(form.chart, form.dim, form.n, fn)

@@ -11,10 +11,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..atlas import in_box
-from ..errors import DomainError, ValidationError
-from ..lie import adjoint, ensure_invertible, inverse
+from ..lie import ensure_invertible
 from .data import LocalConnectionData
+from .forms import gauge
 
 
 @dataclass(frozen=True)
@@ -46,11 +45,9 @@ def fundamental_tangent(p: PointRep, X) -> TangentRep:
 
 def global_form_eval(data: LocalConnectionData, p: PointRep,
                      u: TangentRep) -> np.ndarray:
-    """Value of the global connection form in the trivialization:
-    Ad(a^-1) . omega_chart,x(v) + a^-1 . w."""
-    a_inv = inverse(p.a)
-    form = data.forms[p.chart]
-    return adjoint(a_inv, form(p.x, u.v)) + a_inv @ u.w
+    """Value of the global connection form in the trivialization: the gauge
+    law Ad(a^-1) . omega_chart,x(v) + a^-1 . w."""
+    return gauge(p.a, u.w, data.forms[p.chart](p.x, u.v))
 
 
 def horizontal_lift(data: LocalConnectionData, p: PointRep, v) -> TangentRep:
@@ -67,14 +64,9 @@ def chart_change(data: LocalConnectionData, p: PointRep, target,
     pushforward of v and the product rule on g_ta(x(t)) . a(t)."""
     if target == p.chart:
         return p if u is None else (p, u)
-    overlap = data.atlas.overlap(p.chart, target)
-    if overlap is None:
-        raise ValidationError(f"no declared overlap {p.chart}->{target}")
-    if not in_box(p.x, overlap.domain):
-        raise DomainError(
-            f"point {list(p.x)} outside overlap {p.chart}->{target}")
-    g_rev = data.reverse_transition(p.chart, target)
+    overlap = data.atlas.require_overlap(p.chart, target)
     y = overlap.map_point(p.x, data.params)
+    g_rev = data.reverse_transition(p.chart, target)
     q = PointRep(target, y, g_rev.value(p.x) @ p.a)
     if u is None:
         return q

@@ -277,7 +277,7 @@ class ExprAST:
             except DomainError as exc:
                 if exc.index is None:
                     raise
-                raise DomainError(f"{exc} at {_where(exc.index, points)}") \
+                raise DomainError(f"{exc}{_where(exc.index, points)}") \
                     from None
 
     def eval(self, points, params=None):
@@ -341,13 +341,14 @@ def _broadcast(value, shape):
 
 
 def _where(index, points):
-    """The sample at batch index `index`, for error messages."""
+    """The message suffix naming the sample at batch index `index`: its
+    point, else its index, else nothing for one unbatched evaluation."""
     if points is None:
-        return f"sample {list(index)}"
+        return f" at sample {[int(i) for i in index]}" if index else ""
     batch = points.shape[:-1]
     index = index[max(0, len(index) - len(batch)):]
     index = (0,) * (len(batch) - len(index)) + tuple(index)
-    return f"point {points[index].tolist()}"
+    return f" at point {points[index].tolist()}"
 
 
 def parse(source, coords, params=(), matrix_params=None) -> ExprAST:

@@ -62,18 +62,17 @@ class GroupSpec:
     n: int
     generators: Optional[Tuple[np.ndarray, ...]] = None
 
-    def sample_algebra(self, rng, scale=1.0, shape=()):
+    def sample_algebra(self, rng, shape=()):
         """Random algebra elements, shape + (n, n), drawn by one rng call:
-        uniform coefficients of the generators, else uniform entries."""
+        coefficients of the generators, else entries, uniform in [-1, 1)."""
         shape = tuple(shape)
         if self.generators is not None:
-            coeffs = rng.uniform(-scale, scale,
-                                 shape + (len(self.generators),))
+            coeffs = rng.uniform(-1.0, 1.0, shape + (len(self.generators),))
             return np.tensordot(coeffs, np.stack(self.generators), axes=1)
-        return rng.uniform(-scale, scale, shape + (self.n, self.n))
+        return rng.uniform(-1.0, 1.0, shape + (self.n, self.n))
 
-    def sample_group(self, rng, scale=1.0, shape=()):
-        return expm(self.sample_algebra(rng, scale, shape))
+    def sample_group(self, rng, shape=()):
+        return expm(self.sample_algebra(rng, shape))
 
 
 # ----- group-valued maps on a chart -----------------------------------
@@ -171,7 +170,7 @@ def log_diff_right(f: GroupMap, x, v):
 @dataclass(frozen=True)
 class GroupMorphismSpec:
     """A smooth homomorphism between matrix groups, given as an expression in
-    one matrix-valued parameter, together with the Lie-algebra morphism it
+    one matrix-valued parameter g, together with the Lie-algebra morphism it
     induces by differentiation at the identity.
 
     Every method takes one matrix or a stack of them and evaluates the whole
@@ -180,7 +179,6 @@ class GroupMorphismSpec:
     source_dim: int
     target_dim: int
     phi: ExprAST
-    arg_name: str = "g"
     params: Mapping[str, float] = field(default_factory=dict)
 
     def _check_source(self, g, what):
@@ -190,7 +188,7 @@ class GroupMorphismSpec:
                 f"expected ({self.source_dim}, {self.source_dim})")
 
     def _eval(self, arg, n_seeds):
-        bindings = {self.arg_name: arg}
+        bindings = {"g": arg}
         for name in self.phi.params:
             bindings[name] = Dual(np.float64(self.params[name]))
         return self.phi.eval_bound(bindings, n_seeds)
@@ -230,7 +228,6 @@ class _ComposedMorphism(GroupMorphismSpec):
         object.__setattr__(self, "source_dim", source_dim)
         object.__setattr__(self, "target_dim", target_dim)
         object.__setattr__(self, "phi", None)
-        object.__setattr__(self, "arg_name", "g")
         object.__setattr__(self, "params", {})
         object.__setattr__(self, "outer", outer)
         object.__setattr__(self, "inner", inner)

@@ -16,7 +16,8 @@ from typing import Mapping, Tuple
 import numpy as np
 
 from .atlas import directions, sample
-from .connection import CallableForm, LocalConnectionData, PointRep
+from .connection import (DEFAULT_TOLERANCE, CallableForm, LocalConnectionData,
+                         PointRep, check_relation)
 from .errors import AtlasMismatchError, MorphismCocycleViolation
 from .lie import (ComposedGroupMap, ConstGroupMap, GroupMap, GroupMorphismSpec,
                   GroupSpec, adjoint, inverse)
@@ -44,29 +45,25 @@ def _require_shared_atlas(a: LocalConnectionData, b: LocalConnectionData):
 
 
 def check_related(omega: LocalConnectionData, theta: LocalConnectionData,
-                  m: MorphismData, tolerance=1e-8) -> Report:
+                  m: MorphismData, tolerance=DEFAULT_TOLERANCE) -> Report:
     """Relatedness criterion per chart:
     phibar(omega_a,x(v)) = Ad(h_a(x)^-1).theta_a,x(v) + (h_a^-1 dh_a)_x(v)."""
     _require_shared_atlas(omega, theta)
     report = Report(tolerance, omega.sample_plan)
     for chart_id in sorted(omega.atlas.charts):
         chart = omega.atlas.chart(chart_id)
-        h = m.h_map(chart_id)
-        form_o = omega.forms[chart_id]
-        form_t = theta.forms[chart_id]
         pts = sample(omega.sample_plan, chart.box, params=omega.params)
         e = directions(chart.dim)
-        h_inv = inverse(h.value(pts))
-        lhs = m.phi.induced(form_o(pts, e))
-        rhs = adjoint(h_inv, form_t(pts, e)) + h_inv @ h.derivative(pts, e)
-        report.add(f"related:{chart_id}", max_residual(lhs - rhs),
-                   len(pts) * chart.dim)
+        check_relation(report, f"related:{chart_id}",
+                       m.phi.induced(omega.forms[chart_id](pts, e)),
+                       theta.forms[chart_id](pts, e), m.h_map(chart_id),
+                       pts, e)
     return report
 
 
 def check_morphism_cocycle(m: MorphismData, source: LocalConnectionData,
                            target_transitions: Mapping[Tuple[str, str], GroupMap],
-                           tolerance=1e-8) -> Report:
+                           tolerance=DEFAULT_TOLERANCE) -> Report:
     """Completion condition on the target transition family:
     h_ab(x) = h_a(x) . phi(g_ab(x)) . h_b(psi(x))^-1 on every overlap."""
     report = Report(tolerance, source.sample_plan)
@@ -95,7 +92,7 @@ def morphism_eval(m: MorphismData, p: PointRep) -> PointRep:
 
 def pushforward_connection(omega: LocalConnectionData, m: MorphismData,
                            target_transitions: Mapping[Tuple[str, str], GroupMap],
-                           tolerance=1e-8) -> LocalConnectionData:
+                           tolerance=DEFAULT_TOLERANCE) -> LocalConnectionData:
     """The unique related connection on the target bundle, with local forms
     theta_a = Ad(h_a) . phibar(omega_a) - dh_a . h_a^-1."""
     cocycle = check_morphism_cocycle(m, omega, target_transitions, tolerance)
@@ -103,17 +100,21 @@ def pushforward_connection(omega: LocalConnectionData, m: MorphismData,
         raise MorphismCocycleViolation(
             f"target transitions fail the morphism cocycle condition: "
             f"{', '.join(cocycle.failing())}")
-    forms = {}
-    for chart_id, form in omega.forms.items():
-        forms[chart_id] = _pushforward_form(form, m.phi, m.h_map(chart_id),
-                                            m.target_group.n)
+    forms = {chart_id: _pushforward_form(form, m.phi, m.h_map(chart_id),
+                                         m.target_group.n)
+             for chart_id, form in omega.forms.items()}
     return LocalConnectionData(omega.atlas, m.target_group,
                                dict(target_transitions), forms,
                                omega.sample_plan, omega.params)
 
 
 def _pushforward_form(form, phi, h, n):
+    """The gauge law solved for theta: Ad(h) . phibar(omega) - dh . h^-1, or
+    phibar(omega) alone when h is None (no gauge)."""
+
     def fn(x, v):
+        if h is None:
+            return phi.induced(form(x, v))
         hx = h.value(x)
         return adjoint(hx, phi.induced(form(x, v))) \
             - h.derivative(x, v) @ inverse(hx)
@@ -122,18 +123,13 @@ def _pushforward_form(form, phi, h, n):
 
 
 def associated_connection(omega: LocalConnectionData, phi: GroupMorphismSpec,
-                          target_group: GroupSpec = None) -> LocalConnectionData:
-    """Connection on the associated bundle for phi: forms phibar(omega_a),
-    transitions phi . g_ab; the special case of the pushforward where every
-    h_a is constantly the unit."""
-    if target_group is None:
-        target_group = GroupSpec(f"{omega.group.name}->assoc", phi.target_dim)
+                          target_group: GroupSpec) -> LocalConnectionData:
+    """Connection on the associated bundle for phi: the pushforward with no
+    gauge (every h_a the unit), so forms phibar(omega_a) and transitions
+    phi . g_ab."""
     transitions = {key: ComposedGroupMap(phi, g)
                    for key, g in omega.transitions.items()}
-    forms = {}
-    for chart_id, form in omega.forms.items():
-        forms[chart_id] = CallableForm(
-            form.chart, form.dim, target_group.n,
-            lambda x, v, _f=form: phi.induced(_f(x, v)))
+    forms = {chart_id: _pushforward_form(form, phi, None, target_group.n)
+             for chart_id, form in omega.forms.items()}
     return LocalConnectionData(omega.atlas, target_group, transitions, forms,
                                omega.sample_plan, omega.params)

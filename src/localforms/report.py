@@ -49,10 +49,9 @@ class Report:
     checks: List[CheckResult] = field(default_factory=list)
     extra: Dict[str, object] = field(default_factory=dict)
 
-    def add(self, name, max_residual, sample_count, tolerance=None):
-        self.checks.append(CheckResult(
-            name, float(max_residual), int(sample_count),
-            self.tolerance if tolerance is None else tolerance))
+    def add(self, name, max_residual, sample_count):
+        self.checks.append(CheckResult(name, float(max_residual),
+                                       int(sample_count), self.tolerance))
 
     @property
     def passed(self):

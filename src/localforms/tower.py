@@ -17,13 +17,13 @@ from typing import List, Mapping, Tuple
 import numpy as np
 
 from .atlas import directions, sample
-from .connection import (LocalConnectionData, PointRep, TangentRep,
-                         global_form_eval)
+from .connection import (DEFAULT_TOLERANCE, LocalConnectionData, PointRep,
+                         TangentRep, check_relation, global_form_eval)
 from .errors import (LevelOutOfRange, TowerInvariantViolation,
                      ValidationError)
 from .lie import GroupMorphismSpec, identity_morphism
 from .morphism import associated_connection
-from .report import Report, max_residual
+from .report import Report
 
 
 @dataclass(frozen=True)
@@ -136,9 +136,11 @@ def _first_violation(diff, tolerance, message):
             f"{message} by {residuals[np.argmax(bad)]:.3e}")
 
 
-def check_tower_related(tower: TowerSpec, tolerance=1e-8) -> Report:
+def check_tower_related(tower: TowerSpec,
+                        tolerance=DEFAULT_TOLERANCE) -> Report:
     """Levelwise relatedness: for every pair j > i, chart and sample
-    direction, phibar^(ji)(omega^j) must equal omega^i.
+    direction, phibar^(ji)(omega^j) must equal omega^i: the relation check
+    with no gauge, since a unit one (I X I) turns an inf residual into NaN.
 
     Each level's form is evaluated once per chart and sample set (the plan
     and box the points come from), however many pairs it takes part in."""
@@ -161,11 +163,11 @@ def check_tower_related(tower: TowerSpec, tolerance=1e-8) -> Report:
             for chart_id in sorted(upper.atlas.charts):
                 sample_set = (upper.sample_plan,
                               upper.atlas.chart(chart_id).box)
-                omega_j = form_values(j, chart_id, *sample_set)
-                omega_i = form_values(i, chart_id, *sample_set)
-                report.add(f"tower-related:{j}->{i}:{chart_id}",
-                           max_residual(phi.induced(omega_j) - omega_i),
-                           len(points(*sample_set)) * len(sample_set[1]))
+                check_relation(
+                    report, f"tower-related:{j}->{i}:{chart_id}",
+                    phi.induced(form_values(j, chart_id, *sample_set)),
+                    form_values(i, chart_id, *sample_set), None,
+                    points(*sample_set), directions(len(sample_set[1])))
     return report
 
 

@@ -398,3 +398,54 @@ def test_overflow_warnings_stay_off_stderr(tmp_path, capsys):
     lines = capsys.readouterr().err.splitlines()
     assert len(lines) == 1
     assert lines[0].startswith("error: matrix with |det| = ")
+
+
+def _write(tmp_path, name, doc):
+    path = tmp_path / name
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+_SINGULAR_PHI = {"source_n": 2, "target_n": 2, "phi": "inv(g - g)"}
+
+
+@pytest.mark.parametrize("argv, line", [
+    # the junction lies in U_N's polar cap, outside the overlap band
+    (["transport", "monopole_k1.json", {"segments": [
+        {"chart": "U_N", "curve": ["0.2", "t"]},
+        {"chart": "U_S", "curve": ["3.141592653589793 - 0.2", "1 + t"]}]}],
+     "error: point [0.2, 1.0] outside overlap domain U_N->U_S"),
+    # phi is singular everywhere: the induced algebra morphism, evaluated
+    # at the identity alone, fails first and has no sample to name
+    (["assoc", "monopole_k1.json", _SINGULAR_PHI],
+     "error: inverse of a (near-)singular matrix"),
+    (["relate", "monopole_k1.json", "monopole_k1.json", _SINGULAR_PHI],
+     "error: inverse of a (near-)singular matrix"),
+    # the morphism cocycle check applies phi to a stack of transitions
+    (["push", "monopole_k1.json",
+      json.load(open(fixture_path("morphism_squaring.json")))
+      | {"phi": "inv(g - g)"}],
+     "error: inverse of a (near-)singular matrix at sample [0]"),
+], ids=["transport-junction", "assoc", "relate", "push"])
+def test_error_messages_print_plain_numbers(tmp_path, capsys, argv, line):
+    files = [_write(tmp_path, f"input{k}.json", a) if isinstance(a, dict)
+             else fixture_path(a) if a.endswith(".json") else a
+             for k, a in enumerate(argv)]
+    code, report = run(tmp_path, *files)
+    assert code == 2
+    assert report is None
+    assert capsys.readouterr().err == line + "\n"
+
+
+def test_overflowing_tower_residual_is_inf_not_nan(tmp_path):
+    # X - inf is -inf, which the relation check must not turn into NaN
+    def overflow(doc):
+        doc["levels"][0]["forms"]["U1"] = ["[[0, exp(1000*x1)], [0, 0]]"]
+
+    path = _variant(tmp_path, "tower_unipotent.json", overflow)
+    code, report = run(tmp_path, "tower", path)
+    assert code == 1
+    residuals = {c["name"]: c["max_residual"] for c in report["checks"]
+                 if c["name"].endswith("->1:U1")}
+    assert len(residuals) == 3
+    assert set(residuals.values()) == {"inf"}

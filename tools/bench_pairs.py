@@ -44,6 +44,17 @@ def _git(*args, cwd=ROOT):
                           capture_output=True, text=True).stdout.strip()
 
 
+def unpack_revision(revision, tree):
+    """Unpack the committed files of `revision` into the new directory
+    `tree`, and return it."""
+    tree = Path(tree)
+    tree.mkdir()
+    archive = subprocess.run(["git", "archive", revision], cwd=ROOT,
+                             check=True, capture_output=True).stdout
+    subprocess.run(["tar", "-x", "-C", str(tree)], input=archive, check=True)
+    return tree
+
+
 def run_once(tree, workload, seed, seconds, trace):
     """One benchmark run in checkout `tree`: its final JSON line."""
     argv = [sys.executable, "perfbench/run.py", "--workload", workload,
@@ -131,12 +142,7 @@ def main(argv=None):
     seeds = list(range(args.first_seed, args.first_seed + PAIRS))
     revision = _git("rev-parse", args.parent)
     scratch = Path(tempfile.mkdtemp(prefix="bench-pairs-"))
-    parent_tree = scratch / "parent"
-    parent_tree.mkdir()
-    archive = subprocess.run(["git", "archive", revision], cwd=ROOT,
-                             check=True, capture_output=True).stdout
-    subprocess.run(["tar", "-x", "-C", str(parent_tree)], input=archive,
-                   check=True)
+    parent_tree = unpack_revision(revision, scratch / "parent")
     trees = {"parent": parent_tree, "change": ROOT}
     doc = {
         "harness": (f"python3 perfbench/run.py --workload W --seed S "

@@ -1,0 +1,137 @@
+#!/usr/bin/env python3
+"""Check that the working tree gives the same CLI results as a parent revision.
+
+    python3 tools/same_reports.py --parent HEAD~1
+
+The committed files of the parent revision are unpacked into a temporary
+directory (removed again at the end), as `tools/bench_pairs.py` does.  One
+case list is built from this working tree: every case of
+`tests/test_golden.py` at its stored sample plan, at `--grid 4 --random 5`
+and at `--grid 15`, and every command (set-up included) of
+`perfbench/inputs.build_plan` for each workload at seeds 101 and 202, with
+the generated inputs written once into the temporary directory.  Both trees
+run the same case list through `localforms.cli.main`, each in one child
+process that imports the package from that tree's `src/`.  Every case whose
+exit code, stdout or stderr differ is printed; the exit code is 1 if any
+case differs, else 0.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import importlib.util
+import io
+import json
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+from bench_pairs import ROOT, _git, unpack_revision
+
+SEEDS = (101, 202)
+GOLDEN_PLANS = {"stored": [], "grid4-random5": ["--grid", "4", "--random", "5"],
+                "grid15": ["--grid", "15"]}
+# one BLAS/OpenMP thread, as in the benchmark's children
+THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
+               "BLIS_NUM_THREADS", "VECLIB_MAXIMUM_THREADS",
+               "NUMEXPR_NUM_THREADS")
+
+
+def _module(path):
+    spec = importlib.util.spec_from_file_location(path.stem, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def build_cases(workdir):
+    """[(case name, CLI argv)] of every golden case at every plan, then every
+    benchmark command, with generated inputs written under `workdir`."""
+    golden = _module(ROOT / "tests" / "test_golden.py")
+    cases = []
+    for name, (command, *rest) in sorted(golden.CASES.items()):
+        files = [str(ROOT / "fixtures" / a) if a.endswith(".json") else a
+                 for a in rest]
+        for plan, flags in GOLDEN_PLANS.items():
+            cases.append((f"golden:{name}:{plan}", [command, *files, *flags]))
+    inputs = _module(ROOT / "perfbench" / "inputs.py")
+    for workload in inputs.WORKLOADS:
+        for seed in SEEDS:
+            plan = inputs.build_plan(workload, seed,
+                                     Path(workdir) / f"{workload}-{seed}")
+            for entry in [plan["setup"], *plan["entries"]]:
+                cases.append((f"bench:{workload}:{seed}:{entry['id']}",
+                              entry["argv"]))
+    return cases
+
+
+def run_cases():
+    """Child side: read [(name, argv)] as JSON on stdin, run each through
+    localforms.cli.main and write {name: [exit code, stdout, stderr]}."""
+    from localforms.cli import main
+    results = {}
+    for name, argv in json.load(sys.stdin):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+            except Exception as exc:  # a crash is a result to compare too
+                code = f"{type(exc).__name__}: {exc}"
+        results[name] = [code, out.getvalue(), err.getvalue()]
+    json.dump(results, sys.stdout)
+
+
+def run_tree(tree, cases):
+    """Results of every case in one child process importing `tree`/src."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(Path(tree) / "src"), str(ROOT / "tools")]))
+    env.update({var: "1" for var in THREAD_VARS})
+    proc = subprocess.run(
+        [sys.executable, "-c", "import same_reports; same_reports.run_cases()"],
+        cwd=tree, env=env, input=json.dumps(cases), capture_output=True,
+        text=True)
+    if proc.returncode != 0:
+        raise RuntimeError(f"child in {tree} exited {proc.returncode}: "
+                           f"{proc.stderr[-2000:]}")
+    return json.loads(proc.stdout)
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--parent", required=True,
+                        help="git revision to compare against")
+    args = parser.parse_args(argv)
+
+    revision = _git("rev-parse", args.parent)
+    scratch = Path(tempfile.mkdtemp(prefix="same-reports-"))
+    try:
+        parent_tree = unpack_revision(revision, scratch / "parent")
+        cases = build_cases(scratch / "inputs")
+        parent = run_tree(parent_tree, cases)
+        change = run_tree(ROOT, cases)
+    finally:
+        shutil.rmtree(scratch, ignore_errors=True)
+
+    differing = 0
+    for name, _ in cases:
+        fields = [field for field, p, c in zip(
+            ("exit code", "stdout", "stderr"), parent[name], change[name])
+            if p != c]
+        if fields:
+            differing += 1
+            print(f"{name}: {', '.join(fields)} differ")
+            if "exit code" in fields or "stderr" in fields:
+                print(f"  parent: {parent[name][0]!r} {parent[name][2]!r}")
+                print(f"  change: {change[name][0]!r} {change[name][2]!r}")
+    print(f"{len(cases)} cases against {revision[:12]}, {differing} differ")
+    return 1 if differing else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -17,7 +17,8 @@ import numpy as np
 
 from .atlas import Atlas, Chart, Overlap, SamplePlan
 from .christoffel import ChristoffelData
-from .connection import ExprForm, LocalConnectionData, PathSegment
+from .connection import (DEFAULT_TOLERANCE, ExprForm, LocalConnectionData,
+                         PathSegment)
 from .errors import LocalFormsError, ValidationError
 from .expr import parse
 from .lie import ExprGroupMap, GroupMorphismSpec, GroupSpec
@@ -182,12 +183,23 @@ def load_bundle(path) -> LocalConnectionData:
 
 def _parse_phi(text, n, m, params, owner) -> GroupMorphismSpec:
     """A group morphism GL(n) -> GL(m): an expression in the (n, n) matrix
-    parameter g whose value is (m, m)."""
+    parameter g whose value is (m, m) and which maps the identity to the
+    identity."""
     ast = parse(text, [], sorted(params), matrix_params={"g": (n, n)})
     if ast.shape != (m, m):
         raise ValidationError(
             f"{owner} has shape {ast.shape}, expected ({m}, {m})")
-    return GroupMorphismSpec(n, m, ast, params)
+    phi = GroupMorphismSpec(n, m, ast, params)
+    try:
+        unit = phi.apply(np.eye(n))
+    except LocalFormsError as exc:
+        raise ValidationError(f"{owner} at the identity: {exc}") from exc
+    residual = np.linalg.norm(unit - np.eye(m))
+    if not residual <= DEFAULT_TOLERANCE:  # a NaN residual fails too
+        raise ValidationError(
+            f"{owner} does not map the identity to the identity "
+            f"(off by {residual:.3e})")
+    return phi
 
 
 @_document_loader

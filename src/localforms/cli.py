@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import sys
 
 import numpy as np
@@ -44,7 +45,11 @@ def _add_common(parser):
     parser.add_argument("--out", default=None)
 
 
+@functools.cache
 def _build_parser():
+    """The argument parser, built on the first call and shared by every
+    later one: parse_args returns a new namespace and leaves the parser as
+    it was, and usage and error text are formatted when they are printed."""
     parser = argparse.ArgumentParser(
         prog="localforms",
         description="Verify and construct principal-bundle connections "

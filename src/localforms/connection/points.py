@@ -65,11 +65,13 @@ def chart_change(data: LocalConnectionData, p: PointRep, target,
     if target == p.chart:
         return p if u is None else (p, u)
     overlap = data.atlas.require_overlap(p.chart, target)
-    y = overlap.map_point(p.x, data.params)
+    if u is None:
+        y = overlap.map_point(p.x, data.params)
+    else:
+        y, v_new = overlap.push(p.x, u.v, data.params)
     g_rev = data.reverse_transition(p.chart, target)
-    q = PointRep(target, y, g_rev.value(p.x) @ p.a)
+    g = g_rev.value(p.x)
+    q = PointRep(target, y, g @ p.a)
     if u is None:
         return q
-    y2, v_new = overlap.push(p.x, u.v, data.params)
-    w_new = g_rev.derivative(p.x, u.v) @ p.a + g_rev.value(p.x) @ u.w
-    return q, TangentRep(v_new, w_new)
+    return q, TangentRep(v_new, g_rev.derivative(p.x, u.v) @ p.a + g @ u.w)

@@ -75,19 +75,23 @@ class Call(Node):
 @dataclass(frozen=True)
 class MatLit(Node):
     """A matrix literal.  When every entry is a number or a negated number,
-    `constant` holds its value as a read-only array, built once here and
-    returned by every evaluation; otherwise it is None."""
+    `constant` holds its value as a read-only array, returned by every
+    evaluation; otherwise it is None.  A caller that has read the entries'
+    values passes them as `constant`; else they are derived from `rows`."""
 
     rows: Tuple[Tuple[Node, ...], ...]
-    constant: Optional[np.ndarray] = field(init=False, compare=False,
+    constant: Optional[np.ndarray] = field(default=None, compare=False,
                                            repr=False)
 
     def __post_init__(self):
-        values = [[_entry_value(entry) for entry in row] for row in self.rows]
-        constant = None
-        if (len({len(row) for row in values}) == 1
-                and all(v is not None for row in values for v in row)):
-            constant = np.array(values, dtype=float)
+        constant = self.constant
+        if constant is None:
+            values = [[_entry_value(entry) for entry in row]
+                      for row in self.rows]
+            if (len({len(row) for row in values}) == 1
+                    and all(v is not None for row in values for v in row)):
+                constant = np.array(values, dtype=float)
+        if constant is not None:
             constant.flags.writeable = False
         object.__setattr__(self, "constant", constant)
 

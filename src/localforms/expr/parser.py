@@ -74,11 +74,13 @@ def _number(text, pos):
     return value
 
 
-def _matrix(rows):
-    """The literal of `rows`, which must all have the same length."""
+def _matrix(rows, values=None):
+    """The literal of `rows`, which must all have the same length; `values`,
+    when given, are the entries' numbers, row by row."""
     if len({len(row) for row in rows}) != 1:
         raise ValidationError("ragged matrix literal")
-    return MatLit(tuple(rows))
+    return MatLit(tuple(rows),
+                  None if values is None else np.array(values, dtype=float))
 
 
 class _Parser:
@@ -86,6 +88,7 @@ class _Parser:
         self.source = source
         self.tokens = _tokenize(source)
         self.index = 0
+        self.literals = {}  # literal text -> its MatLit; nodes are immutable
 
     def peek(self):
         return self.tokens[self.index]
@@ -186,21 +189,31 @@ class _Parser:
 
     def literal(self, start):
         """The number-only matrix literal scanned as one token at `start`,
-        built as the descent would build it: Num and Unary(Num) entries."""
+        built as the descent would build it: Num and Unary(Num) entries, and
+        its constant from the values the scan reads.  A literal text met
+        before in this expression gives the node built then."""
         stop = _TOKEN_RE.match(self.source, start).end()
-        nodes = {}  # (sign, digits) -> entry node; nodes are immutable
-        rows = []
+        text = self.source[start:stop]
+        if text in self.literals:
+            return self.literals[text]
+        entries = {}  # (sign, digits) -> (entry node, its value)
+        rows, values = [], []
         for row in _ROW_RE.finditer(self.source, start + 1, stop):
-            entries = []
+            nodes, numbers = [], []
             for entry in _ENTRY_RE.finditer(self.source, row.start(),
                                             row.end()):
                 key = entry.group("neg", "num")
-                if key not in nodes:
-                    value = Num(_number(entry["num"], entry.start("num")))
-                    nodes[key] = Unary(value) if entry["neg"] else value
-                entries.append(nodes[key])
-            rows.append(tuple(entries))
-        return _matrix(rows)
+                if key not in entries:
+                    value = _number(entry["num"], entry.start("num"))
+                    entries[key] = ((Unary(Num(value)), -value)
+                                    if entry["neg"] else (Num(value), value))
+                node, value = entries[key]
+                nodes.append(node)
+                numbers.append(value)
+            rows.append(tuple(nodes))
+            values.append(numbers)
+        literal = self.literals[text] = _matrix(rows, values)
+        return literal
 
     def row(self):
         token = self.peek()

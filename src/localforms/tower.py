@@ -79,9 +79,9 @@ class TowerSpec:
         morphism evaluations instead of one per (j, k, i) triple.  The
         tolerance bounds each link; along a chain the links' residuals add.
 
-        Each level's transitions are evaluated once per off-diagonal key and
-        sample set, the set of the plan and overlap of the upper level of a
-        pair."""
+        Each overlap is sampled, and each level's transitions evaluated,
+        once per off-diagonal key and sample set: the plan and overlap of
+        the upper level of a pair."""
         top = self.level(self.depth)
         for data in self.levels[:-1]:
             if not data.atlas.same_charts(top.atlas):
@@ -97,14 +97,18 @@ class TowerSpec:
                         - self.connector(j - 1, i).apply(mid), tolerance,
                         f"connectors ({j},{i}) vs ({j - 1},{i}).({j},{j - 1})"
                         f" differ")
-        values = {}  # (level, key) -> (sample set, transition values there)
+        cache = {}  # key -> (sample set, its points, {level: values there})
 
-        def transition_values(level, key, sample_set, pts):
-            cached = values.get((level, key))
+        def transition_values(level, key, sample_set):
+            cached = cache.get(key)
             if cached is None or cached[0] != sample_set:
-                cached = values[(level, key)] = (
-                    sample_set, self.level(level).transitions[key].value(pts))
-            return cached[1]
+                plan, ov, params = sample_set
+                cached = cache[key] = (
+                    sample_set, sample(plan, ov.domain, ov.mask, params), {})
+            _, pts, values = cached
+            if level not in values:
+                values[level] = self.level(level).transitions[key].value(pts)
+            return values[level]
 
         for i in range(1, self.depth):
             upper = self.level(i + 1)
@@ -112,14 +116,11 @@ class TowerSpec:
             for key in upper.transitions:
                 if key[0] == key[1]:
                     continue
-                ov = upper.atlas.overlap(*key)
-                sample_set = (upper.sample_plan, ov, upper.params)
-                pts = sample(upper.sample_plan, ov.domain, ov.mask,
-                             upper.params)
+                sample_set = (upper.sample_plan, upper.atlas.overlap(*key),
+                              upper.params)
                 _first_violation(
-                    transition_values(i, key, sample_set, pts)
-                    - phi.apply(transition_values(i + 1, key, sample_set,
-                                                  pts)),
+                    transition_values(i, key, sample_set)
+                    - phi.apply(transition_values(i + 1, key, sample_set)),
                     tolerance,
                     f"transition {key} at level {i} deviates from the "
                     f"projected level-{i + 1} transition")

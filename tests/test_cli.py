@@ -1,12 +1,15 @@
 import json
+import os
+import subprocess
+import sys
 import warnings
 
 import numpy as np
 import pytest
 
-from localforms.cli import main
+from localforms.cli import _build_parser, main
 
-from conftest import fixture_path
+from conftest import ROOT, fixture_path
 
 FAST = ["--grid", "5", "--random", "8"]
 
@@ -36,6 +39,41 @@ def test_verify_fails_on_broken_transition(tmp_path):
     assert report["passed"] is False
     failing = [c["name"] for c in report["checks"] if not c["passed"]]
     assert "compatibility:U_N,U_S" in failing
+
+
+def _in_process(argv, capsys):
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    out, err = capsys.readouterr()
+    return code, out, err
+
+
+def _fresh_process(argv):
+    done = subprocess.run(
+        [sys.executable, "-c", "import sys; from localforms.cli import main; "
+                               "sys.exit(main(sys.argv[1:]))", *argv],
+        capture_output=True, text=True,
+        env=dict(os.environ, PYTHONPATH=str(ROOT / "src"), COLUMNS="80"))
+    return done.returncode, done.stdout, done.stderr
+
+
+def test_parser_is_built_once_and_keeps_no_options(capsys, monkeypatch):
+    # usage text wraps at the terminal width; both sides get the same one
+    monkeypatch.setenv("COLUMNS", "80")
+    assert _build_parser() is _build_parser()
+    calls = [
+        ["verify", fixture_path("abelian.json"), "--grid", "x"],
+        ["verify", fixture_path("abelian.json"), "--grid", "3",
+         "--random", "2", "--tolerance", "1e-6"],
+        ["transport", fixture_path("abelian.json"),
+         fixture_path("path_abelian.json"), "--steps", "50"],
+        ["verify", fixture_path("abelian.json"), "--grid", "2"],
+    ]
+    got = [_in_process(argv, capsys) for argv in calls]
+    assert [code for code, _, _ in got] == [2, 0, 0, 0]
+    assert got == [_fresh_process(argv) for argv in calls]
 
 
 def test_missing_file_is_a_usage_error(tmp_path, capsys):
@@ -415,18 +453,23 @@ _SINGULAR_PHI = {"source_n": 2, "target_n": 2, "phi": "inv(g - g)"}
         {"chart": "U_N", "curve": ["0.2", "t"]},
         {"chart": "U_S", "curve": ["3.141592653589793 - 0.2", "1 + t"]}]}],
      "error: point [0.2, 1.0] outside overlap domain U_N->U_S"),
-    # phi is singular everywhere: the induced algebra morphism, evaluated
-    # at the identity alone, fails first and has no sample to name
+    # phi is singular everywhere: loading evaluates it at the identity,
+    # which fails with no sample to name; {last} is the morphism file
     (["assoc", "monopole_k1.json", _SINGULAR_PHI],
-     "error: inverse of a (near-)singular matrix"),
+     "error: '{last}': phi at the identity: inverse of a (near-)singular "
+     "matrix"),
     (["relate", "monopole_k1.json", "monopole_k1.json", _SINGULAR_PHI],
-     "error: inverse of a (near-)singular matrix"),
-    # the morphism cocycle check applies phi to a stack of transitions
+     "error: '{last}': phi at the identity: inverse of a (near-)singular "
+     "matrix"),
     (["push", "monopole_k1.json",
       json.load(open(fixture_path("morphism_squaring.json")))
       | {"phi": "inv(g - g)"}],
-     "error: inverse of a (near-)singular matrix at sample [0]"),
-], ids=["transport-junction", "assoc", "relate", "push"])
+     "error: '{last}': phi at the identity: inverse of a (near-)singular "
+     "matrix"),
+    (["assoc", "monopole_k1.json", _SINGULAR_PHI | {"phi": "2*g"}],
+     "error: '{last}': phi does not map the identity to the identity "
+     "(off by 1.414e+00)"),
+], ids=["transport-junction", "assoc", "relate", "push", "non-unital"])
 def test_error_messages_print_plain_numbers(tmp_path, capsys, argv, line):
     files = [_write(tmp_path, f"input{k}.json", a) if isinstance(a, dict)
              else fixture_path(a) if a.endswith(".json") else a
@@ -434,7 +477,7 @@ def test_error_messages_print_plain_numbers(tmp_path, capsys, argv, line):
     code, report = run(tmp_path, *files)
     assert code == 2
     assert report is None
-    assert capsys.readouterr().err == line + "\n"
+    assert capsys.readouterr().err == line.format(last=files[-1]) + "\n"
 
 
 def test_overflowing_tower_residual_is_inf_not_nan(tmp_path):

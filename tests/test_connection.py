@@ -139,6 +139,31 @@ def test_chart_change_round_trip(monopole):
         assert np.linalg.norm(u3.w - u.w) < 1e-9
 
 
+def test_chart_change_evaluates_the_transition_twice(monopole, monkeypatch):
+    # once for the point and the tangent, once inside the inverse's
+    # derivative
+    calls = []
+    value = ExprGroupMap.value
+    monkeypatch.setattr(ExprGroupMap, "value",
+                        lambda self, x: calls.append(x) or value(self, x))
+    rng = np.random.default_rng(8)
+    x = rng.uniform([1.2, 0.0], [1.9, 6.0])
+    p = PointRep("U_N", x, exp_matrix(0.7 * J))
+    u = TangentRep(rng.normal(size=2), rng.normal(size=(2, 2)))
+    q, u2 = chart_change(monopole, p, "U_S", u)
+    assert len(calls) == 2
+    # the numbers of mapping the point, then pushing the tangent, each with
+    # its own transition value
+    ov = monopole.atlas.require_overlap("U_N", "U_S")
+    g_rev = monopole.reverse_transition("U_N", "U_S")
+    _, v = ov.push(x, u.v, monopole.params)
+    w = g_rev.derivative(x, u.v) @ p.a + g_rev.value(x) @ u.w
+    assert q.x.tobytes() == ov.map_point(x, monopole.params).tobytes()
+    assert q.a.tobytes() == (g_rev.value(x) @ p.a).tobytes()
+    assert u2.v.tobytes() == v.tobytes()
+    assert u2.w.tobytes() == w.tobytes()
+
+
 def test_chart_change_requires_overlap_membership(monopole):
     p = PointRep("U_N", [0.2, 1.0], np.eye(2))  # outside the overlap band
     with pytest.raises(DomainError):

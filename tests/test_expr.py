@@ -187,6 +187,14 @@ def test_constant_matrix_literal_value_is_bit_identical():
         lit = parse(source, []).root
         assert lit.constant.tobytes() == _entrywise(lit).tobytes()
     assert np.signbit(parse("[[-0]]", []).eval([])[0, 0])
+    # a truncation A * g * transpose(A) spells its literal twice; both
+    # spellings give the one node
+    A = "[[1, 0, -0], [0, -2.5, 1e-300]]"
+    root = parse(f"{A} * g * transpose({A})", [],
+                 matrix_params={"g": (3, 3)}).root
+    lit = root.left.left
+    assert lit.constant.tobytes() == _entrywise(lit).tobytes()
+    assert root.right.args[0] is lit
 
 
 def test_eval_never_returns_the_cached_literal():

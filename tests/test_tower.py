@@ -1,4 +1,5 @@
 import dataclasses
+import json
 
 import numpy as np
 import pytest
@@ -378,6 +379,32 @@ def test_validate_samples_once_per_level_and_evaluates_once_per_key(
                     if key[0] != key[1]]
     assert sorted(calls) == sorted(
         (i, key) for i in range(1, tower.depth + 1) for key in off_diagonal)
+
+
+def test_load_rejects_a_connector_that_moves_the_identity(tmp_path):
+    doc = json.loads(open(fixture_path("tower_unipotent.json")).read())
+    doc["connectors"]["2,1"]["phi"] = ("[[1,0,0],[0,1,0]] * mexp(g) * "
+                                       "transpose([[1,0,0],[0,1,0]])")
+    path = tmp_path / "tower.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValidationError,
+                       match=r"connector '2,1' does not map the identity"):
+        load_tower(str(path))
+
+
+def test_validate_samples_each_overlap_once(monkeypatch):
+    # every level shares one plan and atlas, so each off-diagonal overlap is
+    # sampled for the first pair and its points reused by the others
+    import localforms.tower
+    draws = []
+    monkeypatch.setattr(localforms.tower, "sample",
+                        lambda *args: draws.append(args[1]) or sample(*args))
+    tower = _tower(grid=3, random=3)
+    tower.validate()
+    off_diagonal = [key for key in tower.level(1).transitions
+                    if key[0] != key[1]]
+    assert sorted(draws) == sorted(tower.level(1).atlas.overlap(*key).domain
+                                   for key in off_diagonal)
 
 
 def test_validate_with_a_sample_plan_per_level():

@@ -59,15 +59,21 @@ def _document_loader(load):
 
 
 def _parse_group(doc) -> GroupSpec:
+    """The group, its generators (if any) stacked in one (k, n, n) array."""
+    n = int(doc["n"])
     generators = None
     if doc.get("generators"):
-        generators = tuple(np.asarray(g, dtype=float)
-                           for g in doc["generators"])
-        for g in generators:
-            if g.shape != (doc["n"], doc["n"]):
-                raise ValidationError(
-                    f"group '{doc.get('name')}': generator of shape {g.shape}")
-    return GroupSpec(doc.get("name", "G"), int(doc["n"]), generators)
+        try:
+            generators = np.asarray(doc["generators"], dtype=float)
+        except ValueError:
+            # an entry that is no number keeps its own message; else the
+            # generators have different shapes
+            for g in doc["generators"]:
+                np.asarray(g, dtype=float)
+        if generators is None or generators.shape[1:] != (n, n):
+            raise ValidationError(
+                f"group '{doc.get('name')}': generators are not all {n}x{n}")
+    return GroupSpec(doc.get("name", "G"), n, generators)
 
 
 def _parse_plan(doc) -> SamplePlan:

@@ -123,8 +123,7 @@ def check_relation(report: Report, name, lhs, theta, g, pts, e):
     """Add one relation check to the report: lhs against the gauge of theta
     by the group map g at points pts in directions e, or against theta
     itself when g is None, over len(pts) * dim samples."""
-    rhs = theta if g is None else gauge(g.value(pts), g.derivative(pts, e),
-                                        theta)
+    rhs = theta if g is None else gauge(*g.jet(pts, e), theta)
     report.add(name, max_residual(lhs - rhs), len(pts) * e.shape[-1])
 
 

@@ -26,9 +26,8 @@ class PulledBackGroupMap(GroupMap):
     def value(self, x):
         return self.inner.value(self.overlap.map_point(x, self.params))
 
-    def derivative(self, x, v):
-        y, w = self.overlap.push(x, v, self.params)
-        return self.inner.derivative(y, w)
+    def jet(self, x, v):
+        return self.inner.jet(*self.overlap.push(x, v, self.params))
 
 
 @dataclass(frozen=True)

@@ -95,6 +95,6 @@ def gauge_transform(form: LocalForm, g: GroupMap) -> LocalForm:
     """
 
     def fn(x, v):
-        return gauge(g.value(x), g.derivative(x, v), form(x, v))
+        return gauge(*g.jet(x, v), form(x, v))
 
     return CallableForm(form.chart, form.dim, form.n, fn)

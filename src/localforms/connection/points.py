@@ -67,11 +67,8 @@ def chart_change(data: LocalConnectionData, p: PointRep, target,
     overlap = data.atlas.require_overlap(p.chart, target)
     if u is None:
         y = overlap.map_point(p.x, data.params)
-    else:
-        y, v_new = overlap.push(p.x, u.v, data.params)
-    g_rev = data.reverse_transition(p.chart, target)
-    g = g_rev.value(p.x)
-    q = PointRep(target, y, g @ p.a)
-    if u is None:
-        return q
-    return q, TangentRep(v_new, g_rev.derivative(p.x, u.v) @ p.a + g @ u.w)
+        g = data.reverse_transition(p.chart, target).value(p.x)
+        return PointRep(target, y, g @ p.a)
+    y, v_new = overlap.push(p.x, u.v, data.params)
+    g, dg = data.reverse_transition(p.chart, target).jet(p.x, u.v)
+    return PointRep(target, y, g @ p.a), TangentRep(v_new, dg @ p.a + g @ u.w)

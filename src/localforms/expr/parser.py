@@ -7,6 +7,7 @@ as the (left-associative) matrix product whenever an operand is a matrix.
 
 from __future__ import annotations
 
+import functools
 import math
 import re
 from dataclasses import dataclass, field
@@ -32,7 +33,6 @@ _ROW = rf"\[\s*(?:-\s*)?(?:{_NUMBER})\s*(?:,\s*(?:-\s*)?(?:{_NUMBER})\s*)*\]"
 _TOKEN_RE = re.compile(
     rf"\s*(?:(?P<mat>\[)\s*{_ROW}(?:\s*,\s*{_ROW})*\s*\]|{_PLAIN})")
 _PLAIN_RE = re.compile(rf"\s*(?:{_PLAIN})")
-_ROW_RE = re.compile(_ROW)
 _ENTRY_RE = re.compile(rf"(?P<neg>-)?\s*(?P<num>{_NUMBER})")
 
 _FUNCTIONS = set(SCALAR_FUNCTIONS) | set(MATRIX_FUNCTIONS) | {"atan2"}
@@ -44,11 +44,13 @@ class _Token(NamedTuple):
     pos: int
 
 
-def _tokenize(source):
+def _tokenize(source, ends=None):
     """The tokens of `source` from one scan, ending with an 'end' token.  A
     match that does not start where the previous one ended leaves a gap, and
     the gap's first non-space character is the one no token can start with;
-    so is any non-space character left after the last match."""
+    so is any non-space character left after the last match.  `ends`, when
+    given, maps the position of each matrix-literal token to where its match
+    ends."""
     tokens = []
     end = 0
     for match in _TOKEN_RE.finditer(source):
@@ -57,6 +59,8 @@ def _tokenize(source):
         kind = match.lastgroup
         tokens.append(_Token(kind, match[kind], match.start(kind)))
         end = match.end()
+        if kind == "mat" and ends is not None:
+            ends[match.start(kind)] = end
     rest = source[end:].lstrip()
     if rest:
         at = len(source) - len(rest)
@@ -86,7 +90,8 @@ def _matrix(rows, values=None):
 class _Parser:
     def __init__(self, source):
         self.source = source
-        self.tokens = _tokenize(source)
+        self.ends = {}  # matrix-literal token position -> end of its text
+        self.tokens = _tokenize(source, self.ends)
         self.index = 0
         self.literals = {}  # literal text -> its MatLit; nodes are immutable
 
@@ -189,30 +194,31 @@ class _Parser:
 
     def literal(self, start):
         """The number-only matrix literal scanned as one token at `start`,
-        built as the descent would build it: Num and Unary(Num) entries, and
-        its constant from the values the scan reads.  A literal text met
-        before in this expression gives the node built then."""
-        stop = _TOKEN_RE.match(self.source, start).end()
-        text = self.source[start:stop]
-        if text in self.literals:
-            return self.literals[text]
-        entries = {}  # (sign, digits) -> (entry node, its value)
-        rows, values = [], []
-        for row in _ROW_RE.finditer(self.source, start + 1, stop):
-            nodes, numbers = [], []
-            for entry in _ENTRY_RE.finditer(self.source, row.start(),
-                                            row.end()):
-                key = entry.group("neg", "num")
-                if key not in entries:
-                    value = _number(entry["num"], entry.start("num"))
-                    entries[key] = ((Unary(Num(value)), -value)
-                                    if entry["neg"] else (Num(value), value))
-                node, value = entries[key]
-                nodes.append(node)
-                numbers.append(value)
-            rows.append(tuple(nodes))
-            values.append(numbers)
-        literal = self.literals[text] = _matrix(rows, values)
+        built from its text as the descent would build it: Num and
+        Unary(Num) entries, one node per distinct entry text, and its
+        constant from float() of each entry's text (float('-x') is
+        -float('x') exactly, -0 included).  A literal text met before in
+        this expression gives the node built then."""
+        text = self.source[start:self.ends[start]]
+        literal = self.literals.get(text)
+        if literal is not None:
+            return literal
+        # without blanks the text is [[a,-b],[c,d]]: rows split on '],['
+        # and entries on ','; an entry is digits, or '-' and digits
+        rows = [row.split(",")
+                for row in "".join(text.split())[2:-2].split("],[")]
+        nodes, values = {}, {}  # entry text -> its node, its value
+        for entry in set().union(*rows):
+            value = values[entry] = float(entry)
+            nodes[entry] = (Unary(Num(-value)) if entry[0] == "-"
+                            else Num(value))
+        if not all(map(math.isfinite, values.values())):
+            # the first entry too large for a float, by text and position
+            for entry in _ENTRY_RE.finditer(text):
+                _number(entry["num"], start + entry.start("num"))
+        literal = self.literals[text] = _matrix(
+            [tuple(map(nodes.__getitem__, row)) for row in rows],
+            [list(map(values.__getitem__, row)) for row in rows])
         return literal
 
     def row(self):
@@ -220,10 +226,10 @@ class _Parser:
         if token.kind == "mat":
             # a literal where a row belongs: its first '[' opens the row,
             # so the descent continues on its plain tokens
-            stop = _TOKEN_RE.match(self.source, token.pos).end()
             self.tokens[self.index:self.index + 1] = [
                 _Token(m.lastgroup, m[m.lastgroup], m.start(m.lastgroup))
-                for m in _PLAIN_RE.finditer(self.source, token.pos, stop)]
+                for m in _PLAIN_RE.finditer(self.source, token.pos,
+                                            self.ends[token.pos])]
         self.expect("[")
         entries = [self.expression()]
         while self.peek().text == ",":
@@ -242,8 +248,10 @@ class ExprAST:
     params: Tuple[str, ...] = ()
     matrix_params: Mapping[str, Tuple[int, int]] = field(default_factory=dict)
 
-    @property
+    @functools.cached_property
     def shape(self):
+        """The static shape, inferred once over the tree (which is also
+        its validation) and kept."""
         return infer_shape(self.root, self._name_shapes())
 
     def _name_shapes(self):

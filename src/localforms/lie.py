@@ -10,7 +10,7 @@ dual-number differentiation at the identity, never by finite differences).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Mapping, Optional, Tuple
+from typing import Mapping, Optional
 
 import numpy as np
 
@@ -56,11 +56,12 @@ exp_matrix = expm
 
 @dataclass(frozen=True)
 class GroupSpec:
-    """Declaration of a matrix group: name, size, optional generator basis."""
+    """Declaration of a matrix group: name, size, optional generator basis
+    (a (k, n, n) array, or k (n, n) matrices)."""
 
     name: str
     n: int
-    generators: Optional[Tuple[np.ndarray, ...]] = None
+    generators: Optional[np.ndarray] = None
 
     def sample_algebra(self, rng, shape=()):
         """Random algebra elements, shape + (n, n), drawn by one rng call:
@@ -68,7 +69,7 @@ class GroupSpec:
         shape = tuple(shape)
         if self.generators is not None:
             coeffs = rng.uniform(-1.0, 1.0, shape + (len(self.generators),))
-            return np.tensordot(coeffs, np.stack(self.generators), axes=1)
+            return np.tensordot(coeffs, np.asarray(self.generators), axes=1)
         return rng.uniform(-1.0, 1.0, shape + (self.n, self.n))
 
     def sample_group(self, rng, shape=()):
@@ -81,18 +82,22 @@ class GroupSpec:
 class GroupMap:
     """A smooth map from chart coordinates into a matrix group.
 
-    Subclasses provide value(x) -> matrices and derivative(x, v) -> the raw
-    directional derivative of the matrix entries.  `x` is one point (d,) or a
-    stack batch + (d,); `v` has shape dirs + (d,) with dirs broadcastable
-    against the batch (for example (d, 1, d) for every coordinate direction
-    at every point), and the derivative has shape broadcast + (n, n).
+    Subclasses provide value(x) -> matrices and jet(x, v) -> the value
+    together with the raw directional derivative of the matrix entries,
+    from one evaluation.  `x` is one point (d,) or a stack batch + (d,); `v`
+    has shape dirs + (d,) with dirs broadcastable against the batch (for
+    example (d, 1, d) for every coordinate direction at every point), and
+    the derivative has shape broadcast + (n, n).
     """
 
     def value(self, x):
         raise NotImplementedError
 
-    def derivative(self, x, v):
+    def jet(self, x, v):
         raise NotImplementedError
+
+    def derivative(self, x, v):
+        return self.jet(x, v)[1]
 
 
 def batch_shape(x, v=None):
@@ -111,10 +116,10 @@ class ExprGroupMap(GroupMap):
     def value(self, x):
         return self.ast.eval(x, self.params)
 
-    def derivative(self, x, v):
-        _, tangents = self.ast.eval_dual(
+    def jet(self, x, v):
+        value, tangents = self.ast.eval_dual(
             x, self.params, np.asarray(v, dtype=float)[None])
-        return tangents[0]
+        return value, tangents[0]
 
 
 @dataclass(frozen=True)
@@ -125,8 +130,9 @@ class ConstGroupMap(GroupMap):
         matrix = np.asarray(self.matrix, dtype=float)
         return np.broadcast_to(matrix, batch_shape(x) + matrix.shape)
 
-    def derivative(self, x, v):
-        return np.zeros(batch_shape(x, v) + np.shape(self.matrix))
+    def jet(self, x, v):
+        return (self.value(x),
+                np.zeros(batch_shape(x, v) + np.shape(self.matrix)))
 
 
 @dataclass(frozen=True)
@@ -137,9 +143,10 @@ class ProductGroupMap(GroupMap):
     def value(self, x):
         return self.left.value(x) @ self.right.value(x)
 
-    def derivative(self, x, v):
-        return (self.left.derivative(x, v) @ self.right.value(x)
-                + self.left.value(x) @ self.right.derivative(x, v))
+    def jet(self, x, v):
+        left, d_left = self.left.jet(x, v)
+        right, d_right = self.right.jet(x, v)
+        return left @ right, d_left @ right + left @ d_right
 
 
 @dataclass(frozen=True)
@@ -149,19 +156,22 @@ class InverseGroupMap(GroupMap):
     def value(self, x):
         return inverse(self.inner.value(x))
 
-    def derivative(self, x, v):
-        b = self.value(x)
-        return -b @ self.inner.derivative(x, v) @ b
+    def jet(self, x, v):
+        value, d_value = self.inner.jet(x, v)
+        b = inverse(value)
+        return b, -b @ d_value @ b
 
 
 def log_diff_left(f: GroupMap, x, v):
     """Left logarithmic differential (f^-1 df)_x(v) = f(x)^-1 . T_x f(v)."""
-    return inverse(f.value(x)) @ f.derivative(x, v)
+    value, d_value = f.jet(x, v)
+    return inverse(value) @ d_value
 
 
 def log_diff_right(f: GroupMap, x, v):
     """Right logarithmic differential (df . f^-1)_x(v) = T_x f(v) . f(x)^-1."""
-    return f.derivative(x, v) @ inverse(f.value(x))
+    value, d_value = f.jet(x, v)
+    return d_value @ inverse(value)
 
 
 # ----- group morphisms ------------------------------------------------
@@ -199,13 +209,27 @@ class GroupMorphismSpec:
         image = self._eval(Dual.matrix(g), 0).primal
         return np.broadcast_to(image, g.shape[:-2] + image.shape[-2:])
 
+    def jet(self, g, E):
+        """(apply(g), differential(g, E)) from one walk."""
+        g = np.asarray(g, dtype=float)
+        self._check_source(g, "morphism argument")
+        image, tangent = self._seeded(g, E)
+        return (np.broadcast_to(image, g.shape[:-2] + image.shape[-2:]),
+                tangent)
+
     def differential(self, g, E):
         """Directional derivative of the morphism at g along the matrix E."""
-        g = np.asarray(g, dtype=float)
+        return self._seeded(np.asarray(g, dtype=float), E)[1]
+
+    def _seeded(self, g, E):
+        """The image of the array g, unbroadcast, and the derivative along
+        E, from one walk."""
         E = np.asarray(E, dtype=float)
-        tangent = self._eval(Dual.matrix(g, E[None]), 1).tangent[0]
+        image = self._eval(Dual.matrix(g, E[None]), 1)
+        tangent = image.tangent[0]
         batch = np.broadcast_shapes(g.shape[:-2], E.shape[:-2])
-        return np.broadcast_to(tangent, batch + tangent.shape[-2:])
+        return image.primal, np.broadcast_to(tangent,
+                                             batch + tangent.shape[-2:])
 
     def induced(self, X):
         """Induced algebra morphism: d/dt phi(exp(tX)) at t = 0."""
@@ -222,7 +246,7 @@ class GroupMorphismSpec:
 
 
 class _ComposedMorphism(GroupMorphismSpec):
-    """Composition of two morphism specs; apply/differential chain through."""
+    """Composition of two morphism specs; apply and jets chain through."""
 
     def __init__(self, source_dim, target_dim, outer, inner):
         object.__setattr__(self, "source_dim", source_dim)
@@ -235,9 +259,8 @@ class _ComposedMorphism(GroupMorphismSpec):
     def apply(self, g):
         return self.outer.apply(self.inner.apply(g))
 
-    def differential(self, g, E):
-        mid = self.inner.apply(g)
-        return self.outer.differential(mid, self.inner.differential(g, E))
+    def _seeded(self, g, E):
+        return self.outer._seeded(*self.inner.jet(g, E))
 
 
 def identity_morphism(n) -> GroupMorphismSpec:
@@ -255,6 +278,5 @@ class ComposedGroupMap(GroupMap):
     def value(self, x):
         return self.morphism.apply(self.inner.value(x))
 
-    def derivative(self, x, v):
-        return self.morphism.differential(self.inner.value(x),
-                                          self.inner.derivative(x, v))
+    def jet(self, x, v):
+        return self.morphism.jet(*self.inner.jet(x, v))

@@ -115,9 +115,8 @@ def _pushforward_form(form, phi, h, n):
     def fn(x, v):
         if h is None:
             return phi.induced(form(x, v))
-        hx = h.value(x)
-        return adjoint(hx, phi.induced(form(x, v))) \
-            - h.derivative(x, v) @ inverse(hx)
+        hx, dh = h.jet(x, v)
+        return adjoint(hx, phi.induced(form(x, v))) - dh @ inverse(hx)
 
     return CallableForm(form.chart, form.dim, n, fn)
 

@@ -193,8 +193,7 @@ def limit_eval(tower: TowerSpec, p: PointRep, u: TangentRep) -> List[np.ndarray]
     values = []
     for i in range(1, tower.depth + 1):
         phi = tower.connector(tower.depth, i)
-        a_i = phi.apply(p.a)
-        w_i = phi.differential(p.a, u.w)
+        a_i, w_i = phi.jet(p.a, u.w)
         values.append(global_form_eval(
             tower.level(i), PointRep(p.chart, p.x, a_i),
             TangentRep(u.v, w_i)))

@@ -311,10 +311,20 @@ def _infinite_literal(doc):
     doc["forms"]["U1"] = ["1e400*[[0,-1],[1,0]]"]
 
 
+def _mixed_generators(doc):
+    doc["group"]["generators"].append([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
+
+
+def _oversized_generators(doc):
+    doc["group"]["generators"] = [[[1, 0, 0], [0, 1, 0], [0, 0, 1]]]
+
+
 @pytest.mark.parametrize("edit, needle", [
     (_duplicate_chart, "duplicate chart 'U1'"),
     (_negative_plan, "must not be negative"),
     (_infinite_literal, "number '1e400' is too large"),
+    (_mixed_generators, "group 'SO(2)': generators are not all 2x2"),
+    (_oversized_generators, "group 'SO(2)': generators are not all 2x2"),
 ])
 def test_document_error_names_the_file(tmp_path, capsys, edit, needle):
     path = _abelian_variant(tmp_path, edit)

@@ -7,7 +7,7 @@ from localforms.connection import (PointRep, TangentRep, chart_change,
                                    gauge_transform, global_form_eval,
                                    horizontal_lift)
 from localforms.errors import DomainError, ValidationError
-from localforms.expr import parse
+from localforms.expr import ExprAST, parse
 from localforms.lie import (ConstGroupMap, ExprGroupMap, InverseGroupMap,
                             ProductGroupMap, adjoint, exp_matrix, inverse,
                             log_diff_left)
@@ -139,19 +139,29 @@ def test_chart_change_round_trip(monopole):
         assert np.linalg.norm(u3.w - u.w) < 1e-9
 
 
-def test_chart_change_evaluates_the_transition_twice(monopole, monkeypatch):
-    # once for the point and the tangent, once inside the inverse's
-    # derivative
-    calls = []
-    value = ExprGroupMap.value
-    monkeypatch.setattr(ExprGroupMap, "value",
-                        lambda self, x: calls.append(x) or value(self, x))
+def test_chart_change_walks_the_transition_once(monopole, monkeypatch):
+    # one dual walk gives the transition's value for the point and its
+    # derivative for the tangent
+    transition = monopole.reverse_transition("U_N", "U_S").inner.ast
+    walks = []
+
+    def counted(name):
+        method = getattr(ExprAST, name)
+
+        def walk(self, *args, **kwargs):
+            if self is transition:
+                walks.append(name)
+            return method(self, *args, **kwargs)
+        return walk
+
+    for name in ("eval", "eval_dual"):
+        monkeypatch.setattr(ExprAST, name, counted(name))
     rng = np.random.default_rng(8)
     x = rng.uniform([1.2, 0.0], [1.9, 6.0])
     p = PointRep("U_N", x, exp_matrix(0.7 * J))
     u = TangentRep(rng.normal(size=2), rng.normal(size=(2, 2)))
     q, u2 = chart_change(monopole, p, "U_S", u)
-    assert len(calls) == 2
+    assert walks == ["eval_dual"]
     # the numbers of mapping the point, then pushing the tangent, each with
     # its own transition value
     ov = monopole.atlas.require_overlap("U_N", "U_S")

@@ -183,7 +183,8 @@ def test_constant_matrix_literal_is_built_once_read_only():
 def test_constant_matrix_literal_value_is_bit_identical():
     for source in ("[[-0, 0], [-1e-300, 1e308]]",
                    "[[0.1, -0.2, 0.3], [-5e-324, 7, -0.0]]",
-                   "[[1, 0, 0, 0, 0, 0, 0, 0, 0]]"):
+                   "[[1, 0, 0, 0, 0, 0, 0, 0, 0]]",
+                   "[[- 0, 1e-3], [-2.5, 007]]"):
         lit = parse(source, []).root
         assert lit.constant.tobytes() == _entrywise(lit).tobytes()
     assert np.signbit(parse("[[-0]]", []).eval([])[0, 0])

@@ -229,3 +229,31 @@ def test_composed_group_map():
 def test_const_map_derivative_vanishes():
     c = ConstGroupMap(np.eye(3))
     assert np.allclose(c.derivative([0.0], [1.0]), np.zeros((3, 3)))
+
+
+def test_jet_is_value_and_derivative_bit_for_bit():
+    # one walk per jet gives the value's bits and the derivative of the
+    # product, inverse and chain rules on the parts' values and derivatives
+    rng = np.random.default_rng(31)
+    f, h = random_group_map(rng, 2), random_group_map(rng, 2)
+    x = rng.uniform(-1.0, 1.0, (5, 2))
+    v = np.eye(2)[:, None]
+    fx, hx = f.value(x), h.value(x)
+    _, (df,) = f.ast.eval_dual(x, seeds=v[None])
+    _, (dh,) = h.ast.eval_dual(x, seeds=v[None])
+    square = _squaring()
+    fourth = square.compose(square)
+    cases = [
+        (f, df),
+        (ConstGroupMap(exp_matrix(0.4 * J)), np.zeros((2, 5, 2, 2))),
+        (ProductGroupMap(f, h), df @ hx + fx @ dh),
+        (InverseGroupMap(f), -inverse(fx) @ df @ inverse(fx)),
+        (ComposedGroupMap(square, f), square.differential(fx, df)),
+        (ComposedGroupMap(fourth, h),
+         square.differential(square.apply(hx), square.differential(hx, dh))),
+    ]
+    for g, want in cases:
+        value, derivative = g.jet(x, v)
+        assert value.tobytes() == g.value(x).tobytes()
+        assert derivative.shape == want.shape
+        assert derivative.tobytes() == np.ascontiguousarray(want).tobytes()

@@ -422,3 +422,16 @@ def test_validate_with_a_sample_plan_per_level():
     assert [calls.count((i, ("U1", "U2"))) for i in range(1, 5)] \
         == [1, 2, 2, 1]
     assert len(calls) == keys * 6
+
+
+def test_loading_infers_each_connector_shape_once(monkeypatch):
+    # parse infers the shape and keeps it; the loader's check reads it
+    import localforms.expr.parser
+    roots = []
+    infer_shape = localforms.expr.parser.infer_shape
+    monkeypatch.setattr(localforms.expr.parser, "infer_shape",
+                        lambda node, shapes: roots.append(node)
+                        or infer_shape(node, shapes))
+    tower = load_tower(fixture_path("tower_unipotent.json"))
+    for phi in tower.connectors.values():
+        assert sum(root is phi.phi.root for root in roots) == 1

@@ -8,8 +8,10 @@ directory (removed again at the end), as `tools/bench_pairs.py` does.  One
 case list is built from this working tree: every case of
 `tests/test_golden.py` at its stored sample plan, at `--grid 4 --random 5`
 and at `--grid 15`, and every command (set-up included) of
-`perfbench/inputs.build_plan` for each workload at seeds 101 and 202, with
-the generated inputs written once into the temporary directory.  Both trees
+`perfbench/inputs.build_plan` for each workload at seeds 101 and 202, and
+`tower` on a depth-16 tower from `perfbench/inputs.tower_doc` and on its
+mutated twin (17x16 truncation literals), with the generated inputs
+written once into the temporary directory.  Both trees
 run the same case list through `localforms.cli.main`, each in one child
 process that imports the package from that tree's `src/`.  Every case whose
 exit code, stdout or stderr differ is printed; the exit code is 1 if any
@@ -33,6 +35,7 @@ from pathlib import Path
 from bench_pairs import ROOT, _git, unpack_revision
 
 SEEDS = (101, 202)
+DEEP_TOWER = 16
 GOLDEN_PLANS = {"stored": [], "grid4-random5": ["--grid", "4", "--random", "5"],
                 "grid15": ["--grid", "15"]}
 # one BLAS/OpenMP thread, as in the benchmark's children
@@ -49,8 +52,9 @@ def _module(path):
 
 
 def build_cases(workdir):
-    """[(case name, CLI argv)] of every golden case at every plan, then every
-    benchmark command, with generated inputs written under `workdir`."""
+    """[(case name, CLI argv)] of every golden case at every plan, every
+    benchmark command and the deep towers, with generated inputs written
+    under `workdir`."""
     golden = _module(ROOT / "tests" / "test_golden.py")
     cases = []
     for name, (command, *rest) in sorted(golden.CASES.items()):
@@ -66,6 +70,13 @@ def build_cases(workdir):
             for entry in [plan["setup"], *plan["entries"]]:
                 cases.append((f"bench:{workload}:{seed}:{entry['id']}",
                               entry["argv"]))
+    mf = inputs._load_make_fixtures()
+    for mutated in (False, True):
+        name = f"tower_d{DEEP_TOWER}" + ("_mutated" if mutated else "")
+        path = inputs._write(
+            Path(workdir) / f"{name}.json",
+            inputs.tower_doc(mf, DEEP_TOWER, 1.25, 0.375, mutated))
+        cases.append((f"deep:{name}", ["tower", path]))
     return cases
 
 

@@ -58,6 +58,33 @@ def _document_loader(load):
     return wrapper
 
 
+def _parse_expr(text, coords, params, shape, owner, matrix_params=None):
+    """The one reader of a document expression: parse the text over the
+    coordinates and the params' names, and require the field's shape, None
+    for a scalar or (rows, cols) for a matrix."""
+    ast = parse(text, coords, sorted(params), matrix_params)
+    if ast.shape != shape:
+        raise ValidationError(
+            f"{owner} must be scalar" if shape is None
+            else f"{owner} has shape {ast.shape}, expected {shape}")
+    return ast
+
+
+def _parse_params(doc, base=None):
+    """The document's scalar params, over (and overriding) base."""
+    params = dict(base or {})
+    params.update({str(k): float(v) for k, v in doc.get("params", {}).items()})
+    return params
+
+
+def _parse_key(key, owner, form) -> Tuple[str, str]:
+    """The two comma-separated names of a pair key such as 'alpha,beta'."""
+    parts = key.split(",")
+    if len(parts) != 2:
+        raise ValidationError(f"{owner} key '{key}' is not '{form}'")
+    return parts[0].strip(), parts[1].strip()
+
+
 def _parse_group(doc) -> GroupSpec:
     """The group, its generators (if any) stacked in one (k, n, n) array."""
     n = int(doc["n"])
@@ -91,7 +118,6 @@ def _parse_atlas(doc, params) -> Atlas:
         if chart.id in charts:
             raise ValidationError(f"duplicate chart '{chart.id}'")
         charts[chart.id] = chart
-    param_names = sorted(params)
     overlaps = []
     for entry in doc.get("overlaps", []):
         src, dst = entry["from"], entry["to"]
@@ -106,15 +132,13 @@ def _parse_atlas(doc, params) -> Atlas:
             raise ValidationError(
                 f"overlap {src}->{dst}: {len(change)} coordinate-change "
                 f"expressions, chart '{dst}' has dim {dst_chart.dim}")
-        asts = tuple(parse(text, src_chart.coords, param_names)
+        asts = tuple(_parse_expr(text, src_chart.coords, params, None,
+                                 f"overlap {src}->{dst}: coordinate change")
                      for text in change)
-        for ast in asts:
-            if ast.shape is not None:
-                raise ValidationError(
-                    f"overlap {src}->{dst}: coordinate change must be scalar")
         mask = None
         if entry.get("mask"):
-            mask = parse(entry["mask"], src_chart.coords, param_names)
+            mask = _parse_expr(entry["mask"], src_chart.coords, params, None,
+                               f"overlap {src}->{dst}: mask")
         domain = tuple((float(lo), float(hi)) for lo, hi in entry["domain"])
         if len(domain) != src_chart.dim:
             raise ValidationError(
@@ -125,76 +149,58 @@ def _parse_atlas(doc, params) -> Atlas:
     return Atlas(charts, tuple(overlaps))
 
 
-def _parse_transition_key(key) -> Tuple[str, str]:
-    parts = key.split(",")
-    if len(parts) != 2:
-        raise ValidationError(f"transition key '{key}' is not 'alpha,beta'")
-    return parts[0].strip(), parts[1].strip()
-
-
 def _parse_transitions(doc, atlas, n, params):
-    param_names = sorted(params)
     transitions = {}
     for key, text in doc.items():
-        a, b = _parse_transition_key(key)
+        a, b = _parse_key(key, "transition", "alpha,beta")
         if a not in atlas.charts or b not in atlas.charts:
             raise ValidationError(
                 f"transition '{key}' references an undeclared chart")
-        ast = parse(text, atlas.chart(a).coords, param_names)
-        if ast.shape != (n, n):
-            raise ValidationError(
-                f"transition '{key}' has shape {ast.shape}, expected "
-                f"({n}, {n})")
-        transitions[(a, b)] = ExprGroupMap(a, ast, params)
+        transitions[(a, b)] = ExprGroupMap(a, _parse_expr(
+            text, atlas.chart(a).coords, params, (n, n),
+            f"transition '{key}'"), params)
     return transitions
 
 
 def _parse_forms(doc, atlas, n, params):
-    param_names = sorted(params)
+    """Forms with one coefficient per entry; LocalConnectionData.validate
+    compares their count with the chart's dimension."""
     forms = {}
     for chart_id, texts in doc.items():
         if chart_id not in atlas.charts:
             raise ValidationError(
                 f"form declared for undeclared chart '{chart_id}'")
-        chart = atlas.chart(chart_id)
-        if len(texts) != chart.dim:
-            raise ValidationError(
-                f"form on '{chart_id}' has {len(texts)} coefficients, "
-                f"chart dim is {chart.dim}")
-        coeffs = tuple(parse(text, chart.coords, param_names)
+        coeffs = tuple(_parse_expr(text, atlas.chart(chart_id).coords, params,
+                                   (n, n), f"form coefficient on '{chart_id}'")
                        for text in texts)
-        for ast in coeffs:
-            if ast.shape != (n, n):
-                raise ValidationError(
-                    f"form coefficient on '{chart_id}' has shape "
-                    f"{ast.shape}, expected ({n}, {n})")
-        forms[chart_id] = ExprForm(chart_id, chart.dim, n, coeffs, params)
+        forms[chart_id] = ExprForm(chart_id, len(coeffs), n, coeffs, params)
     return forms
+
+
+def _parse_connection(doc, atlas, plan, params) -> LocalConnectionData:
+    """The group, transitions and forms of one bundle, validated."""
+    group = _parse_group(doc["group"])
+    transitions = _parse_transitions(doc.get("transitions", {}), atlas,
+                                     group.n, params)
+    forms = _parse_forms(doc.get("forms", {}), atlas, group.n, params)
+    return LocalConnectionData(atlas, group, transitions, forms, plan,
+                               params).validate()
 
 
 @_document_loader
 def load_bundle(path) -> LocalConnectionData:
     """Load and validate a bundle description file."""
     doc = _load_json(path)
-    params = {str(k): float(v) for k, v in doc.get("params", {}).items()}
-    group = _parse_group(doc["group"])
-    atlas = _parse_atlas(doc, params)
-    transitions = _parse_transitions(doc.get("transitions", {}), atlas,
-                                     group.n, params)
-    forms = _parse_forms(doc.get("forms", {}), atlas, group.n, params)
-    plan = _parse_plan(doc.get("sample_plan"))
-    data = LocalConnectionData(atlas, group, transitions, forms, plan, params)
-    return data.validate()
+    params = _parse_params(doc)
+    return _parse_connection(doc, _parse_atlas(doc, params),
+                             _parse_plan(doc.get("sample_plan")), params)
 
 
 def _parse_phi(text, n, m, params, owner) -> GroupMorphismSpec:
     """A group morphism GL(n) -> GL(m): an expression in the (n, n) matrix
     parameter g whose value is (m, m) and which maps the identity to the
     identity."""
-    ast = parse(text, [], sorted(params), matrix_params={"g": (n, n)})
-    if ast.shape != (m, m):
-        raise ValidationError(
-            f"{owner} has shape {ast.shape}, expected ({m}, {m})")
+    ast = _parse_expr(text, [], params, (m, m), owner, {"g": (n, n)})
     phi = GroupMorphismSpec(n, m, ast, params)
     try:
         unit = phi.apply(np.eye(n))
@@ -213,10 +219,7 @@ def load_morphism(path, atlas=None, params=None) -> MorphismData:
     """Load a morphism description: phi (expression in the matrix parameter
     g), optional per-chart h maps, and group dimensions."""
     doc = _load_json(path)
-    file_params = {str(k): float(v)
-                   for k, v in doc.get("params", {}).items()}
-    merged = dict(params or {})
-    merged.update(file_params)
+    merged = _parse_params(doc, params)
     n, m = int(doc["source_n"]), int(doc["target_n"])
     phi = _parse_phi(doc["phi"], n, m, merged, "phi")
     target_group = GroupSpec(doc.get("target_group_name", "H"), m)
@@ -224,12 +227,9 @@ def load_morphism(path, atlas=None, params=None) -> MorphismData:
     for chart_id, text in doc.get("h", {}).items():
         if atlas is None:
             raise ValidationError("h maps given without a bundle atlas")
-        chart = atlas.chart(chart_id)
-        ast = parse(text, chart.coords, sorted(merged))
-        if ast.shape != (m, m):
-            raise ValidationError(
-                f"h on '{chart_id}' has shape {ast.shape}, expected ({m}, {m})")
-        h[chart_id] = ExprGroupMap(chart_id, ast, merged)
+        h[chart_id] = ExprGroupMap(chart_id, _parse_expr(
+            text, atlas.chart(chart_id).coords, merged, (m, m),
+            f"h on '{chart_id}'"), merged)
     morphism = MorphismData(phi, h, target_group)
     target_transitions = None
     if doc.get("target_transitions") and atlas is not None:
@@ -242,19 +242,18 @@ def load_morphism(path, atlas=None, params=None) -> MorphismData:
 def load_christoffel(path) -> Tuple[ChristoffelData, dict]:
     """Load Christoffel data plus the vector bundle's transition family."""
     doc = _load_json(path)
-    params = {str(k): float(v) for k, v in doc.get("params", {}).items()}
+    params = _parse_params(doc)
     n = int(doc["fiber_dim"])
     atlas = _parse_atlas(doc, params)
-    param_names = sorted(params)
     gamma = {}
     for chart_id, table in doc.get("gamma", {}).items():
-        chart = atlas.chart(chart_id)
-        parsed = tuple(
-            tuple(tuple(parse(entry, chart.coords, param_names)
+        coords = atlas.chart(chart_id).coords
+        owner = f"Christoffel symbol on '{chart_id}'"
+        gamma[chart_id] = tuple(
+            tuple(tuple(_parse_expr(entry, coords, params, None, owner)
                         for entry in row)
                   for row in block)
             for block in table)
-        gamma[chart_id] = parsed
     plan = _parse_plan(doc.get("sample_plan"))
     data = ChristoffelData(atlas, n, gamma, plan, params).validate()
     transitions = _parse_transitions(doc.get("transitions", {}), atlas, n,
@@ -267,23 +266,14 @@ def load_tower(path) -> TowerSpec:
     """Load a tower description: shared atlas, per-level bundle data and the
     connecting morphisms keyed 'j,i'."""
     doc = _load_json(path)
-    params = {str(k): float(v) for k, v in doc.get("params", {}).items()}
+    params = _parse_params(doc)
     atlas = _parse_atlas(doc, params)
     plan = _parse_plan(doc.get("sample_plan"))
-    levels = []
-    for entry in doc["levels"]:
-        group = _parse_group(entry["group"])
-        transitions = _parse_transitions(entry.get("transitions", {}), atlas,
-                                         group.n, params)
-        forms = _parse_forms(entry.get("forms", {}), atlas, group.n, params)
-        levels.append(LocalConnectionData(atlas, group, transitions, forms,
-                                          plan, params).validate())
+    levels = [_parse_connection(entry, atlas, plan, params)
+              for entry in doc["levels"]]
     connectors = {}
     for key, entry in doc.get("connectors", {}).items():
-        parts = key.split(",")
-        if len(parts) != 2:
-            raise ValidationError(f"connector key '{key}' is not 'j,i'")
-        j, i = int(parts[0]), int(parts[1])
+        j, i = (int(part) for part in _parse_key(key, "connector", "j,i"))
         if not (1 <= i < j <= len(levels)):
             raise ValidationError(f"connector '{key}' is out of range")
         connectors[(j, i)] = _parse_phi(
@@ -297,11 +287,12 @@ def load_path(path, atlas, params=None):
     """Load a transport path: a list of curve segments plus an optional
     starting group element."""
     doc = _load_json(path)
-    param_names = sorted(params or {})
+    params = params or {}
     segments = []
     for entry in doc["segments"]:
         chart = atlas.chart(entry["chart"])
-        curve = tuple(parse(text, ["t"], param_names)
+        curve = tuple(_parse_expr(text, ["t"], params, None,
+                                  f"segment in '{entry['chart']}': curve")
                       for text in entry["curve"])
         if len(curve) != chart.dim:
             raise ValidationError(

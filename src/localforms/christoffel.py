@@ -53,8 +53,8 @@ class ChristoffelData:
 
 
 def christoffel_to_forms(data: ChristoffelData,
-                         transitions: Mapping[Tuple[str, str], GroupMap],
-                         group_name="GL") -> LocalConnectionData:
+                         transitions: Mapping[Tuple[str, str], GroupMap]
+                         ) -> LocalConnectionData:
     """Frame-bundle local forms: the dx_i coefficient is the matrix with
     (j, k) entry Gamma[i][j][k], acting on fiber vectors u by
     (omega_x(v)).u = Gamma(x)(v, u)."""
@@ -69,7 +69,7 @@ def christoffel_to_forms(data: ChristoffelData,
                                   table[0][0][0].params))
         forms[chart_id] = ExprForm(chart_id, chart.dim, n, tuple(coeffs),
                                    data.params)
-    group = GroupSpec(f"{group_name}({n})", n)
+    group = GroupSpec(f"GL({n})", n)
     return LocalConnectionData(data.atlas, group, dict(transitions), forms,
                                data.sample_plan, data.params)
 

@@ -111,7 +111,6 @@ def _run_verify(args) -> Report:
     report.merge(check_cocycle(data, args.tolerance))
     report.merge(check_compatibility(data, args.tolerance))
     report.tolerance = args.tolerance
-    report.plan = data.sample_plan
     return report
 
 
@@ -123,7 +122,6 @@ def _run_relate(args) -> Report:
     cocycle = check_morphism_cocycle(morphism, source, target.transitions,
                                      args.tolerance)
     report.merge(cocycle)
-    report.plan = source.sample_plan
     return report
 
 
@@ -138,7 +136,6 @@ def _run_push(args) -> Report:
                                     args.tolerance)
     report = check_compatibility(pushed, args.tolerance)
     report.merge(check_related(source, pushed, morphism, args.tolerance))
-    report.plan = source.sample_plan
     return report
 
 
@@ -147,7 +144,6 @@ def _run_assoc(args) -> Report:
     morphism, _ = load_morphism(args.morphism, source.atlas, source.params)
     data = associated_connection(source, morphism.phi, morphism.target_group)
     report = check_compatibility(data, args.tolerance)
-    report.plan = source.sample_plan
     return report
 
 
@@ -166,11 +162,8 @@ def _run_transport(args) -> Report:
 
 def _run_convert_christoffel(args) -> Report:
     data, transitions = load_christoffel(args.christoffel)
-    data = dataclasses.replace(
-        data, sample_plan=_override_plan(data.sample_plan, args))
-    report = check_christoffel_compat(data, transitions, args.tolerance)
-    report.plan = data.sample_plan
-    return report
+    return check_christoffel_compat(_with_plan(data, args), transitions,
+                                    args.tolerance)
 
 
 def _run_tower(args) -> Report:

@@ -14,6 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..atlas import directions, in_box, mask_keep, sample
+from ..expr.dual import DET_THRESHOLD
 from ..report import Report, max_residual
 from .data import DEFAULT_TOLERANCE, LocalConnectionData
 from .forms import gauge
@@ -106,7 +107,8 @@ def check_overlaps(data: LocalConnectionData, tolerance=1e-9) -> Report:
         dim = data.atlas.chart(ov.src).dim
         y, columns = ov.push(pts, directions(dim), data.params)
         jacobian = np.moveaxis(columns, 0, -1)
-        jac_bad = float(np.any(np.abs(np.linalg.det(jacobian)) <= 1e-10))
+        jac_bad = float(np.any(
+            np.abs(np.linalg.det(jacobian)) <= DET_THRESHOLD))
         report.add(f"overlap-jacobian:{ov.src},{ov.dst}", jac_bad, len(pts))
         if reverse is None:
             continue

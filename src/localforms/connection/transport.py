@@ -18,6 +18,7 @@ import numpy as np
 
 from ..errors import PathDiscontinuityError, ValidationError
 from ..expr import ExprAST
+from ..lie import ensure_invertible
 from .data import LocalConnectionData
 from .points import PointRep, chart_change
 
@@ -46,7 +47,11 @@ def parallel_transport(data: LocalConnectionData,
     if steps < 1:
         raise ValidationError(
             f"transport needs at least one step, got {steps}")
+    n = data.group.n
     a = np.asarray(a0, dtype=float)
+    if a.shape != (n, n) or not np.isfinite(a).all():
+        raise ValidationError(f"a0 must be a finite {n}x{n} matrix")
+    ensure_invertible(a)
     prev = None  # (chart, end point)
     for segment in path:
         (x_start, x_end), _ = segment.at([segment.t0, segment.t1],

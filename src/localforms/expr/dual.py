@@ -32,6 +32,9 @@ import numpy as np
 
 from ..errors import DomainError, ShapeError
 
+# |det| at or below which a matrix is treated as singular
+DET_THRESHOLD = 1e-10
+
 
 class Dual:
     __slots__ = ("primal", "tangent", "is_matrix")
@@ -210,7 +213,7 @@ class Dual:
     def inv(self):
         if not self.is_matrix or self.primal.shape[-1] != self.primal.shape[-2]:
             raise ShapeError("inv requires a square matrix")
-        _domain(np.abs(np.linalg.det(self.primal)) <= 1e-10,
+        _domain(np.abs(np.linalg.det(self.primal)) <= DET_THRESHOLD,
                 "inverse of a (near-)singular matrix")
         b = np.linalg.inv(self.primal)
         tangent = None if self.tangent is None else -b @ self.tangent @ b

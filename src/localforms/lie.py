@@ -16,9 +16,7 @@ import numpy as np
 
 from .errors import GroupMismatchError, SingularMatrixError
 from .expr import Dual, ExprAST
-from .expr.dual import expm
-
-DET_THRESHOLD = 1e-10
+from .expr.dual import DET_THRESHOLD, expm
 
 
 def ensure_invertible(g):
@@ -210,32 +208,22 @@ class GroupMorphismSpec:
         return np.broadcast_to(image, g.shape[:-2] + image.shape[-2:])
 
     def jet(self, g, E):
-        """(apply(g), differential(g, E)) from one walk."""
+        """The image of g and the derivative at g along the matrix E (shape
+        the broadcast of both batches + (m, m)), from one walk."""
         g = np.asarray(g, dtype=float)
         self._check_source(g, "morphism argument")
-        image, tangent = self._seeded(g, E)
-        return (np.broadcast_to(image, g.shape[:-2] + image.shape[-2:]),
-                tangent)
-
-    def differential(self, g, E):
-        """Directional derivative of the morphism at g along the matrix E."""
-        return self._seeded(np.asarray(g, dtype=float), E)[1]
-
-    def _seeded(self, g, E):
-        """The image of the array g, unbroadcast, and the derivative along
-        E, from one walk."""
         E = np.asarray(E, dtype=float)
         image = self._eval(Dual.matrix(g, E[None]), 1)
-        tangent = image.tangent[0]
+        value, tangent = image.primal, image.tangent[0]
         batch = np.broadcast_shapes(g.shape[:-2], E.shape[:-2])
-        return image.primal, np.broadcast_to(tangent,
-                                             batch + tangent.shape[-2:])
+        return (np.broadcast_to(value, g.shape[:-2] + value.shape[-2:]),
+                np.broadcast_to(tangent, batch + tangent.shape[-2:]))
 
     def induced(self, X):
         """Induced algebra morphism: d/dt phi(exp(tX)) at t = 0."""
         X = np.asarray(X, dtype=float)
         self._check_source(X, "algebra element")
-        return self.differential(np.eye(self.source_dim), X)
+        return self.jet(np.eye(self.source_dim), X)[1]
 
     def compose(self, other: "GroupMorphismSpec") -> "GroupMorphismSpec":
         """self after other (self . other)."""
@@ -259,8 +247,8 @@ class _ComposedMorphism(GroupMorphismSpec):
     def apply(self, g):
         return self.outer.apply(self.inner.apply(g))
 
-    def _seeded(self, g, E):
-        return self.outer._seeded(*self.inner.jet(g, E))
+    def jet(self, g, E):
+        return self.outer.jet(*self.inner.jet(g, E))
 
 
 def identity_morphism(n) -> GroupMorphismSpec:

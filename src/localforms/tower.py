@@ -25,6 +25,11 @@ from .lie import GroupMorphismSpec, identity_morphism
 from .morphism import associated_connection
 from .report import Report
 
+# the residual bound, sample count and rng seed of TowerSpec.validate
+VALIDATE_TOLERANCE = 1e-9
+VALIDATE_SAMPLES = 20
+VALIDATE_SEED = 7
+
 
 @dataclass(frozen=True)
 class TowerSpec:
@@ -65,7 +70,7 @@ class TowerSpec:
             morphism = self.connectors[(k, k - 1)].compose(morphism)
         return morphism
 
-    def validate(self, tolerance=1e-9, n_samples=20, seed=7):
+    def validate(self):
         """Structural invariants: shared atlas, composition consistency of
         the connectors on sampled group elements, and the limit-chart
         condition on transitions; raises on the first violation.
@@ -86,15 +91,16 @@ class TowerSpec:
         for data in self.levels[:-1]:
             if not data.atlas.same_charts(top.atlas):
                 raise TowerInvariantViolation("levels do not share an atlas")
-        rng = np.random.default_rng(seed)
+        rng = np.random.default_rng(VALIDATE_SEED)
         for j in range(3, self.depth + 1):
-            g = self.level(j).group.sample_group(rng, shape=(n_samples,))
+            g = self.level(j).group.sample_group(rng, (VALIDATE_SAMPLES,))
             mid = self.connectors[(j, j - 1)].apply(g)
             for i in range(1, j - 1):
                 if (j, i) in self.connectors:
                     _first_violation(
                         self.connectors[(j, i)].apply(g)
-                        - self.connector(j - 1, i).apply(mid), tolerance,
+                        - self.connector(j - 1, i).apply(mid),
+                        VALIDATE_TOLERANCE,
                         f"connectors ({j},{i}) vs ({j - 1},{i}).({j},{j - 1})"
                         f" differ")
         cache = {}  # key -> (sample set, its points, {level: values there})
@@ -121,7 +127,7 @@ class TowerSpec:
                 _first_violation(
                     transition_values(i, key, sample_set)
                     - phi.apply(transition_values(i + 1, key, sample_set)),
-                    tolerance,
+                    VALIDATE_TOLERANCE,
                     f"transition {key} at level {i} deviates from the "
                     f"projected level-{i + 1} transition")
         return self

@@ -73,11 +73,11 @@ def test_morphism_on_a_stack():
     gs = rng.normal(size=(9, 2, 2))
     es = rng.normal(size=(9, 2, 2))
     applied = phi.apply(gs)
-    moved = phi.differential(gs, es)
+    moved = phi.jet(gs, es)[1]
     for i in range(len(gs)):
         assert np.array_equal(applied[i], phi.apply(gs[i:i + 1])[0])
         assert np.array_equal(moved[i],
-                              phi.differential(gs[i:i + 1], es[i:i + 1])[0])
+                              phi.jet(gs[i:i + 1], es[i:i + 1])[1][0])
 
 
 def test_domain_error_names_the_sample_point():

@@ -397,6 +397,18 @@ def _infinite_dim(doc):
     doc["source_n"] = float("inf")
 
 
+def _matrix_mask(doc):
+    doc["overlaps"][0]["mask"] = "[[1,0],[0,1]]"
+
+
+def _matrix_christoffel_symbol(doc):
+    doc["gamma"]["U_N"][0][0][0] = "[[1,2],[3,4]]"
+
+
+def _matrix_curve(doc):
+    doc["segments"][0]["curve"][0] = "[[1,0],[0,1]]"
+
+
 @pytest.mark.parametrize("name, argv, edit, needle", [
     ("abelian.json", ["verify"], _degenerate_domain,
      "overlap U1->U2: degenerate interval [1.0, 1.0]"),
@@ -409,6 +421,13 @@ def _infinite_dim(doc):
      "chart 'U_S' has no Christoffel symbols"),
     ("morphism_squaring.json", ["push", fixture_path("monopole_k1.json")],
      _infinite_dim, "invalid value"),
+    ("monopole_k1.json", ["verify"], _matrix_mask,
+     "overlap U_N->U_S: mask must be scalar"),
+    ("sphere_levi_civita.json", ["convert-christoffel"],
+     _matrix_christoffel_symbol, "Christoffel symbol on 'U_N' must be scalar"),
+    ("path_monopole_equator.json",
+     ["transport", fixture_path("monopole_k1.json")], _matrix_curve,
+     "segment in 'U_N': curve must be scalar"),
 ])
 def test_inconsistent_document_is_a_usage_error(tmp_path, capsys, name, argv,
                                                 edit, needle):

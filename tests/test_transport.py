@@ -1,7 +1,10 @@
+import json
+
 import numpy as np
 import pytest
 
 from localforms.bundle_io import load_path
+from localforms.cli import main
 from localforms.connection import PathSegment, PointRep, parallel_transport
 from localforms.connection.points import chart_change
 from localforms.errors import PathDiscontinuityError, ValidationError
@@ -207,3 +210,24 @@ def test_transport_needs_a_step(steps):
     segments, a0 = _path(data, "path_monopole_equator.json")
     with pytest.raises(ValidationError):
         parallel_transport(data, segments, a0, steps=steps)
+
+
+@pytest.mark.parametrize("a0, needle", [
+    ([1.0, 2.0], "a0 must be a finite 2x2 matrix"),
+    (1.0, "a0 must be a finite 2x2 matrix"),
+    ([[1.0]], "a0 must be a finite 2x2 matrix"),
+    (np.eye(3).tolist(), "a0 must be a finite 2x2 matrix"),
+    ([[np.nan, 0.0], [0.0, 1.0]], "a0 must be a finite 2x2 matrix"),
+    ([[0.0, 0.0], [0.0, 0.0]], "treated as singular"),
+])
+def test_transport_needs_a_finite_invertible_start(tmp_path, capsys, a0,
+                                                    needle):
+    path = tmp_path / "path.json"
+    doc = json.loads(open(fixture_path("path_abelian.json")).read())
+    path.write_text(json.dumps(dict(doc, a0=a0)))
+    code = main(["transport", fixture_path("abelian.json"), str(path),
+                 "--out", str(tmp_path / "report.json")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: ") and needle in err
+    assert err.count("\n") == 1 and "Traceback" not in err

@@ -8,7 +8,7 @@ uniform random points.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import List, Mapping, Optional, Tuple
 
 import numpy as np
@@ -37,10 +37,11 @@ class Chart:
         return in_box(x, self.box, slack)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Overlap:
     """The intersection U_src ∩ U_dst, described as a box in src coordinates
-    plus the coordinate change into dst coordinates."""
+    plus the coordinate change into dst coordinates.  Overlaps compare and
+    hash by identity: each one is a region of its atlas's sample memo."""
 
     src: str
     dst: str
@@ -146,10 +147,88 @@ def sample(plan: SamplePlan, box, mask: Optional[ExprAST] = None,
     return pts[mask_keep(mask, pts, params)]
 
 
+def _intersect_boxes(box1, box2):
+    out = []
+    for (lo1, hi1), (lo2, hi2) in zip(box1, box2):
+        lo, hi = max(lo1, lo2), min(hi1, hi2)
+        if not hi > lo:
+            return None
+        out.append((lo, hi))
+    return tuple(out)
+
+
+def _key(params):
+    """Params as a memo key."""
+    return tuple(sorted((params or {}).items()))
+
+
 @dataclass(frozen=True)
 class Atlas:
+    """Charts and overlaps of one document, with the memo of their sample
+    sets.  Every sample set (of a chart, an overlap or a triple-cocycle box)
+    and every overlap push is computed once per (plan, region, params) and
+    handed out read-only to every check on data over this atlas; the memo
+    lives and dies with the atlas."""
+
     charts: Mapping[str, Chart]
     overlaps: Tuple[Overlap, ...]
+    _memo: dict = field(default_factory=dict, init=False, repr=False,
+                        compare=False)
+
+    def _memoized(self, key, build):
+        """The memo entry for key, an array or a tuple of arrays, built
+        read-only on the first call."""
+        if key not in self._memo:
+            value = build()
+            for array in value if isinstance(value, tuple) else (value,):
+                array.flags.writeable = False
+            self._memo[key] = value
+        return self._memo[key]
+
+    def points(self, plan: SamplePlan, region, params=None) -> np.ndarray:
+        """The sample points of a chart (given by its id) or of an
+        overlap."""
+        def build():
+            if isinstance(region, Overlap):
+                return sample(plan, region.domain, region.mask, params)
+            return sample(plan, self.chart(region).box, params=params)
+
+        return self._memoized(("points", plan, region, _key(params)), build)
+
+    def pushed(self, plan: SamplePlan, overlap: Overlap, params=None):
+        """(psi(x), Dpsi(x) e) at the overlap's sample points x, for every
+        unit direction e of the source chart: shapes (N, d') and
+        (d, N, d')."""
+        return self._memoized(("pushed", plan, overlap, _key(params)),
+                              lambda: overlap.push(
+                                  self.points(plan, overlap, params),
+                                  directions(self.chart(overlap.src).dim),
+                                  params))
+
+    def triple_points(self, plan: SamplePlan, a, b, c, params=None):
+        """(x, psi_ab(x)) at the sample points x of the triple-cocycle box:
+        the intersection of the a->b and a->c overlap domains, kept where
+        both masks keep x and where psi_ab(x) lies in the b->c overlap and
+        its mask keeps it.  None when one of the overlaps is not declared or
+        the domains do not meet."""
+        ov_ab, ov_ac, ov_bc = (self.overlap(*pair)
+                               for pair in ((a, b), (a, c), (b, c)))
+        if ov_ab is None or ov_ac is None or ov_bc is None:
+            return None
+        domain = _intersect_boxes(ov_ab.domain, ov_ac.domain)
+        if domain is None:
+            return None
+
+        def build():
+            pts = sample(plan, domain, ov_ab.mask, params)
+            pts = pts[mask_keep(ov_ac.mask, pts, params)]
+            y = ov_ab.map_point(pts, params)
+            keep = in_box(y, ov_bc.domain)
+            keep[keep] = mask_keep(ov_bc.mask, y[keep], params)
+            return pts[keep], y[keep]
+
+        return self._memoized(("triple", plan, (a, b, c), _key(params)),
+                              build)
 
     def chart(self, chart_id) -> Chart:
         try:
@@ -174,3 +253,4 @@ class Atlas:
             return False
         return all(self.charts[c].box == other.charts[c].box
                    for c in self.charts)
+

@@ -18,7 +18,7 @@ import numpy as np
 from .atlas import Atlas, Chart, Overlap, SamplePlan
 from .christoffel import ChristoffelData
 from .connection import (DEFAULT_TOLERANCE, ExprForm, LocalConnectionData,
-                         PathSegment)
+                         PathSegment, start_matrix)
 from .errors import LocalFormsError, ValidationError
 from .expr import parse
 from .lie import ExprGroupMap, GroupMorphismSpec, GroupSpec
@@ -68,6 +68,20 @@ def _parse_expr(text, coords, params, shape, owner, matrix_params=None):
             f"{owner} must be scalar" if shape is None
             else f"{owner} has shape {ast.shape}, expected {shape}")
     return ast
+
+
+_JSON_TYPES = {str: "a string", dict: "an object", bool: "a boolean",
+               int: "a number", float: "a number", type(None): "null"}
+
+
+def _parse_list(value, owner):
+    """A list-valued field, which must be a JSON list: a string in its place
+    would be read one character at a time."""
+    if not isinstance(value, list):
+        raise ValidationError(
+            f"{owner} must be a list, not "
+            f"{_JSON_TYPES.get(type(value), type(value).__name__)}")
+    return value
 
 
 def _parse_params(doc, base=None):
@@ -127,7 +141,8 @@ def _parse_atlas(doc, params) -> Atlas:
                     f"overlap {src}->{dst} references undeclared chart "
                     f"'{chart_id}'")
         src_chart, dst_chart = charts[src], charts[dst]
-        change = entry["coord_change"]
+        change = _parse_list(entry["coord_change"],
+                             f"overlap {src}->{dst}: coord_change")
         if len(change) != dst_chart.dim:
             raise ValidationError(
                 f"overlap {src}->{dst}: {len(change)} coordinate-change "
@@ -172,7 +187,7 @@ def _parse_forms(doc, atlas, n, params):
                 f"form declared for undeclared chart '{chart_id}'")
         coeffs = tuple(_parse_expr(text, atlas.chart(chart_id).coords, params,
                                    (n, n), f"form coefficient on '{chart_id}'")
-                       for text in texts)
+                       for text in _parse_list(texts, f"forms['{chart_id}']"))
         forms[chart_id] = ExprForm(chart_id, len(coeffs), n, coeffs, params)
     return forms
 
@@ -249,11 +264,12 @@ def load_christoffel(path) -> Tuple[ChristoffelData, dict]:
     for chart_id, table in doc.get("gamma", {}).items():
         coords = atlas.chart(chart_id).coords
         owner = f"Christoffel symbol on '{chart_id}'"
+        where = f"gamma['{chart_id}']"
         gamma[chart_id] = tuple(
             tuple(tuple(_parse_expr(entry, coords, params, None, owner)
-                        for entry in row)
-                  for row in block)
-            for block in table)
+                        for entry in _parse_list(row, f"{where}[{i}][{j}]"))
+                  for j, row in enumerate(_parse_list(block, f"{where}[{i}]")))
+            for i, block in enumerate(_parse_list(table, where)))
     plan = _parse_plan(doc.get("sample_plan"))
     data = ChristoffelData(atlas, n, gamma, plan, params).validate()
     transitions = _parse_transitions(doc.get("transitions", {}), atlas, n,
@@ -283,17 +299,18 @@ def load_tower(path) -> TowerSpec:
 
 
 @_document_loader
-def load_path(path, atlas, params=None):
+def load_path(path, atlas, params=None, *, n=None):
     """Load a transport path: a list of curve segments plus an optional
-    starting group element."""
+    starting group element, which must be a finite, invertible n x n matrix
+    when n is given."""
     doc = _load_json(path)
     params = params or {}
     segments = []
     for entry in doc["segments"]:
         chart = atlas.chart(entry["chart"])
-        curve = tuple(_parse_expr(text, ["t"], params, None,
-                                  f"segment in '{entry['chart']}': curve")
-                      for text in entry["curve"])
+        owner = f"segment in '{entry['chart']}': curve"
+        curve = tuple(_parse_expr(text, ["t"], params, None, owner)
+                      for text in _parse_list(entry["curve"], owner))
         if len(curve) != chart.dim:
             raise ValidationError(
                 f"segment in '{entry['chart']}': {len(curve)} curve "
@@ -303,5 +320,6 @@ def load_path(path, atlas, params=None):
                                     float(t1)))
     a0 = None
     if doc.get("a0") is not None:
-        a0 = np.asarray(doc["a0"], dtype=float)
+        a0 = (np.asarray(doc["a0"], dtype=float) if n is None
+              else start_matrix(doc["a0"], n))
     return segments, a0

@@ -149,7 +149,8 @@ def _run_assoc(args) -> Report:
 
 def _run_transport(args) -> Report:
     data = _with_plan(load_bundle(args.bundle), args)
-    segments, a0 = load_path(args.path, data.atlas, data.params)
+    segments, a0 = load_path(args.path, data.atlas, data.params,
+                             n=data.group.n)
     if a0 is None:
         a0 = np.eye(data.group.n)
     result = parallel_transport(data, segments, a0, args.steps)

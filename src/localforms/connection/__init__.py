@@ -6,7 +6,7 @@ from .forms import (CallableForm, ExprForm, LocalForm, gauge, gauge_transform,
 from .operator import SectionRep, connection_operator
 from .points import (PointRep, TangentRep, chart_change, fundamental_tangent,
                      global_form_eval, horizontal_lift)
-from .transport import PathSegment, parallel_transport
+from .transport import PathSegment, parallel_transport, start_matrix
 
 __all__ = [
     "CallableForm", "DEFAULT_TOLERANCE", "ExprForm", "LocalConnectionData",
@@ -14,5 +14,6 @@ __all__ = [
     "TangentRep", "chart_change", "check_cocycle", "check_compatibility",
     "check_overlaps", "check_relation", "connection_operator",
     "fundamental_tangent", "gauge", "gauge_transform",
-    "global_form_eval", "horizontal_lift", "parallel_transport", "zero_form",
+    "global_form_eval", "horizontal_lift", "parallel_transport",
+    "start_matrix", "zero_form",
 ]

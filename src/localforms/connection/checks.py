@@ -3,7 +3,9 @@
 Every check evaluates its whole sample set at once: each map, form and
 coordinate change is walked once per sample set, with every coordinate
 direction as a seed of the same walk, and the residuals are reduced over the
-stack.  Compatibility is verified in the source chart's coordinates: the
+stack.  Sample sets and overlap pushes come from the atlas's memo, so the
+checks on one document sample and push each overlap once between them.
+Compatibility is verified in the source chart's coordinates: the
 destination-side form is evaluated at the transported point on the
 transported direction, and compared by `check_relation` against the gauge
 of omega by g computed at the source point.
@@ -13,15 +15,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..atlas import directions, in_box, mask_keep, sample
+from ..atlas import directions, in_box
 from ..expr.dual import DET_THRESHOLD
 from ..report import Report, max_residual
 from .data import DEFAULT_TOLERANCE, LocalConnectionData
 from .forms import gauge
-
-
-def _overlap_samples(data, overlap):
-    return sample(data.sample_plan, overlap.domain, overlap.mask, data.params)
 
 
 def check_cocycle(data: LocalConnectionData, tolerance=DEFAULT_TOLERANCE) -> Report:
@@ -33,8 +31,7 @@ def check_cocycle(data: LocalConnectionData, tolerance=DEFAULT_TOLERANCE) -> Rep
 
     for (a, b), g in sorted(data.transitions.items()):
         if a == b:
-            chart = data.atlas.chart(a)
-            pts = sample(data.sample_plan, chart.box, params=data.params)
+            pts = data.points(a)
             report.add(f"cocycle:identity:{a}",
                        max_residual(g.value(pts) - identity), len(pts))
 
@@ -46,8 +43,7 @@ def check_cocycle(data: LocalConnectionData, tolerance=DEFAULT_TOLERANCE) -> Rep
         overlap = data.atlas.overlap(a, b)
         if overlap is None:
             continue
-        pts = _overlap_samples(data, overlap)
-        y = overlap.map_point(pts, data.params)
+        pts, (y, _) = data.points(overlap), data.pushed(overlap)
         product = data.transitions[(b, a)].value(y) \
             @ data.transitions[(a, b)].value(pts)
         report.add(f"cocycle:{a},{b}", max_residual(product - identity),
@@ -62,38 +58,17 @@ def check_cocycle(data: LocalConnectionData, tolerance=DEFAULT_TOLERANCE) -> Rep
                 if not all(key in data.transitions
                            for key in [(a, b), (b, c), (a, c)]):
                     continue
-                ov_ab = data.atlas.overlap(a, b)
-                ov_ac = data.atlas.overlap(a, c)
-                ov_bc = data.atlas.overlap(b, c)
-                if ov_ab is None or ov_ac is None or ov_bc is None:
+                triple = data.atlas.triple_points(
+                    data.sample_plan, a, b, c, data.params)
+                if triple is None or not len(triple[0]):
                     continue
-                domain = _intersect_boxes(ov_ab.domain, ov_ac.domain)
-                if domain is None:
-                    continue
-                pts = sample(data.sample_plan, domain, ov_ab.mask, data.params)
-                pts = pts[mask_keep(ov_ac.mask, pts, data.params)]
-                y = ov_ab.map_point(pts, data.params)
-                keep = in_box(y, ov_bc.domain)
-                keep[keep] = mask_keep(ov_bc.mask, y[keep], data.params)
-                pts, y = pts[keep], y[keep]
-                if not len(pts):
-                    continue
+                pts, y = triple
                 lhs = data.transitions[(a, b)].value(pts) \
                     @ data.transitions[(b, c)].value(y)
                 rhs = data.transitions[(a, c)].value(pts)
                 report.add(f"cocycle:{a},{b},{c}", max_residual(lhs - rhs),
                            len(pts))
     return report
-
-
-def _intersect_boxes(box1, box2):
-    out = []
-    for (lo1, hi1), (lo2, hi2) in zip(box1, box2):
-        lo, hi = max(lo1, lo2), min(hi1, hi2)
-        if not hi > lo:
-            return None
-        out.append((lo, hi))
-    return tuple(out)
 
 
 def check_overlaps(data: LocalConnectionData, tolerance=1e-9) -> Report:
@@ -103,9 +78,8 @@ def check_overlaps(data: LocalConnectionData, tolerance=1e-9) -> Report:
     report = Report(tolerance, data.sample_plan)
     for ov in data.atlas.overlaps:
         reverse = data.atlas.overlap(ov.dst, ov.src)
-        pts = _overlap_samples(data, ov)
-        dim = data.atlas.chart(ov.src).dim
-        y, columns = ov.push(pts, directions(dim), data.params)
+        pts = data.points(ov)
+        y, columns = data.pushed(ov)
         jacobian = np.moveaxis(columns, 0, -1)
         jac_bad = float(np.any(
             np.abs(np.linalg.det(jacobian)) <= DET_THRESHOLD))
@@ -137,9 +111,9 @@ def check_compatibility(data: LocalConnectionData,
     for ov in data.atlas.overlaps:
         if (ov.src, ov.dst) not in data.transitions:
             continue
-        pts = _overlap_samples(data, ov)
+        pts = data.points(ov)
         e = directions(data.atlas.chart(ov.src).dim)
-        y, w = ov.push(pts, e, data.params)
+        y, w = data.pushed(ov)
         check_relation(report, f"compatibility:{ov.src},{ov.dst}",
                        data.forms[ov.dst](y, w), data.forms[ov.src](pts, e),
                        data.transitions[(ov.src, ov.dst)], pts, e)

@@ -68,6 +68,16 @@ class LocalConnectionData:
                     f"overlap {ov.src}->{ov.dst} has no transition function")
         return self
 
+    def points(self, region):
+        """The sample points of a chart id or an overlap under this data's
+        plan and params, from the atlas's memo (read-only)."""
+        return self.atlas.points(self.sample_plan, region, self.params)
+
+    def pushed(self, overlap: Overlap):
+        """The overlap's memoized push of its sample points and of every
+        unit direction: (psi(x), Dpsi(x) e), read-only."""
+        return self.atlas.pushed(self.sample_plan, overlap, self.params)
+
     def transition(self, a, b) -> GroupMap:
         try:
             return self.transitions[(a, b)]

@@ -16,9 +16,10 @@ from typing import Sequence, Tuple
 
 import numpy as np
 
-from ..errors import PathDiscontinuityError, ValidationError
+from ..errors import (PathDiscontinuityError, SingularMatrixError,
+                      ValidationError)
 from ..expr import ExprAST
-from ..lie import ensure_invertible
+from ..expr.dual import DET_THRESHOLD
 from .data import LocalConnectionData
 from .points import PointRep, chart_change
 
@@ -41,17 +42,29 @@ class PathSegment:
                 np.stack([xdot[0] for _, xdot in pairs], axis=-1))
 
 
+def start_matrix(a0, n) -> np.ndarray:
+    """The transport start a0 as an (n, n) float array; raises unless it is
+    a finite, invertible n x n matrix."""
+    try:
+        a = np.asarray(a0, dtype=float)
+    except (TypeError, ValueError):
+        a = None
+    if a is None or a.shape != (n, n) or not np.isfinite(a).all():
+        raise ValidationError(f"a0 must be a finite {n}x{n} matrix")
+    det = abs(np.linalg.det(a))
+    if det <= DET_THRESHOLD:
+        raise SingularMatrixError(
+            f"a0 with |det| = {det:.3e} treated as singular")
+    return a
+
+
 def parallel_transport(data: LocalConnectionData,
                        path: Sequence[PathSegment],
                        a0, steps=1000) -> np.ndarray:
     if steps < 1:
         raise ValidationError(
             f"transport needs at least one step, got {steps}")
-    n = data.group.n
-    a = np.asarray(a0, dtype=float)
-    if a.shape != (n, n) or not np.isfinite(a).all():
-        raise ValidationError(f"a0 must be a finite {n}x{n} matrix")
-    ensure_invertible(a)
+    a = start_matrix(a0, data.group.n)
     prev = None  # (chart, end point)
     for segment in path:
         (x_start, x_end), _ = segment.at([segment.t0, segment.t1],

@@ -5,7 +5,8 @@ by a group morphism phi together with a family of group-valued maps h_a on
 the charts.  The module checks the relatedness criterion
 phibar(omega_a) = Ad(h_a^-1).theta_a + h_a^-1 dh_a, the morphism cocycle
 condition on target transitions, and constructs pushforward and associated
-connections.
+connections.  A chart with no declared h_a is gauged by nothing: its
+criterion is phibar(omega_a) = theta_a, with no unit gauge evaluated.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from typing import Mapping, Tuple
 
 import numpy as np
 
-from .atlas import directions, sample
+from .atlas import directions
 from .connection import (DEFAULT_TOLERANCE, CallableForm, LocalConnectionData,
                          PointRep, check_relation)
 from .errors import AtlasMismatchError, MorphismCocycleViolation
@@ -34,6 +35,7 @@ class MorphismData:
     target_group: GroupSpec
 
     def h_map(self, chart) -> GroupMap:
+        """h on the chart, the unit map where none is declared."""
         if chart in self.h:
             return self.h[chart]
         return ConstGroupMap(np.eye(self.target_group.n))
@@ -47,16 +49,16 @@ def _require_shared_atlas(a: LocalConnectionData, b: LocalConnectionData):
 def check_related(omega: LocalConnectionData, theta: LocalConnectionData,
                   m: MorphismData, tolerance=DEFAULT_TOLERANCE) -> Report:
     """Relatedness criterion per chart:
-    phibar(omega_a,x(v)) = Ad(h_a(x)^-1).theta_a,x(v) + (h_a^-1 dh_a)_x(v)."""
+    phibar(omega_a,x(v)) = Ad(h_a(x)^-1).theta_a,x(v) + (h_a^-1 dh_a)_x(v),
+    or phibar(omega_a,x(v)) = theta_a,x(v) where no h_a is declared."""
     _require_shared_atlas(omega, theta)
     report = Report(tolerance, omega.sample_plan)
     for chart_id in sorted(omega.atlas.charts):
-        chart = omega.atlas.chart(chart_id)
-        pts = sample(omega.sample_plan, chart.box, params=omega.params)
-        e = directions(chart.dim)
+        pts = omega.points(chart_id)
+        e = directions(omega.atlas.chart(chart_id).dim)
         check_relation(report, f"related:{chart_id}",
                        m.phi.induced(omega.forms[chart_id](pts, e)),
-                       theta.forms[chart_id](pts, e), m.h_map(chart_id),
+                       theta.forms[chart_id](pts, e), m.h.get(chart_id),
                        pts, e)
     return report
 
@@ -65,42 +67,46 @@ def check_morphism_cocycle(m: MorphismData, source: LocalConnectionData,
                            target_transitions: Mapping[Tuple[str, str], GroupMap],
                            tolerance=DEFAULT_TOLERANCE) -> Report:
     """Completion condition on the target transition family:
-    h_ab(x) = h_a(x) . phi(g_ab(x)) . h_b(psi(x))^-1 on every overlap."""
+    h_ab(x) = h_a(x) . phi(g_ab(x)) . h_b(psi(x))^-1 on every overlap, where
+    an h that is not declared is left out of the product."""
     report = Report(tolerance, source.sample_plan)
     for ov in source.atlas.overlaps:
         key = (ov.src, ov.dst)
         if key not in source.transitions or key not in target_transitions:
             continue
-        g = source.transitions[key]
-        h_target = target_transitions[key]
-        h_a = m.h_map(ov.src)
-        h_b = m.h_map(ov.dst)
-        pts = sample(source.sample_plan, ov.domain, ov.mask, source.params)
-        y = ov.map_point(pts, source.params)
-        expected = h_a.value(pts) @ m.phi.apply(g.value(pts)) \
-            @ inverse(h_b.value(y))
+        pts = source.points(ov)
+        expected = m.phi.apply(source.transitions[key].value(pts))
+        h_a, h_b = m.h.get(ov.src), m.h.get(ov.dst)
+        if h_a is not None:
+            expected = h_a.value(pts) @ expected
+        if h_b is not None:
+            expected = expected @ inverse(h_b.value(source.pushed(ov)[0]))
         report.add(f"morphism-cocycle:{ov.src},{ov.dst}",
-                   max_residual(h_target.value(pts) - expected), len(pts))
+                   max_residual(target_transitions[key].value(pts) - expected),
+                   len(pts))
     return report
 
 
 def morphism_eval(m: MorphismData, p: PointRep) -> PointRep:
     """Image of a trivialized point: group part h_a(x) . phi(a)."""
-    h = m.h_map(p.chart)
-    return PointRep(p.chart, p.x, h.value(p.x) @ m.phi.apply(p.a))
+    image = m.phi.apply(p.a)
+    h = m.h.get(p.chart)
+    return PointRep(p.chart, p.x,
+                    image if h is None else h.value(p.x) @ image)
 
 
 def pushforward_connection(omega: LocalConnectionData, m: MorphismData,
                            target_transitions: Mapping[Tuple[str, str], GroupMap],
                            tolerance=DEFAULT_TOLERANCE) -> LocalConnectionData:
     """The unique related connection on the target bundle, with local forms
-    theta_a = Ad(h_a) . phibar(omega_a) - dh_a . h_a^-1."""
+    theta_a = Ad(h_a) . phibar(omega_a) - dh_a . h_a^-1, or phibar(omega_a)
+    where no h_a is declared."""
     cocycle = check_morphism_cocycle(m, omega, target_transitions, tolerance)
     if not cocycle.passed:
         raise MorphismCocycleViolation(
             f"target transitions fail the morphism cocycle condition: "
             f"{', '.join(cocycle.failing())}")
-    forms = {chart_id: _pushforward_form(form, m.phi, m.h_map(chart_id),
+    forms = {chart_id: _pushforward_form(form, m.phi, m.h.get(chart_id),
                                          m.target_group.n)
              for chart_id, form in omega.forms.items()}
     return LocalConnectionData(omega.atlas, m.target_group,

@@ -10,13 +10,12 @@ and projective consistency of pointwise connection values.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from typing import List, Mapping, Tuple
 
 import numpy as np
 
-from .atlas import directions, sample
+from .atlas import directions
 from .connection import (DEFAULT_TOLERANCE, LocalConnectionData, PointRep,
                          TangentRep, check_relation, global_form_eval)
 from .errors import (LevelOutOfRange, TowerInvariantViolation,
@@ -84,9 +83,9 @@ class TowerSpec:
         morphism evaluations instead of one per (j, k, i) triple.  The
         tolerance bounds each link; along a chain the links' residuals add.
 
-        Each overlap is sampled, and each level's transitions evaluated,
-        once per off-diagonal key and sample set: the plan and overlap of
-        the upper level of a pair."""
+        Each pair is checked on its upper level's sample set of each
+        off-diagonal overlap, which the atlas's memo samples once per plan,
+        and each level's transitions are evaluated once per sample set."""
         top = self.level(self.depth)
         for data in self.levels[:-1]:
             if not data.atlas.same_charts(top.atlas):
@@ -103,34 +102,38 @@ class TowerSpec:
                         VALIDATE_TOLERANCE,
                         f"connectors ({j},{i}) vs ({j - 1},{i}).({j},{j - 1})"
                         f" differ")
-        cache = {}  # key -> (sample set, its points, {level: values there})
-
-        def transition_values(level, key, sample_set):
-            cached = cache.get(key)
-            if cached is None or cached[0] != sample_set:
-                plan, ov, params = sample_set
-                cached = cache[key] = (
-                    sample_set, sample(plan, ov.domain, ov.mask, params), {})
-            _, pts, values = cached
-            if level not in values:
-                values[level] = self.level(level).transitions[key].value(pts)
-            return values[level]
-
+        transition_values = _per_sample_set(
+            lambda level, key, pts:
+            self.level(level).transitions[key].value(pts))
         for i in range(1, self.depth):
             upper = self.level(i + 1)
             phi = self.connector(i + 1, i)
             for key in upper.transitions:
                 if key[0] == key[1]:
                     continue
-                sample_set = (upper.sample_plan, upper.atlas.overlap(*key),
-                              upper.params)
+                pts = upper.points(upper.atlas.overlap(*key))
                 _first_violation(
-                    transition_values(i, key, sample_set)
-                    - phi.apply(transition_values(i + 1, key, sample_set)),
+                    transition_values(i, key, pts)
+                    - phi.apply(transition_values(i + 1, key, pts)),
                     VALIDATE_TOLERANCE,
                     f"transition {key} at level {i} deviates from the "
                     f"projected level-{i + 1} transition")
         return self
+
+
+def _per_sample_set(evaluate):
+    """evaluate(level, name, pts), kept per level and name for as long as it
+    is asked for at the same points: the atlas's memo hands out one array per
+    sample set, so a level is evaluated once per sample set."""
+    values = {}  # (level, name) -> (points, value there)
+
+    def at(level, name, pts):
+        cached = values.get((level, name))
+        if cached is None or cached[0] is not pts:
+            cached = values[(level, name)] = (pts, evaluate(level, name, pts))
+        return cached[1]
+
+    return at
 
 
 def _first_violation(diff, tolerance, message):
@@ -149,32 +152,26 @@ def check_tower_related(tower: TowerSpec,
     direction, phibar^(ji)(omega^j) must equal omega^i: the relation check
     with no gauge, since a unit one (I X I) turns an inf residual into NaN.
 
-    Each level's form is evaluated once per chart and sample set (the plan
-    and box the points come from), however many pairs it takes part in."""
+    Each chart's sample set comes from the atlas's memo, and each level's
+    form is evaluated once per chart and sample set, however many pairs it
+    takes part in."""
     top = tower.level(tower.depth)
     report = Report(tolerance, top.sample_plan)
-
-    @functools.cache
-    def points(plan, box):
-        return sample(plan, box)
-
-    @functools.cache
-    def form_values(level, chart_id, plan, box):
-        return tower.level(level).forms[chart_id](points(plan, box),
-                                                  directions(len(box)))
+    form_values = _per_sample_set(
+        lambda level, chart_id, pts: tower.level(level).forms[chart_id](
+            pts, directions(pts.shape[-1])))
 
     for j in range(2, tower.depth + 1):
         upper = tower.level(j)
         for i in range(1, j):
             phi = tower.connector(j, i)
             for chart_id in sorted(upper.atlas.charts):
-                sample_set = (upper.sample_plan,
-                              upper.atlas.chart(chart_id).box)
+                pts = upper.points(chart_id)
                 check_relation(
                     report, f"tower-related:{j}->{i}:{chart_id}",
-                    phi.induced(form_values(j, chart_id, *sample_set)),
-                    form_values(i, chart_id, *sample_set), None,
-                    points(*sample_set), directions(len(sample_set[1])))
+                    phi.induced(form_values(j, chart_id, pts)),
+                    form_values(i, chart_id, pts), None, pts,
+                    directions(pts.shape[-1]))
     return report
 
 

@@ -409,6 +409,15 @@ def _matrix_curve(doc):
     doc["segments"][0]["curve"][0] = "[[1,0],[0,1]]"
 
 
+def _set(*keys, value):
+    """An edit that writes value at the key path of the document."""
+    def edit(doc):
+        for key in keys[:-1]:
+            doc = doc[key]
+        doc[keys[-1]] = value
+    return edit
+
+
 @pytest.mark.parametrize("name, argv, edit, needle", [
     ("abelian.json", ["verify"], _degenerate_domain,
      "overlap U1->U2: degenerate interval [1.0, 1.0]"),
@@ -428,6 +437,30 @@ def _matrix_curve(doc):
     ("path_monopole_equator.json",
      ["transport", fixture_path("monopole_k1.json")], _matrix_curve,
      "segment in 'U_N': curve must be scalar"),
+    # a list written as a string was read one character at a time
+    ("abelian.json", ["verify"], _set("forms", "U1", value="x1"),
+     "forms['U1'] must be a list, not a string"),
+    ("abelian.json", ["verify"], _set("forms", "U1", value="5"),
+     "forms['U1'] must be a list, not a string"),
+    ("abelian.json", ["verify"],
+     _set("overlaps", 0, "coord_change", value="x1"),
+     "overlap U1->U2: coord_change must be a list, not a string"),
+    ("tower_unipotent.json", ["tower"],
+     _set("levels", 1, "forms", "U2", value="x1"),
+     "forms['U2'] must be a list, not a string"),
+    ("sphere_levi_civita.json", ["convert-christoffel"],
+     _set("gamma", "U_N", value="0"), "gamma['U_N'] must be a list"),
+    ("sphere_levi_civita.json", ["convert-christoffel"],
+     _set("gamma", "U_N", 1, value="x1"), "gamma['U_N'][1] must be a list"),
+    ("sphere_levi_civita.json", ["convert-christoffel"],
+     _set("gamma", "U_N", 1, 0, value="x1"),
+     "gamma['U_N'][1][0] must be a list"),
+    ("path_abelian.json", ["transport", fixture_path("abelian.json")],
+     _set("segments", 0, "curve", value="t"),
+     "segment in 'U1': curve must be a list, not a string"),
+    ("path_abelian.json", ["transport", fixture_path("abelian.json")],
+     _set("segments", 0, "curve", value={"x": "t"}),
+     "segment in 'U1': curve must be a list, not an object"),
 ])
 def test_inconsistent_document_is_a_usage_error(tmp_path, capsys, name, argv,
                                                 edit, needle):

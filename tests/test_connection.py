@@ -276,3 +276,71 @@ def test_triple_cocycle_detects_a_broken_transition():
     assert not check.passed
     want = 2.0 * np.sqrt(2.0) * np.sin(0.005)  # ||R(0.01) - I||_F
     assert check.max_residual == pytest.approx(want, abs=1e-12)
+
+
+def _counting_samples_and_pushes(monkeypatch):
+    """Record the box of every sample drawn and the (src, dst) of every
+    overlap push."""
+    import localforms.atlas
+    from localforms.atlas import Overlap, sample
+    boxes, pushes = [], []
+    push = Overlap.push
+
+    def counted_sample(plan, box, *args, **kwargs):
+        boxes.append(tuple(map(tuple, box)))
+        return sample(plan, box, *args, **kwargs)
+
+    def counted_push(self, *args, **kwargs):
+        pushes.append((self.src, self.dst))
+        return push(self, *args, **kwargs)
+
+    monkeypatch.setattr(localforms.atlas, "sample", counted_sample)
+    monkeypatch.setattr(Overlap, "push", counted_push)
+    return boxes, pushes
+
+
+def test_verify_samples_and_pushes_each_overlap_once(tmp_path, monkeypatch):
+    # check_overlaps, check_cocycle and check_compatibility read one sample
+    # set and one push per overlap from the atlas's memo
+    from localforms.cli import main
+    from conftest import fixture_path
+    boxes, pushes = _counting_samples_and_pushes(monkeypatch)
+    assert main(["verify", fixture_path("monopole_k1.json"), "--grid", "4",
+                 "--out", str(tmp_path / "report.json")]) == 0
+    atlas = load_fixture("monopole_k1.json").atlas
+    assert sorted(boxes) == sorted(ov.domain for ov in atlas.overlaps)
+    assert sorted(pushes) == sorted((ov.src, ov.dst) for ov in atlas.overlaps)
+
+
+def test_atlas_memo_is_read_only_and_keyed_by_plan(monopole):
+    import dataclasses
+    from localforms.atlas import SamplePlan, sample
+    ov = monopole.atlas.overlaps[0]
+    pts = monopole.points(ov)
+    y, w = monopole.pushed(ov)
+    assert monopole.points(ov) is pts and monopole.pushed(ov)[0] is y
+    for array in (pts, y, w, monopole.points("U_N")):
+        assert not array.flags.writeable
+        with pytest.raises(ValueError):
+            array[0] = 0.0
+    plan = SamplePlan(grid=3, n_random=2, seed=9)
+    other = dataclasses.replace(monopole, sample_plan=plan)
+    assert other.atlas is monopole.atlas
+    fresh = other.points(ov)
+    assert fresh is not pts and len(fresh) == 3 * 3 + 2
+    assert fresh.tobytes() == sample(plan, ov.domain, ov.mask,
+                                     other.params).tobytes()
+    # a document loaded again has an atlas, and a memo, of its own
+    again = load_fixture("monopole_k1.json", grid=5, random=5)
+    assert again.points(again.atlas.overlaps[0]) is not pts
+
+
+def test_triple_points_are_memoized_read_only():
+    data = _three_chart_bundle()
+    pts, y = data.atlas.triple_points(data.sample_plan, "U1", "U2", "U3",
+                                      data.params)
+    assert data.atlas.triple_points(data.sample_plan, "U1", "U2", "U3",
+                                    data.params)[0] is pts
+    assert not pts.flags.writeable and not y.flags.writeable
+    assert data.atlas.triple_points(data.sample_plan, "U2", "U1", "U3",
+                                    data.params) is None

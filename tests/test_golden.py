@@ -32,6 +32,7 @@ CASES.update({
     "relate-abelian-identity": ["relate", "abelian.json", "abelian.json",
                                 "morphism_identity.json"],
     "push-k1": ["push", "monopole_k1.json", "morphism_squaring.json"],
+    "push-k1-gauge": ["push", "monopole_k1.json", "morphism_gauge.json"],
     "assoc-k1-squaring": ["assoc", "monopole_k1.json",
                           "morphism_squaring.json"],
     "assoc-abelian-identity": ["assoc", "abelian.json",

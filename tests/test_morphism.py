@@ -10,8 +10,8 @@ from localforms.errors import AtlasMismatchError, MorphismCocycleViolation
 from localforms.expr import parse
 from localforms.lie import (ComposedGroupMap, ExprGroupMap, GroupMorphismSpec,
                             GroupSpec, InverseGroupMap, ProductGroupMap,
-                            adjoint, exp_matrix, inverse, log_diff_left,
-                            log_diff_right)
+                            adjoint, batch_shape, exp_matrix, inverse,
+                            log_diff_left, log_diff_right)
 from localforms.connection.data import PulledBackGroupMap
 from localforms.morphism import (MorphismData, associated_connection,
                                  check_morphism_cocycle, check_related,
@@ -262,3 +262,65 @@ def test_unrelated_connections_fail():
     report = check_related(k1, k3, m, 1e-8)
     assert not report.passed
     assert max(c.max_residual for c in report.checks) > 1e-3
+
+
+def _identity_h_twin(tmp_path, name):
+    """A copy of a morphism file that declares h = I on every sphere chart."""
+    import json
+    from conftest import fixture_path
+    doc = json.loads(open(fixture_path(name)).read())
+    doc["h"] = {chart: "[[1,0],[0,1]]" for chart in ("U_N", "U_S")}
+    path = tmp_path / f"unit_{name}"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+@pytest.mark.parametrize("argv", [
+    ["relate", "monopole_k1.json", "monopole_k2.json"],
+    ["relate", "monopole_k1_mutated.json", "monopole_k2.json"],
+    ["push", "monopole_k1.json"],
+])
+def test_explicit_identity_h_changes_no_residual(tmp_path, argv):
+    # a chart without h is gauged by nothing; a declared unit h is gauged by
+    # Ad(I^-1) and I^-1 dI = 0, which leave finite residuals bit for bit
+    from conftest import fixture_path
+    from localforms.cli import main
+    command, *bundles = argv
+    files = [fixture_path(name) for name in bundles]
+    reports = []
+    for morphism in (fixture_path("morphism_squaring.json"),
+                     _identity_h_twin(tmp_path, "morphism_squaring.json")):
+        out = tmp_path / "report.json"
+        code = main([command, *files, morphism, "--grid", "4", "--random",
+                     "5", "--out", str(out)])
+        reports.append((code, out.read_text()))
+    assert reports[0] == reports[1]
+
+
+def test_no_h_gives_an_inf_residual_not_nan():
+    # with a unit gauge, 0 * inf in Ad(I) turned an infinite form value into
+    # NaN; with no gauge the residual stays inf
+    source = load_fixture("abelian.json", grid=3, random=0)
+    m = MorphismData(_identity_phi(), {}, GroupSpec("SO(2)", 2, (J,)))
+    blown = source.with_forms({
+        chart: CallableForm(chart, 1, 2, lambda x, v: np.full(
+            batch_shape(x, v) + (2, 2), np.inf))
+        for chart in source.forms})
+    report = check_related(source, blown, m)
+    assert all(check.max_residual == np.inf for check in report.checks)
+
+
+def test_push_samples_each_overlap_once(tmp_path, monkeypatch):
+    # the morphism cocycle and the pushed data's compatibility share one
+    # sample set per overlap; with no h the cocycle pushes nothing
+    from conftest import fixture_path
+    from localforms.cli import main
+    from test_connection import _counting_samples_and_pushes
+    boxes, pushes = _counting_samples_and_pushes(monkeypatch)
+    assert main(["push", fixture_path("monopole_k1.json"),
+                 fixture_path("morphism_squaring.json"), "--grid", "4",
+                 "--out", str(tmp_path / "report.json")]) == 0
+    atlas = load_fixture("monopole_k1.json").atlas
+    domains = [ov.domain for ov in atlas.overlaps]
+    assert sorted(box for box in boxes if box in domains) == sorted(domains)
+    assert sorted(pushes) == sorted((ov.src, ov.dst) for ov in atlas.overlaps)

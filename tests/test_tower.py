@@ -393,12 +393,13 @@ def test_load_rejects_a_connector_that_moves_the_identity(tmp_path):
 
 
 def test_validate_samples_each_overlap_once(monkeypatch):
-    # every level shares one plan and atlas, so each off-diagonal overlap is
-    # sampled for the first pair and its points reused by the others
-    import localforms.tower
+    # every level shares one plan and atlas, so the atlas's memo samples
+    # each off-diagonal overlap for the first pair and the others reuse it
+    import localforms.atlas
     draws = []
-    monkeypatch.setattr(localforms.tower, "sample",
-                        lambda *args: draws.append(args[1]) or sample(*args))
+    monkeypatch.setattr(localforms.atlas, "sample",
+                        lambda *args, **kwargs: draws.append(args[1])
+                        or sample(*args, **kwargs))
     tower = _tower(grid=3, random=3)
     tower.validate()
     off_diagonal = [key for key in tower.level(1).transitions

@@ -219,6 +219,7 @@ def test_transport_needs_a_step(steps):
     (np.eye(3).tolist(), "a0 must be a finite 2x2 matrix"),
     ([[np.nan, 0.0], [0.0, 1.0]], "a0 must be a finite 2x2 matrix"),
     ([[0.0, 0.0], [0.0, 0.0]], "treated as singular"),
+    ([[1.0, 0.0], [0.0]], "a0 must be a finite 2x2 matrix"),
 ])
 def test_transport_needs_a_finite_invertible_start(tmp_path, capsys, a0,
                                                     needle):
@@ -229,5 +230,5 @@ def test_transport_needs_a_finite_invertible_start(tmp_path, capsys, a0,
                  "--out", str(tmp_path / "report.json")])
     err = capsys.readouterr().err
     assert code == 2
-    assert err.startswith("error: ") and needle in err
+    assert err.startswith(f"error: '{path}': a0 ") and needle in err
     assert err.count("\n") == 1 and "Traceback" not in err

@@ -247,6 +247,19 @@ def morphisms():
             "U_S,U_N": f"mexp(2*k*x2*{J})",
         },
     })
+    # phi = id with a declared gauge h_a = mexp(c_a*x2*J), c_N != c_S; the
+    # target transitions are h_a(x) . g_ab(x) . h_b(psi(x))^-1, which the
+    # morphism cocycle condition asks for (psi leaves x2 as it is)
+    h_n, h_s = f"mexp(0.5*x2*{J})", f"mexp(-0.25*x2*{J})"
+    write("morphism_gauge.json", {
+        "source_n": 2, "target_n": 2, "target_group_name": "SO(2)",
+        "phi": "g",
+        "h": {"U_N": h_n, "U_S": h_s},
+        "target_transitions": {
+            "U_N,U_S": f"{h_n} * mexp(-k*x2*{J}) * mexp(0.25*x2*{J})",
+            "U_S,U_N": f"{h_s} * mexp(k*x2*{J}) * mexp(-0.5*x2*{J})",
+        },
+    })
 
 
 def main():

@@ -84,6 +84,19 @@ def _parse_list(value, owner):
     return value
 
 
+def _parse_interval(value, owner):
+    """An interval [lo, hi] as two floats."""
+    if len(_parse_list(value, owner)) != 2:
+        raise ValidationError(f"{owner} must be a list [lo, hi]")
+    return float(value[0]), float(value[1])
+
+
+def _parse_box(value, owner):
+    """A box: one interval [lo, hi] per coordinate."""
+    return tuple(_parse_interval(interval, f"{owner}[{i}]")
+                 for i, interval in enumerate(_parse_list(value, owner)))
+
+
 def _parse_params(doc, base=None):
     """The document's scalar params, over (and overriding) base."""
     params = dict(base or {})
@@ -126,14 +139,14 @@ def _parse_plan(doc) -> SamplePlan:
 
 def _parse_atlas(doc, params) -> Atlas:
     charts: Dict[str, Chart] = {}
-    for entry in doc.get("charts", []):
+    for entry in _parse_list(doc.get("charts", []), "charts"):
         chart = Chart(entry["id"], int(entry["dim"]),
-                      tuple((float(lo), float(hi)) for lo, hi in entry["box"]))
+                      _parse_box(entry["box"], f"chart '{entry['id']}': box"))
         if chart.id in charts:
             raise ValidationError(f"duplicate chart '{chart.id}'")
         charts[chart.id] = chart
     overlaps = []
-    for entry in doc.get("overlaps", []):
+    for entry in _parse_list(doc.get("overlaps", []), "overlaps"):
         src, dst = entry["from"], entry["to"]
         for chart_id in (src, dst):
             if chart_id not in charts:
@@ -154,7 +167,7 @@ def _parse_atlas(doc, params) -> Atlas:
         if entry.get("mask"):
             mask = _parse_expr(entry["mask"], src_chart.coords, params, None,
                                f"overlap {src}->{dst}: mask")
-        domain = tuple((float(lo), float(hi)) for lo, hi in entry["domain"])
+        domain = _parse_box(entry["domain"], f"overlap {src}->{dst}: domain")
         if len(domain) != src_chart.dim:
             raise ValidationError(
                 f"overlap {src}->{dst}: domain dimension mismatch")
@@ -286,7 +299,7 @@ def load_tower(path) -> TowerSpec:
     atlas = _parse_atlas(doc, params)
     plan = _parse_plan(doc.get("sample_plan"))
     levels = [_parse_connection(entry, atlas, plan, params)
-              for entry in doc["levels"]]
+              for entry in _parse_list(doc["levels"], "levels")]
     connectors = {}
     for key, entry in doc.get("connectors", {}).items():
         j, i = (int(part) for part in _parse_key(key, "connector", "j,i"))
@@ -306,7 +319,7 @@ def load_path(path, atlas, params=None, *, n=None):
     doc = _load_json(path)
     params = params or {}
     segments = []
-    for entry in doc["segments"]:
+    for entry in _parse_list(doc["segments"], "segments"):
         chart = atlas.chart(entry["chart"])
         owner = f"segment in '{entry['chart']}': curve"
         curve = tuple(_parse_expr(text, ["t"], params, None, owner)
@@ -315,9 +328,9 @@ def load_path(path, atlas, params=None, *, n=None):
             raise ValidationError(
                 f"segment in '{entry['chart']}': {len(curve)} curve "
                 f"expressions, chart dim is {chart.dim}")
-        t0, t1 = entry.get("t_range", [0.0, 1.0])
-        segments.append(PathSegment(entry["chart"], curve, float(t0),
-                                    float(t1)))
+        t0, t1 = _parse_interval(entry.get("t_range", [0.0, 1.0]),
+                                 f"segment in '{entry['chart']}': t_range")
+        segments.append(PathSegment(entry["chart"], curve, t0, t1))
     a0 = None
     if doc.get("a0") is not None:
         a0 = (np.asarray(doc["a0"], dtype=float) if n is None

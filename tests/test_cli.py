@@ -461,6 +461,29 @@ def _set(*keys, value):
     ("path_abelian.json", ["transport", fixture_path("abelian.json")],
      _set("segments", 0, "curve", value={"x": "t"}),
      "segment in 'U1': curve must be a list, not an object"),
+    # structural lists and intervals, once misread or named no field
+    ("path_abelian.json", ["transport", fixture_path("abelian.json")],
+     _set("segments", 0, "t_range", value="01"),
+     "segment in 'U1': t_range must be a list, not a string"),
+    ("path_abelian.json", ["transport", fixture_path("abelian.json")],
+     _set("segments", 0, "t_range", value=[0.0, 0.5, 1.0]),
+     "segment in 'U1': t_range must be a list [lo, hi]"),
+    ("abelian.json", ["verify"], _set("charts", 0, "box", value=["02"]),
+     "chart 'U1': box[0] must be a list, not a string"),
+    ("abelian.json", ["verify"], _set("charts", 0, "box", value="ab"),
+     "chart 'U1': box must be a list, not a string"),
+    ("abelian.json", ["verify"], _set("overlaps", 0, "domain", value=["12"]),
+     "overlap U1->U2: domain[0] must be a list, not a string"),
+    ("abelian.json", ["verify"], _set("overlaps", 0, "domain", value="ab"),
+     "overlap U1->U2: domain must be a list, not a string"),
+    ("abelian.json", ["verify"], _set("charts", value="U1"),
+     "charts must be a list, not a string"),
+    ("abelian.json", ["verify"], _set("overlaps", value="U1"),
+     "overlaps must be a list, not a string"),
+    ("path_abelian.json", ["transport", fixture_path("abelian.json")],
+     _set("segments", value="U1"), "segments must be a list, not a string"),
+    ("tower_unipotent.json", ["tower"], _set("levels", value="ab"),
+     "levels must be a list, not a string"),
 ])
 def test_inconsistent_document_is_a_usage_error(tmp_path, capsys, name, argv,
                                                 edit, needle):

@@ -312,6 +312,26 @@ def test_verify_samples_and_pushes_each_overlap_once(tmp_path, monkeypatch):
     assert sorted(pushes) == sorted((ov.src, ov.dst) for ov in atlas.overlaps)
 
 
+def test_verify_exponentiates_once_per_transition_walk(tmp_path,
+                                                      monkeypatch):
+    # each mexp is one expm call, its derivative riding along: two cocycle
+    # values and two compatibility jets, one per overlap and pass
+    import localforms.expr.dual
+    from localforms.cli import main
+    from conftest import fixture_path
+    expm = localforms.expr.dual.expm
+    calls = []
+
+    def counted(a, e=None):
+        calls.append(e is not None)
+        return expm(a, e)
+
+    monkeypatch.setattr(localforms.expr.dual, "expm", counted)
+    assert main(["verify", fixture_path("monopole_k1.json"), "--grid", "4",
+                 "--out", str(tmp_path / "report.json")]) == 0
+    assert sorted(calls) == [False, False, True, True]
+
+
 def test_atlas_memo_is_read_only_and_keyed_by_plan(monopole):
     import dataclasses
     from localforms.atlas import SamplePlan, sample

@@ -1,5 +1,6 @@
-"""The stacked matrix exponential `expm`: accuracy against high-precision
-references, exact structure, row independence and non-finite rows."""
+"""The stacked matrix exponential `expm` and its Frechet derivative:
+accuracy against high-precision references, exact structure, row
+independence, broadcasting and non-finite rows."""
 
 import os
 import subprocess
@@ -52,6 +53,103 @@ def test_block_derivative_matches_frechet(n):
         assert _norm1(dual.tangent[0] - want) <= 1e-12 * _norm1(want)
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 9])
+def test_derivative_matches_frechet_at_every_scaling(n):
+    rng = np.random.default_rng(50 + n)
+    stack = np.stack([_with_norm(rng, n, norm) for norm in NORMS])
+    e = rng.standard_normal((2,) + stack.shape)
+    value, got = expm(stack, e)
+    assert np.array_equal(value, expm(stack))
+    for i, a in enumerate(stack):
+        for k in range(2):
+            want = expm_frechet(a, e[k, i], compute_expm=False)
+            assert _norm1(got[k, i] - want) <= 1e-13 * _norm1(want)
+
+
+def test_zero_direction_is_exactly_zero():
+    rng = np.random.default_rng(6)
+    a = rng.standard_normal((4, 3, 3))
+    e = rng.standard_normal((3, 4, 3, 3))
+    e[1] = 0.0
+    value, got = expm(a, e)
+    assert np.all(got[1] == 0.0)
+    for k in (0, 2):
+        assert np.array_equal(got[k], expm(a, e[k:k + 1])[1][0])
+    assert not np.any(expm(a, np.zeros((2, 1, 3, 3)))[1])
+
+
+def test_tangent_broadcasts_against_the_stack():
+    rng = np.random.default_rng(7)
+    a = rng.standard_normal((5, 3, 3))
+    one = rng.standard_normal((2, 1, 3, 3))
+    value, got = expm(a, one)
+    assert got.shape == (2, 5, 3, 3)
+    assert np.array_equal(got, expm(a, np.broadcast_to(one, got.shape))[1])
+    # extra leading direction axes
+    many = rng.standard_normal((2, 3, 5, 3, 3))
+    value, got = expm(a, many)
+    assert np.array_equal(value, expm(a)) and got.shape == many.shape
+    assert np.array_equal(got[1], expm(a, many[1])[1])
+    # a tangent batch larger than the matrices': the matrix is broadcast
+    value, got = expm(a[:1], many)
+    assert got.shape == many.shape
+    assert np.array_equal(value, expm(np.broadcast_to(a[:1], (5, 3, 3))))
+    for i in range(5):
+        assert np.array_equal(got[:, :, i], expm(a[0], many[:, :, i])[1])
+
+
+def test_value_is_bit_identical_with_tangents():
+    rng = np.random.default_rng(8)
+    for shape in ((3, 3), (1, 2, 2), (6, 4, 4), (2, 3, 5, 5)):
+        a = rng.standard_normal(shape) * 10.0
+        e = rng.standard_normal((2,) + shape)
+        assert np.array_equal(expm(a, e)[0], expm(a))
+
+
+def test_derivative_rows_are_independent_across_scaling_powers():
+    rng = np.random.default_rng(9)
+    stack = np.stack([_with_norm(rng, 3, norm)
+                      for norm in (0.2, 40.0, 3.0, 9.0, 0.0, 200.0)])
+    e = rng.standard_normal((2,) + stack.shape)
+    value, got = expm(stack, e)
+    for i, a in enumerate(stack):
+        single = expm(a, e[:, i])
+        assert np.array_equal(value[i], single[0])
+        assert np.array_equal(got[:, i], single[1])
+
+
+def test_non_finite_rows_stay_in_their_derivative_rows():
+    rng = np.random.default_rng(10)
+    stack = rng.uniform(-1.0, 1.0, (6, 2, 2))
+    stack[1, 0, 1] = np.nan
+    stack[2] = 1e308 * np.eye(2)
+    e = rng.standard_normal((2, 6, 2, 2))
+    e[1] = 0.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        value, got = expm(stack, e)
+    assert np.all(np.isnan(value[1])) and np.all(np.isnan(got[0, 1]))
+    assert not np.all(np.isfinite(got[0, 2]))
+    assert np.all(got[1] == 0.0)
+    for i in (0, 3, 4, 5):
+        assert np.array_equal(got[0, i], expm(stack[i], e[0, i])[1])
+
+
+def test_non_finite_tangent_leaves_the_value():
+    rng = np.random.default_rng(11)
+    a = rng.standard_normal((4, 3, 3))
+    e = rng.standard_normal((2, 4, 3, 3))
+    e[0, 2, 1, 1] = np.nan
+    e[1, 3, 0, 0] = np.inf
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        value, got = expm(a, e)
+    assert np.array_equal(value, expm(a))
+    assert not np.all(np.isfinite(got[0, 2]))
+    assert not np.all(np.isfinite(got[1, 3]))
+    assert np.all(np.isfinite(got[0, [0, 1, 3]]))
+
+
 def test_zero_matrix_gives_the_identity_exactly():
     for n in (1, 2, 5):
         assert np.array_equal(expm(np.zeros((3, n, n))),
@@ -89,6 +187,11 @@ def test_empty_stack():
     for shape in ((0, 3, 3), (2, 0, 2, 2)):
         got = expm(np.zeros(shape))
         assert got.shape == shape
+        value, deriv = expm(np.zeros(shape), np.zeros((3,) + shape))
+        assert value.shape == shape and deriv.shape == (3,) + shape
+    value, deriv = expm(np.eye(2)[None], np.zeros((0, 1, 2, 2)))
+    assert np.array_equal(value, expm(np.eye(2)[None]))
+    assert deriv.shape == (0, 1, 2, 2)
 
 
 def test_non_finite_and_overflowing_rows_stay_in_their_rows():

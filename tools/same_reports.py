@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Check that the working tree gives the same CLI results as a parent revision.
 
-    python3 tools/same_reports.py --parent HEAD~1
+    python3 tools/same_reports.py --parent HEAD~1 [--floats ATOL]
 
 The committed files of the parent revision are unpacked into a temporary
 directory (removed again at the end), as `tools/bench_pairs.py` does.  One
@@ -16,6 +16,13 @@ run the same case list through `localforms.cli.main`, each in one child
 process that imports the package from that tree's `src/`.  Every case whose
 exit code, stdout or stderr differ is printed; the exit code is 1 if any
 case differs, else 0.
+
+With `--floats ATOL` a case whose exit code and stderr are equal, and whose
+stdout reports parse to JSON with the same keys, lists, strings (non-finite
+floats are the strings "nan" and "inf") and integers, differs in floats
+only.  It is printed with the number of floats that changed, their keys and
+the largest change, and fails only if that change exceeds ATOL; any other
+difference still fails.
 """
 
 from __future__ import annotations
@@ -113,10 +120,52 @@ def run_tree(tree, cases):
     return json.loads(proc.stdout)
 
 
+def float_changes(parent, change, key=None):
+    """[(key, |change|)] for each float that differs between two parsed JSON
+    values, keyed by its innermost object key, or None when they differ in
+    anything but float values: keys, list lengths, strings, integers or
+    types."""
+    if isinstance(parent, float) and isinstance(change, float):
+        return [] if parent == change else [(key, abs(parent - change))]
+    if type(parent) is not type(change):
+        return None
+    if isinstance(parent, dict):
+        if list(parent) != list(change):
+            return None
+        pairs = [(parent[k], change[k], k) for k in parent]
+    elif isinstance(parent, list):
+        if len(parent) != len(change):
+            return None
+        pairs = [(p, c, key) for p, c in zip(parent, change)]
+    else:
+        return [] if parent == change else None
+    changes = []
+    for p, c, k in pairs:
+        sub = float_changes(p, c, k)
+        if sub is None:
+            return None
+        changes += sub
+    return changes
+
+
+def float_only(parent, change):
+    """float_changes of two case results [exit code, stdout, stderr] whose
+    exit code and stderr are equal and whose stdouts are JSON, else None."""
+    if parent[0] != change[0] or parent[2] != change[2]:
+        return None
+    try:
+        return float_changes(json.loads(parent[1]), json.loads(change[1]))
+    except ValueError:
+        return None
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--parent", required=True,
                         help="git revision to compare against")
+    parser.add_argument("--floats", type=float, metavar="ATOL",
+                        help="let reports differ in float values by at "
+                             "most ATOL each")
     args = parser.parse_args(argv)
 
     revision = _git("rev-parse", args.parent)
@@ -129,18 +178,37 @@ def main(argv=None):
     finally:
         shutil.rmtree(scratch, ignore_errors=True)
 
-    differing = 0
+    differing, floats = 0, []
     for name, _ in cases:
         fields = [field for field, p, c in zip(
             ("exit code", "stdout", "stderr"), parent[name], change[name])
             if p != c]
-        if fields:
-            differing += 1
-            print(f"{name}: {', '.join(fields)} differ")
-            if "exit code" in fields or "stderr" in fields:
-                print(f"  parent: {parent[name][0]!r} {parent[name][2]!r}")
-                print(f"  change: {change[name][0]!r} {change[name][2]!r}")
-    print(f"{len(cases)} cases against {revision[:12]}, {differing} differ")
+        if not fields:
+            continue
+        changes = None
+        if args.floats is not None:
+            changes = float_only(parent[name], change[name])
+        if changes:
+            largest = max(delta for _, delta in changes)
+            floats.append(changes)
+            beyond = largest > args.floats
+            differing += beyond
+            keys = ", ".join(sorted({str(k) for k, _ in changes}))
+            print(f"{name}: {len(changes)} floats ({keys}) differ by at most "
+                  f"{largest:.3g}" + (f", beyond {args.floats:g}"
+                                      if beyond else ""))
+            continue
+        differing += 1
+        print(f"{name}: {', '.join(fields)} differ")
+        if "exit code" in fields or "stderr" in fields:
+            print(f"  parent: {parent[name][0]!r} {parent[name][2]!r}")
+            print(f"  change: {change[name][0]!r} {change[name][2]!r}")
+    summary = f"{len(cases)} cases against {revision[:12]}, {differing} differ"
+    if args.floats is not None:
+        deltas = [delta for changes in floats for _, delta in changes]
+        summary += (f"; {len(floats)} differ in floats only: {len(deltas)} "
+                    f"floats, largest change {max(deltas, default=0.0):.3g}")
+    print(summary)
     return 1 if differing else 0
 
 

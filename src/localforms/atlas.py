@@ -72,10 +72,10 @@ class Overlap:
         broadcastable against the points' batch; Dpsi(x) v has shape
         broadcast + (d',)."""
         self._require_inside(x)
-        seeds = np.asarray(v, dtype=float)[None]
-        pairs = [ast.eval_dual(x, params, seeds) for ast in self.coord_change]
+        pairs = [ast.eval_dual(x, params, seeds=v)
+                 for ast in self.coord_change]
         return (np.stack([y for y, _ in pairs], axis=-1),
-                np.stack([w[0] for _, w in pairs], axis=-1))
+                np.stack([w for _, w in pairs], axis=-1))
 
 
 def _require_intervals(box, owner):

@@ -29,12 +29,13 @@ from .tower import TowerSpec
 def _load_json(path):
     try:
         with open(path, "r", encoding="utf-8") as handle:
-            return json.load(handle)
+            doc = json.load(handle)
     except OSError as exc:
         raise ValidationError(
             f"cannot read: {exc.strerror or exc}") from exc
     except json.JSONDecodeError as exc:
         raise ValidationError(f"not valid JSON: {exc}") from exc
+    return _parse_object(doc, "the document")
 
 
 def _document_loader(load):
@@ -70,17 +71,47 @@ def _parse_expr(text, coords, params, shape, owner, matrix_params=None):
     return ast
 
 
-_JSON_TYPES = {str: "a string", dict: "an object", bool: "a boolean",
-               int: "a number", float: "a number", type(None): "null"}
+_JSON_TYPES = {str: "a string", dict: "an object", list: "a list",
+               bool: "a boolean", int: "a number", float: "a number",
+               type(None): "null"}
+
+
+def _kind(value):
+    """The JSON type of a value, as a message names it."""
+    return _JSON_TYPES.get(type(value), type(value).__name__)
 
 
 def _parse_list(value, owner):
     """A list-valued field, which must be a JSON list: a string in its place
     would be read one character at a time."""
     if not isinstance(value, list):
+        raise ValidationError(f"{owner} must be a list, not {_kind(value)}")
+    return value
+
+
+def _parse_object(value, owner):
+    """An object-valued field or entry, which must be a JSON object: a
+    string or a list in its place would be indexed as one."""
+    if not isinstance(value, dict):
         raise ValidationError(
-            f"{owner} must be a list, not "
-            f"{_JSON_TYPES.get(type(value), type(value).__name__)}")
+            f"{owner} must be an object, not {_kind(value)}")
+    return value
+
+
+def _parse_entries(value, owner):
+    """A list of objects, such as the charts or the path segments."""
+    return [_parse_object(entry, f"{owner}[{i}]")
+            for i, entry in enumerate(_parse_list(value, owner))]
+
+
+def _parse_int(value, owner):
+    """An integer field, which must be a JSON integer: int() would truncate
+    a fraction and read a string or a boolean as a number.  A number or a
+    string in its place is named by its value."""
+    if type(value) is not int:
+        kind = (repr(value) if isinstance(value, (float, str))
+                else _kind(value))
+        raise ValidationError(f"{owner} must be an integer, not {kind}")
     return value
 
 
@@ -100,7 +131,8 @@ def _parse_box(value, owner):
 def _parse_params(doc, base=None):
     """The document's scalar params, over (and overriding) base."""
     params = dict(base or {})
-    params.update({str(k): float(v) for k, v in doc.get("params", {}).items()})
+    params.update({str(k): float(v) for k, v in
+                   _parse_object(doc.get("params", {}), "params").items()})
     return params
 
 
@@ -114,7 +146,8 @@ def _parse_key(key, owner, form) -> Tuple[str, str]:
 
 def _parse_group(doc) -> GroupSpec:
     """The group, its generators (if any) stacked in one (k, n, n) array."""
-    n = int(doc["n"])
+    doc = _parse_object(doc, "group")
+    n = _parse_int(doc["n"], "group: n")
     generators = None
     if doc.get("generators"):
         try:
@@ -131,22 +164,26 @@ def _parse_group(doc) -> GroupSpec:
 
 
 def _parse_plan(doc) -> SamplePlan:
-    if doc is None:
-        return SamplePlan()
-    return SamplePlan(int(doc.get("grid", 5)), int(doc.get("random", 10)),
-                      int(doc.get("seed", 0)))
+    """The sample plan, with SamplePlan's default for each missing field."""
+    doc = _parse_object({} if doc is None else doc, "sample_plan")
+    plan = SamplePlan()
+    return SamplePlan(
+        _parse_int(doc.get("grid", plan.grid), "sample_plan: grid"),
+        _parse_int(doc.get("random", plan.n_random), "sample_plan: random"),
+        _parse_int(doc.get("seed", plan.seed), "sample_plan: seed"))
 
 
 def _parse_atlas(doc, params) -> Atlas:
     charts: Dict[str, Chart] = {}
-    for entry in _parse_list(doc.get("charts", []), "charts"):
-        chart = Chart(entry["id"], int(entry["dim"]),
-                      _parse_box(entry["box"], f"chart '{entry['id']}': box"))
+    for entry in _parse_entries(doc.get("charts", []), "charts"):
+        owner = f"chart '{entry['id']}'"
+        chart = Chart(entry["id"], _parse_int(entry["dim"], f"{owner}: dim"),
+                      _parse_box(entry["box"], f"{owner}: box"))
         if chart.id in charts:
             raise ValidationError(f"duplicate chart '{chart.id}'")
         charts[chart.id] = chart
     overlaps = []
-    for entry in _parse_list(doc.get("overlaps", []), "overlaps"):
+    for entry in _parse_entries(doc.get("overlaps", []), "overlaps"):
         src, dst = entry["from"], entry["to"]
         for chart_id in (src, dst):
             if chart_id not in charts:
@@ -177,9 +214,9 @@ def _parse_atlas(doc, params) -> Atlas:
     return Atlas(charts, tuple(overlaps))
 
 
-def _parse_transitions(doc, atlas, n, params):
+def _parse_transitions(doc, atlas, n, params, owner="transitions"):
     transitions = {}
-    for key, text in doc.items():
+    for key, text in _parse_object(doc, owner).items():
         a, b = _parse_key(key, "transition", "alpha,beta")
         if a not in atlas.charts or b not in atlas.charts:
             raise ValidationError(
@@ -194,7 +231,7 @@ def _parse_forms(doc, atlas, n, params):
     """Forms with one coefficient per entry; LocalConnectionData.validate
     compares their count with the chart's dimension."""
     forms = {}
-    for chart_id, texts in doc.items():
+    for chart_id, texts in _parse_object(doc, "forms").items():
         if chart_id not in atlas.charts:
             raise ValidationError(
                 f"form declared for undeclared chart '{chart_id}'")
@@ -248,11 +285,11 @@ def load_morphism(path, atlas=None, params=None) -> MorphismData:
     g), optional per-chart h maps, and group dimensions."""
     doc = _load_json(path)
     merged = _parse_params(doc, params)
-    n, m = int(doc["source_n"]), int(doc["target_n"])
+    n, m = (_parse_int(doc[key], key) for key in ("source_n", "target_n"))
     phi = _parse_phi(doc["phi"], n, m, merged, "phi")
     target_group = GroupSpec(doc.get("target_group_name", "H"), m)
     h = {}
-    for chart_id, text in doc.get("h", {}).items():
+    for chart_id, text in _parse_object(doc.get("h", {}), "h").items():
         if atlas is None:
             raise ValidationError("h maps given without a bundle atlas")
         h[chart_id] = ExprGroupMap(chart_id, _parse_expr(
@@ -262,7 +299,7 @@ def load_morphism(path, atlas=None, params=None) -> MorphismData:
     target_transitions = None
     if doc.get("target_transitions") and atlas is not None:
         target_transitions = _parse_transitions(
-            doc["target_transitions"], atlas, m, merged)
+            doc["target_transitions"], atlas, m, merged, "target_transitions")
     return morphism, target_transitions
 
 
@@ -271,10 +308,11 @@ def load_christoffel(path) -> Tuple[ChristoffelData, dict]:
     """Load Christoffel data plus the vector bundle's transition family."""
     doc = _load_json(path)
     params = _parse_params(doc)
-    n = int(doc["fiber_dim"])
+    n = _parse_int(doc["fiber_dim"], "fiber_dim")
     atlas = _parse_atlas(doc, params)
     gamma = {}
-    for chart_id, table in doc.get("gamma", {}).items():
+    for chart_id, table in _parse_object(doc.get("gamma", {}),
+                                         "gamma").items():
         coords = atlas.chart(chart_id).coords
         owner = f"Christoffel symbol on '{chart_id}'"
         where = f"gamma['{chart_id}']"
@@ -299,15 +337,17 @@ def load_tower(path) -> TowerSpec:
     atlas = _parse_atlas(doc, params)
     plan = _parse_plan(doc.get("sample_plan"))
     levels = [_parse_connection(entry, atlas, plan, params)
-              for entry in _parse_list(doc["levels"], "levels")]
+              for entry in _parse_entries(doc["levels"], "levels")]
     connectors = {}
-    for key, entry in doc.get("connectors", {}).items():
+    for key, entry in _parse_object(doc.get("connectors", {}),
+                                    "connectors").items():
         j, i = (int(part) for part in _parse_key(key, "connector", "j,i"))
         if not (1 <= i < j <= len(levels)):
             raise ValidationError(f"connector '{key}' is out of range")
+        owner = f"connector '{key}'"
         connectors[(j, i)] = _parse_phi(
-            entry["phi"], levels[j - 1].group.n, levels[i - 1].group.n,
-            params, f"connector '{key}'")
+            _parse_object(entry, owner)["phi"], levels[j - 1].group.n,
+            levels[i - 1].group.n, params, owner)
     return TowerSpec(tuple(levels), connectors)
 
 
@@ -319,7 +359,7 @@ def load_path(path, atlas, params=None, *, n=None):
     doc = _load_json(path)
     params = params or {}
     segments = []
-    for entry in _parse_list(doc["segments"], "segments"):
+    for entry in _parse_entries(doc["segments"], "segments"):
         chart = atlas.chart(entry["chart"])
         owner = f"segment in '{entry['chart']}': curve"
         curve = tuple(_parse_expr(text, ["t"], params, None, owner)

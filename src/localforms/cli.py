@@ -17,7 +17,8 @@ from .atlas import SamplePlan
 from .bundle_io import (load_bundle, load_christoffel, load_morphism,
                         load_path, load_tower)
 from .christoffel import check_christoffel_compat
-from .connection import (check_cocycle, check_compatibility, check_overlaps,
+from .connection import (DEFAULT_STEPS, DEFAULT_TOLERANCE, OVERLAP_TOLERANCE,
+                         check_cocycle, check_compatibility, check_overlaps,
                          parallel_transport)
 from .errors import LocalFormsError, TowerInvariantViolation
 from .morphism import (associated_connection, check_morphism_cocycle,
@@ -38,7 +39,8 @@ def _tolerance(text):
 
 
 def _add_common(parser):
-    parser.add_argument("--tolerance", type=_tolerance, default=1e-8)
+    parser.add_argument("--tolerance", type=_tolerance,
+                        default=DEFAULT_TOLERANCE)
     parser.add_argument("--grid", type=int, default=None)
     parser.add_argument("--random", type=int, default=None)
     parser.add_argument("--seed", type=int, default=None)
@@ -79,7 +81,7 @@ def _build_parser():
     p = sub.add_parser("transport", help="parallel transport along a path")
     p.add_argument("bundle")
     p.add_argument("path")
-    p.add_argument("--steps", type=int, default=1000)
+    p.add_argument("--steps", type=int, default=DEFAULT_STEPS)
     _add_common(p)
 
     p = sub.add_parser("convert-christoffel",
@@ -107,7 +109,7 @@ def _with_plan(data, args):
 
 def _run_verify(args) -> Report:
     data = _with_plan(load_bundle(args.bundle), args)
-    report = check_overlaps(data, min(args.tolerance, 1e-9))
+    report = check_overlaps(data, min(args.tolerance, OVERLAP_TOLERANCE))
     report.merge(check_cocycle(data, args.tolerance))
     report.merge(check_compatibility(data, args.tolerance))
     report.tolerance = args.tolerance

@@ -2,9 +2,10 @@
 
 Every check evaluates its whole sample set at once: each map, form and
 coordinate change is walked once per sample set, with every coordinate
-direction as a seed of the same walk, and the residuals are reduced over the
-stack.  Sample sets and overlap pushes come from the atlas's memo, so the
-checks on one document sample and push each overlap once between them.
+direction on a leading axis of the same walk's tangent, and the residuals
+are reduced over the stack.  Sample sets and overlap pushes come from the
+atlas's memo, so the checks on one document sample and push each overlap
+once between them.
 Compatibility is verified in the source chart's coordinates: the
 destination-side form is evaluated at the transported point on the
 transported direction, and compared by `check_relation` against the gauge
@@ -13,6 +14,8 @@ of omega by g computed at the source point.
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 
 from ..atlas import directions, in_box
@@ -20,6 +23,10 @@ from ..expr.dual import DET_THRESHOLD
 from ..report import Report, max_residual
 from .data import DEFAULT_TOLERANCE, LocalConnectionData
 from .forms import gauge
+
+# tolerance of the atlas checks in check_overlaps; verify uses the smaller of
+# it and its own tolerance
+OVERLAP_TOLERANCE = 1e-9
 
 
 def check_cocycle(data: LocalConnectionData, tolerance=DEFAULT_TOLERANCE) -> Report:
@@ -35,11 +42,9 @@ def check_cocycle(data: LocalConnectionData, tolerance=DEFAULT_TOLERANCE) -> Rep
             report.add(f"cocycle:identity:{a}",
                        max_residual(g.value(pts) - identity), len(pts))
 
-    seen = set()
     for (a, b) in sorted(data.transitions):
-        if a == b or (b, a) not in data.transitions or (b, a) in seen:
+        if not a < b or (b, a) not in data.transitions:
             continue
-        seen.add((a, b))
         overlap = data.atlas.overlap(a, b)
         if overlap is None:
             continue
@@ -49,29 +54,24 @@ def check_cocycle(data: LocalConnectionData, tolerance=DEFAULT_TOLERANCE) -> Rep
         report.add(f"cocycle:{a},{b}", max_residual(product - identity),
                    len(pts))
 
-    charts = sorted(data.atlas.charts)
-    for a in charts:
-        for b in charts:
-            for c in charts:
-                if len({a, b, c}) != 3:
-                    continue
-                if not all(key in data.transitions
-                           for key in [(a, b), (b, c), (a, c)]):
-                    continue
-                triple = data.atlas.triple_points(
-                    data.sample_plan, a, b, c, data.params)
-                if triple is None or not len(triple[0]):
-                    continue
-                pts, y = triple
-                lhs = data.transitions[(a, b)].value(pts) \
-                    @ data.transitions[(b, c)].value(y)
-                rhs = data.transitions[(a, c)].value(pts)
-                report.add(f"cocycle:{a},{b},{c}", max_residual(lhs - rhs),
-                           len(pts))
+    for a, b, c in itertools.permutations(sorted(data.atlas.charts), 3):
+        if not all(key in data.transitions
+                   for key in [(a, b), (b, c), (a, c)]):
+            continue
+        triple = data.atlas.triple_points(
+            data.sample_plan, a, b, c, data.params)
+        if triple is None or not len(triple[0]):
+            continue
+        pts, y = triple
+        lhs = data.transitions[(a, b)].value(pts) \
+            @ data.transitions[(b, c)].value(y)
+        rhs = data.transitions[(a, c)].value(pts)
+        report.add(f"cocycle:{a},{b},{c}", max_residual(lhs - rhs), len(pts))
     return report
 
 
-def check_overlaps(data: LocalConnectionData, tolerance=1e-9) -> Report:
+def check_overlaps(data: LocalConnectionData,
+                   tolerance=OVERLAP_TOLERANCE) -> Report:
     """Atlas sanity on samples: round-trip of bidirectional coordinate
     changes, and nonsingularity of their Jacobians (reported as 1.0 when a
     sampled Jacobian determinant falls below the invertibility threshold)."""

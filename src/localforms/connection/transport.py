@@ -24,6 +24,8 @@ from .data import LocalConnectionData
 from .points import PointRep, chart_change
 
 JUNCTION_TOLERANCE = 1e-8
+# RK4 steps of a transport when none are given
+DEFAULT_STEPS = 1000
 
 
 @dataclass(frozen=True)
@@ -37,9 +39,9 @@ class PathSegment:
         """Curve points and velocities at parameter t, a float or an array
         of parameters: shapes t.shape + (d,)."""
         t = np.asarray(t, dtype=float)[..., None]
-        pairs = [ast.eval_dual(t, params, [[1.0]]) for ast in self.curve]
+        pairs = [ast.eval_dual(t, params, seeds=[1.0]) for ast in self.curve]
         return (np.stack([x for x, _ in pairs], axis=-1),
-                np.stack([xdot[0] for _, xdot in pairs], axis=-1))
+                np.stack([xdot for _, xdot in pairs], axis=-1))
 
 
 def start_matrix(a0, n) -> np.ndarray:
@@ -60,7 +62,7 @@ def start_matrix(a0, n) -> np.ndarray:
 
 def parallel_transport(data: LocalConnectionData,
                        path: Sequence[PathSegment],
-                       a0, steps=1000) -> np.ndarray:
+                       a0, steps=DEFAULT_STEPS) -> np.ndarray:
     if steps < 1:
         raise ValidationError(
             f"transport needs at least one step, got {steps}")

@@ -1,15 +1,17 @@
 """Forward-mode dual values over a batch of sample points.
 
-A Dual carries a primal value together with one tangent per active seed
-direction.  The primal has shape `batch + value_shape`, where the value
-shape is () for a scalar and (n, m) for a matrix; the tangent has shape
-`(k,) + batch + value_shape`, seed axis first, and is None when it is
-identically zero (constants, and every value of a seedless evaluation).
-The batch may be () (one point); any batch axis may have length 1 and
-broadcast against the others, and a tangent may carry extra leading batch
-axes (for example one direction per coordinate).
+A Dual carries a primal value together with one tangent.  The primal has
+shape `batch + value_shape`, where the value shape is () for a scalar and
+(n, m) for a matrix; the tangent has shape `dirs + value_shape`, where
+`dirs` lines up with the primal's batch at the trailing end, as numpy
+broadcasting aligns shapes: extra leading axes carry several directions
+at once (for example one per coordinate), and any axis of either may have
+length 1.  The tangent is None when it is identically zero (constants,
+and every value of an evaluation without seeds).
 
-All arithmetic propagates tangents by the exact product and chain rules,
+Shapes are not checked here: `nodes.infer_shape` checks every tree once,
+when its `ExprAST` is built, so the operations below only compute.  All
+arithmetic propagates tangents by the exact product and chain rules,
 never by finite differences.
 
 `expm` is the package's one matrix exponential: Pade-13 scaling and squaring
@@ -46,36 +48,22 @@ class Dual:
         self.is_matrix = is_matrix
 
     @classmethod
-    def scalar(cls, value, tangent=None):
-        return cls._seeded(np.asarray(value, dtype=float), tangent, False)
-
-    @classmethod
     def matrix(cls, value, tangent=None):
+        """A matrix or a stack of them; the caller's tangent is checked."""
         value = np.asarray(value, dtype=float)
-        if tangent is not None and np.shape(tangent)[-2:] != value.shape[-2:]:
-            raise ShapeError("matrix tangent shape does not match primal")
-        return cls._seeded(value, tangent, True)
-
-    @classmethod
-    def _seeded(cls, value, tangent, is_matrix):
-        """Pad the tangent's batch axes so they line up with the primal's."""
         if tangent is not None:
             tangent = np.asarray(tangent, dtype=float)
-            missing = value.ndim + 1 - tangent.ndim
-            if missing > 0:
-                tangent = tangent.reshape(
-                    tangent.shape[:1] + (1,) * missing + tangent.shape[1:])
-        return cls(value, tangent, is_matrix)
+            if tangent.shape[-2:] != value.shape[-2:]:
+                raise ShapeError("matrix tangent shape does not match primal")
+        return cls(value, tangent, True)
 
     # ----- arithmetic -------------------------------------------------
 
     def __add__(self, other):
-        _require_same_kind(self, other, "+")
         return Dual(self.primal + other.primal,
                     _sum(self.tangent, other.tangent), self.is_matrix)
 
     def __sub__(self, other):
-        _require_same_kind(self, other, "-")
         return Dual(self.primal - other.primal,
                     _sum(self.tangent, _neg(other.tangent)), self.is_matrix)
 
@@ -92,20 +80,14 @@ class Dual:
                              _mul(b.tangent, a.primal)))
         if not a.is_matrix:
             return Dual(_lift(a.primal) * b.primal,
-                        _sum(_mul(_lift_tangent(a.tangent), b.primal),
+                        _sum(_mul(_lift(a.tangent), b.primal),
                              _mul(b.tangent, _lift(a.primal))),
                         True)
-        if a.primal.shape[-1] != b.primal.shape[-2]:
-            raise ShapeError(
-                f"matrix product of {a.primal.shape[-2:]} by "
-                f"{b.primal.shape[-2:]}")
         return Dual(a.primal @ b.primal,
                     _sum(_matmul(a.tangent, b.primal),
                          _matmul(a.primal, b.tangent)), True)
 
     def __truediv__(self, other):
-        if other.is_matrix:
-            raise ShapeError("division by a matrix is not defined")
         _domain(other.primal == 0.0, "division by zero")
         inv = 1.0 / other.primal
         if not self.is_matrix:
@@ -116,7 +98,7 @@ class Dual:
                     * inv * inv
             return Dual(self.primal * inv, tangent)
         inv = _lift(inv)
-        quotient = _mul(_lift_tangent(other.tangent), self.primal)
+        quotient = _mul(_lift(other.tangent), self.primal)
         if quotient is not None:
             quotient = quotient * inv * inv
         return Dual(self.primal * inv,
@@ -124,8 +106,6 @@ class Dual:
 
     def powi(self, exponent):
         """Integer power of a scalar."""
-        if self.is_matrix:
-            raise ShapeError("^ applies to scalars only")
         p = self.primal
         if exponent == 0:
             return Dual(np.ones_like(p))
@@ -144,8 +124,6 @@ class Dual:
     def _map(self, fn, chain):
         """fn applied to a scalar; chain(primal, value, tangent) gives the
         new tangent."""
-        if self.is_matrix:
-            raise ShapeError("scalar function applied to a matrix")
         value = fn(self.primal)
         if self.tangent is None:
             return Dual(value)
@@ -164,20 +142,16 @@ class Dual:
         return self._map(np.exp, lambda _, value, t: value * t)
 
     def log(self):
-        if not self.is_matrix:
-            _domain(self.primal <= 0.0, "log of a non-positive number")
+        _domain(self.primal <= 0.0, "log of a non-positive number")
         return self._map(np.log, lambda p, _, t: t / p)
 
     def sqrt(self):
-        if not self.is_matrix:
-            _domain(self.primal < 0.0, "sqrt of a negative number")
-            _domain(self.primal == 0.0, "sqrt differentiated at zero")
+        _domain(self.primal < 0.0, "sqrt of a negative number")
+        _domain(self.primal == 0.0, "sqrt differentiated at zero")
         return self._map(np.sqrt, lambda _, root, t: t / (2.0 * root))
 
     @staticmethod
     def atan2(y, x):
-        if y.is_matrix or x.is_matrix:
-            raise ShapeError("atan2 applied to a matrix")
         denom = y.primal * y.primal + x.primal * x.primal
         _domain(denom == 0.0, "atan2 at the origin")
         value = np.arctan2(y.primal, x.primal)
@@ -190,23 +164,16 @@ class Dual:
     # ----- matrix functions -------------------------------------------
 
     def transpose(self):
-        if not self.is_matrix:
-            raise ShapeError("transpose applied to a scalar")
-        tangent = None
-        if self.tangent is not None:
-            tangent = np.swapaxes(self.tangent, -1, -2)
+        tangent = (None if self.tangent is None
+                   else np.swapaxes(self.tangent, -1, -2))
         return Dual(np.swapaxes(self.primal, -1, -2), tangent, True)
 
     def mexp(self):
-        if not self.is_matrix or self.primal.shape[-1] != self.primal.shape[-2]:
-            raise ShapeError("mexp requires a square matrix")
         if self.tangent is None:
             return Dual(expm(self.primal), None, True)
         return Dual(*expm(self.primal, self.tangent), True)
 
     def inv(self):
-        if not self.is_matrix or self.primal.shape[-1] != self.primal.shape[-2]:
-            raise ShapeError("inv requires a square matrix")
         _domain(np.abs(np.linalg.det(self.primal)) <= DET_THRESHOLD,
                 "inverse of a (near-)singular matrix")
         b = np.linalg.inv(self.primal)
@@ -316,12 +283,9 @@ def _domain(bad, message):
 
 
 def _lift(scalar):
-    """A batch of scalars as a batch of 1x1 factors of matrices."""
-    return scalar[..., None, None] if np.ndim(scalar) else scalar
-
-
-def _lift_tangent(tangent):
-    return None if tangent is None else tangent[..., None, None]
+    """A batch of scalars, or their tangent, as a batch of 1x1 factors of
+    matrices; None stays None."""
+    return None if scalar is None else scalar[..., None, None]
 
 
 def _sum(a, b):
@@ -344,12 +308,3 @@ def _matmul(a, b):
     if a is None or b is None:
         return None
     return a @ b
-
-
-def _require_same_kind(a, b, op):
-    if a.is_matrix != b.is_matrix:
-        raise ShapeError(f"'{op}' mixes a scalar and a matrix")
-    if a.is_matrix and a.primal.shape[-2:] != b.primal.shape[-2:]:
-        raise ShapeError(
-            f"'{op}' on matrices of shapes {a.primal.shape[-2:]} and "
-            f"{b.primal.shape[-2:]}")

@@ -2,7 +2,8 @@
 
 Shapes are either None (scalar) or an (rows, cols) pair; they are fully
 determined by the expression structure, so conformance of matrix products,
-sums and function arguments is checked once at validation time.
+sums and function arguments is checked here once, when an ExprAST is built,
+and the dual-number operations that evaluate the tree check none of it.
 """
 
 from __future__ import annotations

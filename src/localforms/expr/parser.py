@@ -7,7 +7,6 @@ as the (left-associative) matrix product whenever an operand is a matrix.
 
 from __future__ import annotations
 
-import functools
 import math
 import re
 from dataclasses import dataclass, field
@@ -15,10 +14,11 @@ from typing import Dict, Mapping, NamedTuple, Tuple
 
 import numpy as np
 
-from ..errors import DomainError, ExpressionSyntaxError, ValidationError
+from ..errors import (DomainError, ExpressionSyntaxError, ShapeError,
+                      ValidationError)
 from .evaluate import evaluate
 from .dual import Dual
-from .nodes import (Binary, Call, MatLit, Name, Node, Num, Unary,
+from .nodes import (Binary, Call, MatLit, Name, Node, Num, Shape, Unary,
                     MATRIX_FUNCTIONS, SCALAR_FUNCTIONS, infer_shape)
 
 _NUMBER = r"\d+(?:\.\d*)?(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?"
@@ -241,18 +241,19 @@ class _Parser:
 
 @dataclass(frozen=True)
 class ExprAST:
-    """A validated expression over chart coordinates and parameters."""
+    """A validated expression over chart coordinates and parameters.  Its
+    static shape is inferred when it is built, which checks every name and
+    every shape rule of the grammar once, and is kept."""
 
     root: Node
     coords: Tuple[str, ...]
     params: Tuple[str, ...] = ()
     matrix_params: Mapping[str, Tuple[int, int]] = field(default_factory=dict)
+    shape: Shape = field(init=False, repr=False, compare=False)
 
-    @functools.cached_property
-    def shape(self):
-        """The static shape, inferred once over the tree (which is also
-        its validation) and kept."""
-        return infer_shape(self.root, self._name_shapes())
+    def __post_init__(self):
+        object.__setattr__(self, "shape",
+                           infer_shape(self.root, self._name_shapes()))
 
     def _name_shapes(self):
         shapes: Dict[str, object] = {name: None for name in self.coords}
@@ -268,7 +269,8 @@ class ExprAST:
 
     def _bindings(self, points, params, seeds):
         """Coordinate and parameter bindings for points of shape batch + (d,)
-        and seeds (None, or shape (k,) + seed batch + (d,))."""
+        and seeds (None, or shape dirs + (d,)); a matrix parameter must have
+        its declared shape."""
         if points.shape[-1:] != (len(self.coords),):
             raise ValidationError(
                 f"expected {len(self.coords)} coordinates, got "
@@ -276,16 +278,21 @@ class ExprAST:
         params = dict(params or {})
         bindings = {}
         for j, name in enumerate(self.coords):
-            tangent = None if seeds is None else seeds[..., j]
-            bindings[name] = Dual.scalar(points[..., j], tangent)
+            bindings[name] = Dual(points[..., j],
+                                  None if seeds is None else seeds[..., j])
         for name in self.params:
             if name not in params:
                 raise ValidationError(f"parameter '{name}' is not bound")
             bindings[name] = Dual(np.float64(params[name]))
-        for name in self.matrix_params:
+        for name, shape in self.matrix_params.items():
             if name not in params:
                 raise ValidationError(f"parameter '{name}' is not bound")
-            bindings[name] = Dual.matrix(params[name])
+            value = Dual.matrix(params[name])
+            if value.primal.shape[-2:] != tuple(shape):
+                raise ShapeError(
+                    f"parameter '{name}' has shape "
+                    f"{value.primal.shape[-2:]}, expected {tuple(shape)}")
+            bindings[name] = value
         return bindings
 
     def _walk(self, bindings, points=None):
@@ -311,42 +318,34 @@ class ExprAST:
         return _broadcast(result.primal,
                           points.shape[:-1] + _value_shape(result))
 
-    def eval_dual(self, points, params=None, seeds=()):
-        """Evaluate together with directional derivatives along each seed.
+    def eval_dual(self, points, params=None, *, seeds):
+        """Evaluate together with the derivative along `seeds`, in one walk.
 
-        `seeds` has shape (k, d), the same directions at every point, or
-        (k,) + seed batch + (d,), directions varying over a batch that
-        broadcasts against the points' batch.  Returns (value, tangents):
-        tangents[i] is the derivative along seed i, and tangents has shape
-        (k,) + broadcast batch + value shape.
+        `seeds` has shape dirs + (d,): one direction (d,) at every point,
+        or directions whose axes broadcast against the points' batch, lined
+        up at the trailing end (np.eye(d)[:, None], shape (d, 1, d), gives
+        every coordinate direction at every point of a stack).
+        Returns (value, derivative), of shapes batch + value shape and
+        broadcast(dirs, batch) + value shape.
         """
         points = np.asarray(points, dtype=float)
         seeds = np.asarray(seeds, dtype=float)
-        if seeds.size == 0:
-            seeds = seeds.reshape(len(seeds), len(self.coords))
-        if seeds.ndim < 2 or seeds.shape[-1] != len(self.coords):
+        if seeds.shape[-1:] != (len(self.coords),):
             raise ValidationError("seed dimension mismatch")
         result = self._walk(self._bindings(points, params, seeds), points)
         value_shape = _value_shape(result)
         batch = points.shape[:-1]
-        tangent_shape = (len(seeds),) + np.broadcast_shapes(
-            seeds.shape[1:-1], batch) + value_shape
-        tangent = result.tangent
-        if tangent is None:
-            tangent = np.zeros(tangent_shape)
+        tangent_shape = np.broadcast_shapes(seeds.shape[:-1], batch) \
+            + value_shape
+        tangent = np.zeros(()) if result.tangent is None else result.tangent
         return (_broadcast(result.primal, batch + value_shape),
                 _broadcast(tangent, tangent_shape))
 
-    def eval_bound(self, bindings, n_seeds):
+    def eval_bound(self, bindings):
         """Evaluate with explicit Dual bindings (used to differentiate through
-        matrix-valued parameters); a tangent that vanishes identically is
-        returned as zeros with `n_seeds` seeds."""
-        result = self._walk(bindings)
-        if result.tangent is None and n_seeds:
-            return Dual(result.primal,
-                        np.zeros((n_seeds,) + np.shape(result.primal)),
-                        result.is_matrix)
-        return result
+        matrix-valued parameters); returns the Dual, whose tangent is None
+        where it vanishes identically."""
+        return self._walk(bindings)
 
 
 def _value_shape(result):
@@ -378,8 +377,5 @@ def parse(source, coords, params=(), matrix_params=None) -> ExprAST:
     Raises ExpressionSyntaxError on malformed text and
     ValidationError/ShapeError on unknown names or dimension mismatches.
     """
-    root = _Parser(source).parse()
-    ast = ExprAST(root, tuple(coords), tuple(params),
-                  dict(matrix_params or {}))
-    ast.shape  # validates names and dimensions
-    return ast
+    return ExprAST(_Parser(source).parse(), tuple(coords), tuple(params),
+                   dict(matrix_params or {}))

@@ -115,9 +115,7 @@ class ExprGroupMap(GroupMap):
         return self.ast.eval(x, self.params)
 
     def jet(self, x, v):
-        value, tangents = self.ast.eval_dual(
-            x, self.params, np.asarray(v, dtype=float)[None])
-        return value, tangents[0]
+        return self.ast.eval_dual(x, self.params, seeds=v)
 
 
 @dataclass(frozen=True)
@@ -195,16 +193,16 @@ class GroupMorphismSpec:
                 f"{what} has shape {g.shape[-2:]}, "
                 f"expected ({self.source_dim}, {self.source_dim})")
 
-    def _eval(self, arg, n_seeds):
+    def _eval(self, arg):
         bindings = {"g": arg}
         for name in self.phi.params:
             bindings[name] = Dual(np.float64(self.params[name]))
-        return self.phi.eval_bound(bindings, n_seeds)
+        return self.phi.eval_bound(bindings)
 
     def apply(self, g):
         g = np.asarray(g, dtype=float)
         self._check_source(g, "morphism argument")
-        image = self._eval(Dual.matrix(g), 0).primal
+        image = self._eval(Dual.matrix(g)).primal
         return np.broadcast_to(image, g.shape[:-2] + image.shape[-2:])
 
     def jet(self, g, E):
@@ -212,12 +210,12 @@ class GroupMorphismSpec:
         the broadcast of both batches + (m, m)), from one walk."""
         g = np.asarray(g, dtype=float)
         self._check_source(g, "morphism argument")
-        E = np.asarray(E, dtype=float)
-        image = self._eval(Dual.matrix(g, E[None]), 1)
-        value, tangent = image.primal, image.tangent[0]
-        batch = np.broadcast_shapes(g.shape[:-2], E.shape[:-2])
+        image = self._eval(Dual.matrix(g, E))
+        value = image.primal
+        tangent = 0.0 if image.tangent is None else image.tangent
+        batch = np.broadcast_shapes(g.shape[:-2], np.shape(E)[:-2])
         return (np.broadcast_to(value, g.shape[:-2] + value.shape[-2:]),
-                np.broadcast_to(tangent, batch + tangent.shape[-2:]))
+                np.broadcast_to(tangent, batch + value.shape[-2:]))
 
     def induced(self, X):
         """Induced algebra morphism: d/dt phi(exp(tX)) at t = 0."""

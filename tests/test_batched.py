@@ -30,7 +30,7 @@ def _points(n=17, seed=5):
 def test_rows_are_independent(source):
     ast = parse(source, COORDS)
     pts = _points()
-    seeds = np.eye(2)
+    seeds = directions(2)
     values = ast.eval(pts)
     dual_values, tangents = ast.eval_dual(pts, seeds=seeds)
     assert np.array_equal(values, dual_values)
@@ -47,10 +47,10 @@ def test_all_direction_seeds_match_single_directions(source):
     # d seeds in one walk give eval_dual along each unit direction
     ast = parse(source, COORDS)
     pts = _points()
-    _, tangents = ast.eval_dual(pts, seeds=np.eye(2))
+    _, tangents = ast.eval_dual(pts, seeds=directions(2))
     for i, e in enumerate(np.eye(2)):
-        _, single = ast.eval_dual(pts, seeds=[e])
-        assert np.array_equal(tangents[i], single[0])
+        _, single = ast.eval_dual(pts, seeds=e)
+        assert np.array_equal(tangents[i], single)
         for p in range(len(pts)):  # and one point at a time
             _, at_point = ast.eval_dual(pts[p], seeds=[e])
             assert np.allclose(tangents[i, p], at_point[0], rtol=0,
@@ -90,12 +90,12 @@ def test_domain_error_names_the_sample_point():
     ast = parse("log(x2 - x1)", COORDS)
     pts = np.array([[0.1, 0.9], [0.7, 0.2], [0.3, 0.8]])
     with pytest.raises(DomainError, match=r"at point \[0\.7, 0\.2\]"):
-        ast.eval_dual(pts, seeds=np.eye(2))
+        ast.eval_dual(pts, seeds=directions(2))
 
 
 def test_empty_sample_set():
     ast = parse(SOURCES[2], COORDS)
-    value, tangents = ast.eval_dual(np.zeros((0, 2)), seeds=np.eye(2))
+    value, tangents = ast.eval_dual(np.zeros((0, 2)), seeds=directions(2))
     assert value.shape == (0, 2, 2)
     assert tangents.shape == (2, 0, 2, 2)
 

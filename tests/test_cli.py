@@ -429,7 +429,7 @@ def _set(*keys, value):
     ("sphere_levi_civita.json", ["convert-christoffel"], _drop_gamma,
      "chart 'U_S' has no Christoffel symbols"),
     ("morphism_squaring.json", ["push", fixture_path("monopole_k1.json")],
-     _infinite_dim, "invalid value"),
+     _infinite_dim, "source_n must be an integer, not inf"),
     ("monopole_k1.json", ["verify"], _matrix_mask,
      "overlap U_N->U_S: mask must be scalar"),
     ("sphere_levi_civita.json", ["convert-christoffel"],
@@ -484,6 +484,57 @@ def _set(*keys, value):
      _set("segments", value="U1"), "segments must be a list, not a string"),
     ("tower_unipotent.json", ["tower"], _set("levels", value="ab"),
      "levels must be a list, not a string"),
+    # integer fields, once truncated or converted by int()
+    ("abelian.json", ["verify"], _set("sample_plan", "seed", value=1.9),
+     "sample_plan: seed must be an integer, not 1.9"),
+    ("abelian.json", ["verify"], _set("group", "n", value=2.9),
+     "group: n must be an integer, not 2.9"),
+    ("abelian.json", ["verify"], _set("group", "n", value="2"),
+     "group: n must be an integer, not '2'"),
+    ("abelian.json", ["verify"], _set("sample_plan", "grid", value="7"),
+     "sample_plan: grid must be an integer, not '7'"),
+    ("abelian.json", ["verify"], _set("sample_plan", "grid", value=True),
+     "sample_plan: grid must be an integer, not a boolean"),
+    ("abelian.json", ["verify"], _set("sample_plan", "random", value=None),
+     "sample_plan: random must be an integer, not null"),
+    ("abelian.json", ["verify"], _set("charts", 0, "dim", value=1.0),
+     "chart 'U1': dim must be an integer, not 1.0"),
+    ("morphism_squaring.json", ["push", fixture_path("monopole_k1.json")],
+     _set("target_n", value="2"), "target_n must be an integer, not '2'"),
+    ("sphere_levi_civita.json", ["convert-christoffel"],
+     _set("fiber_dim", value=[2]), "fiber_dim must be an integer, not a list"),
+    # object fields and entries, once indexed as strings or lists
+    ("abelian.json", ["verify"], _set("charts", 0, value="U1"),
+     "charts[0] must be an object, not a string"),
+    ("abelian.json", ["verify"], _set("overlaps", 0, value="x"),
+     "overlaps[0] must be an object, not a string"),
+    ("path_abelian.json", ["transport", fixture_path("abelian.json")],
+     _set("segments", 0, value="U1"),
+     "segments[0] must be an object, not a string"),
+    ("tower_unipotent.json", ["tower"], _set("connectors", "2,1", value="g"),
+     "connector '2,1' must be an object, not a string"),
+    ("abelian.json", ["verify"], _set("group", value="U1"),
+     "group must be an object, not a string"),
+    ("tower_unipotent.json", ["tower"], _set("levels", 0, value=3),
+     "levels[0] must be an object, not a number"),
+    ("abelian.json", ["verify"], _set("transitions", value=["x"]),
+     "transitions must be an object, not a list"),
+    ("abelian.json", ["verify"], _set("forms", value="x"),
+     "forms must be an object, not a string"),
+    ("abelian.json", ["verify"], _set("params", value=["a"]),
+     "params must be an object, not a list"),
+    ("abelian.json", ["verify"], _set("sample_plan", value="x"),
+     "sample_plan must be an object, not a string"),
+    ("tower_unipotent.json", ["tower"], _set("connectors", value=["2,1"]),
+     "connectors must be an object, not a list"),
+    ("morphism_gauge.json", ["relate", fixture_path("monopole_k1.json"),
+                             fixture_path("monopole_k1.json")],
+     _set("h", value="x"), "h must be an object, not a string"),
+    ("morphism_squaring.json", ["push", fixture_path("monopole_k1.json")],
+     _set("target_transitions", value=["x"]),
+     "target_transitions must be an object, not a list"),
+    ("sphere_levi_civita.json", ["convert-christoffel"],
+     _set("gamma", value="x"), "gamma must be an object, not a string"),
 ])
 def test_inconsistent_document_is_a_usage_error(tmp_path, capsys, name, argv,
                                                 edit, needle):
@@ -495,6 +546,15 @@ def test_inconsistent_document_is_a_usage_error(tmp_path, capsys, name, argv,
     assert err.startswith(f"error: '{path}': ")
     assert needle in err
     assert "Traceback" not in err
+
+
+def test_document_that_is_not_an_object_is_a_usage_error(tmp_path, capsys):
+    path = tmp_path / "bundle.json"
+    path.write_text("[]")
+    code, report = run(tmp_path, "verify", str(path))
+    assert (code, report) == (2, None)
+    assert capsys.readouterr().err == (
+        f"error: '{path}': the document must be an object, not a list\n")
 
 
 def test_negative_seed_flag_is_a_usage_error(tmp_path, capsys):

@@ -121,7 +121,7 @@ def test_dual_matrix_binding():
     ast = parse("g * g", [], matrix_params={"g": (2, 2)})
     g0 = np.array([[1.0, 2.0], [0.5, 1.0]])
     e = np.array([[0.0, 1.0], [1.0, 0.0]])
-    result = ast.eval_bound({"g": Dual.matrix(g0, [e])}, 1)
+    result = ast.eval_bound({"g": Dual.matrix(g0, [e])})
     assert np.allclose(result.primal, g0 @ g0)
     assert np.allclose(result.tangent[0], e @ g0 + g0 @ e, atol=1e-15)
 

@@ -3,7 +3,7 @@ import pytest
 
 from localforms.errors import (DomainError, ExpressionSyntaxError, ShapeError,
                                ValidationError)
-from localforms.expr import parse
+from localforms.expr import ExprAST, MatLit, Num, parse
 from localforms.expr.evaluate import evaluate
 
 
@@ -100,6 +100,20 @@ def test_non_integer_exponent_rejected():
 def test_ragged_matrix_rejected():
     with pytest.raises(ValidationError, match="ragged"):
         parse("[[1, 2], [3]]", [])
+
+
+def test_tree_built_without_parse_is_checked():
+    # a ragged literal once built and evaluated to a matrix whose missing
+    # entry was uninitialized memory
+    with pytest.raises(ValidationError, match="ragged"):
+        ExprAST(MatLit(((Num(1.0), Num(2.0)), (Num(3.0),))), ())
+
+
+def test_matrix_parameter_must_have_its_declared_shape():
+    ast = parse("g", [], matrix_params={"g": (2, 2)})
+    with pytest.raises(ShapeError, match="parameter 'g' has shape"):
+        ast.eval(np.zeros(0), {"g": np.eye(3)})
+    assert np.array_equal(ast.eval(np.zeros(0), {"g": np.eye(2)}), np.eye(2))
 
 
 def test_shape_mismatch_rejected():

@@ -5,7 +5,12 @@
         --claim tower-deep:tower_s:0.7 --out BENCH_n.json
 
 The committed files of the parent revision are unpacked into a temporary
-directory (removed again at the end).  For every workload of BENCHMARK.json,
+directory (removed again at the end).  Each side runs with
+PYTHONPYCACHEPREFIX set to a fresh directory of its own in that temporary
+directory, and with PYTHONDONTWRITEBYTECODE unset, so neither reads a
+bytecode cache left in its checkout: both start from an empty cache, which
+the warm-up child of a side's first run fills for the package, numpy and
+the standard library alike.  For every workload of BENCHMARK.json,
 pair k of ten runs `perfbench/run.py --trace 0` at the benchmark's run length
 with seed first-seed + k once in the parent checkout and once in this working
 tree, one run at a time, the parent first in even pairs and the change first
@@ -55,14 +60,17 @@ def unpack_revision(revision, tree):
     return tree
 
 
-def run_once(tree, workload, seed, seconds, trace):
-    """One benchmark run in checkout `tree`: its final JSON line."""
+def run_once(tree, workload, seed, seconds, trace, pycache):
+    """One benchmark run in checkout `tree`, with its bytecode cache under
+    `pycache`: its final JSON line."""
     argv = [sys.executable, "perfbench/run.py", "--workload", workload,
             "--seed", str(seed), "--seconds", str(seconds),
             "--trace", str(trace)]
+    env = dict(os.environ, PYTHONPYCACHEPREFIX=str(pycache))
+    env.pop("PYTHONDONTWRITEBYTECODE", None)
     # run.py starts children of its own: on an interrupt the whole session
     # goes, not run.py alone
-    with subprocess.Popen(argv, cwd=tree, stdout=subprocess.PIPE,
+    with subprocess.Popen(argv, cwd=tree, env=env, stdout=subprocess.PIPE,
                           stderr=subprocess.PIPE, text=True,
                           start_new_session=True) as proc:
         try:
@@ -144,6 +152,7 @@ def main(argv=None):
     scratch = Path(tempfile.mkdtemp(prefix="bench-pairs-"))
     parent_tree = unpack_revision(revision, scratch / "parent")
     trees = {"parent": parent_tree, "change": ROOT}
+    pycaches = {side: scratch / f"pycache-{side}" for side in trees}
     doc = {
         "harness": (f"python3 perfbench/run.py --workload W --seed S "
                     f"--seconds {seconds:g} --trace 0 (end to end); "
@@ -174,7 +183,8 @@ def main(argv=None):
                     print(f"{workload} seed {seed} {side}", file=sys.stderr,
                           flush=True)
                     results[side].append(run_once(
-                        trees[side], workload, seed, seconds, 0))
+                        trees[side], workload, seed, seconds, 0,
+                        pycaches[side]))
             doc["end_to_end"][workload] = {
                 "seeds": seeds,
                 "error_rate": {side: f"{sum(r['failed'] for r in runs)}/"
@@ -189,8 +199,8 @@ def main(argv=None):
         for workload in args.traced:
             doc["traced_per_pass"][workload] = {
                 side: {name: metric["value"] for name, metric in run_once(
-                    trees[side], workload, TRACE_SEED, seconds,
-                    1)["metrics"].items()}
+                    trees[side], workload, TRACE_SEED, seconds, 1,
+                    pycaches[side])["metrics"].items()}
                 for side in ("parent", "change")}
             write()
         if args.claim:

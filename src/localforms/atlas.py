@@ -8,6 +8,7 @@ uniform random points.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import List, Mapping, Optional, Tuple
 
@@ -93,10 +94,13 @@ def in_box(points, box, slack=1e-9):
     return np.all((lo - slack <= points) & (points <= hi + slack), axis=-1)
 
 
+@functools.cache
 def directions(dim):
     """Every unit coordinate direction, shaped (dim, 1, dim) so that it
-    broadcasts against a stack of points."""
-    return np.eye(dim)[:, None, :]
+    broadcasts against a stack of points: one read-only array per dim."""
+    e = np.eye(dim)[:, None, :]
+    e.flags.writeable = False
+    return e
 
 
 def mask_keep(mask: Optional[ExprAST], points, params=None) -> np.ndarray:
@@ -164,26 +168,45 @@ def _key(params):
 
 @dataclass(frozen=True)
 class Atlas:
-    """Charts and overlaps of one document, with the memo of their sample
-    sets.  Every sample set (of a chart, an overlap or a triple-cocycle box)
-    and every overlap push is computed once per (plan, region, params) and
-    handed out read-only to every check on data over this atlas; the memo
-    lives and dies with the atlas."""
+    """Charts and overlaps of one document, with the memo of what is
+    computed on their sample sets: each sample set and overlap push once per
+    (plan, region, params); a map's jet or value and a form's value once per
+    map and read-only argument arrays, by identity, a value where the jet is
+    kept being its primal.  All read-only; it lives and dies with the atlas."""
 
     charts: Mapping[str, Chart]
     overlaps: Tuple[Overlap, ...]
     _memo: dict = field(default_factory=dict, init=False, repr=False,
                         compare=False)
 
-    def _memoized(self, key, build):
-        """The memo entry for key, an array or a tuple of arrays, built
-        read-only on the first call."""
-        if key not in self._memo:
+    def _memoized(self, key, build, *keep):
+        """The memo entry for key and the ids of `keep` (which it holds, so
+        no id is reused), an array or a tuple of arrays built read-only on
+        first use; built afresh if `keep` has a writable array."""
+        if any(isinstance(k, np.ndarray) and k.flags.writeable for k in keep):
+            return build()
+        key += tuple(map(id, keep))
+        entry = self._memo.get(key)
+        if entry is None:
             value = build()
             for array in value if isinstance(value, tuple) else (value,):
                 array.flags.writeable = False
-            self._memo[key] = value
-        return self._memo[key]
+            entry = self._memo[key] = value, keep
+        return entry[0]
+
+    def jet(self, f, x, v):
+        """f.jet(x, v) of a group map f; its primal is then f's value at x."""
+        jet = self._memoized(("jet",), lambda: f.jet(x, v), f, x, v)
+        self._memoized(("value",), lambda: jet[0], f, x)
+        return jet
+
+    def value(self, f, x):
+        """f.value(x) of a group map f."""
+        return self._memoized(("value",), lambda: f.value(x), f, x)
+
+    def form(self, form, x, v):
+        """form(x, v) of a local form."""
+        return self._memoized(("form",), lambda: form(x, v), form, x, v)
 
     def points(self, plan: SamplePlan, region, params=None) -> np.ndarray:
         """The sample points of a chart (given by its id) or of an

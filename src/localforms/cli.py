@@ -95,23 +95,19 @@ def _build_parser():
     return parser
 
 
-def _override_plan(plan, args) -> SamplePlan:
-    return SamplePlan(
+def _with_plan(data, args):
+    plan = data.sample_plan
+    return dataclasses.replace(data, sample_plan=SamplePlan(
         plan.grid if args.grid is None else args.grid,
         plan.n_random if args.random is None else args.random,
-        plan.seed if args.seed is None else args.seed)
-
-
-def _with_plan(data, args):
-    return dataclasses.replace(data,
-                               sample_plan=_override_plan(data.sample_plan, args))
+        plan.seed if args.seed is None else args.seed))
 
 
 def _run_verify(args) -> Report:
     data = _with_plan(load_bundle(args.bundle), args)
     report = check_overlaps(data, min(args.tolerance, OVERLAP_TOLERANCE))
-    report.merge(check_cocycle(data, args.tolerance))
     report.merge(check_compatibility(data, args.tolerance))
+    report.merge(check_cocycle(data, args.tolerance))
     report.tolerance = args.tolerance
     return report
 
@@ -121,9 +117,8 @@ def _run_relate(args) -> Report:
     target = _with_plan(load_bundle(args.target), args)
     morphism, _ = load_morphism(args.morphism, source.atlas, source.params)
     report = check_related(source, target, morphism, args.tolerance)
-    cocycle = check_morphism_cocycle(morphism, source, target.transitions,
-                                     args.tolerance)
-    report.merge(cocycle)
+    report.merge(check_morphism_cocycle(morphism, source, target.transitions,
+                                        args.tolerance))
     return report
 
 
@@ -135,8 +130,13 @@ def _run_push(args) -> Report:
         raise LocalFormsError(
             "push requires target_transitions in the morphism file")
     pushed = pushforward_connection(source, morphism, target_transitions,
-                                    args.tolerance)
-    report = check_compatibility(pushed, args.tolerance)
+                                    check=False)
+    try:
+        report = check_compatibility(pushed, args.tolerance)
+    finally:  # a failing cocycle is the error, also where compatibility raised
+        cocycle = check_morphism_cocycle(morphism, source, target_transitions,
+                                         args.tolerance, require=True)
+    report.merge(cocycle)
     report.merge(check_related(source, pushed, morphism, args.tolerance))
     return report
 
@@ -145,8 +145,7 @@ def _run_assoc(args) -> Report:
     source = _with_plan(load_bundle(args.bundle), args)
     morphism, _ = load_morphism(args.morphism, source.atlas, source.params)
     data = associated_connection(source, morphism.phi, morphism.target_group)
-    report = check_compatibility(data, args.tolerance)
-    return report
+    return check_compatibility(data, args.tolerance)
 
 
 def _run_transport(args) -> Report:

@@ -3,9 +3,9 @@
 Every check evaluates its whole sample set at once: each map, form and
 coordinate change is walked once per sample set, with every coordinate
 direction on a leading axis of the same walk's tangent, and the residuals
-are reduced over the stack.  Sample sets and overlap pushes come from the
-atlas's memo, so the checks on one document sample and push each overlap
-once between them.
+are reduced over the stack.  The checks on one document take sample sets,
+overlap pushes and the transitions' jets and values from the atlas's memo,
+so each is computed once between them.
 Compatibility is verified in the source chart's coordinates: the
 destination-side form is evaluated at the transported point on the
 transported direction, and compared by `check_relation` against the gauge
@@ -35,12 +35,13 @@ def check_cocycle(data: LocalConnectionData, tolerance=DEFAULT_TOLERANCE) -> Rep
     g_ab(x) g_bc(psi x) = g_ac(x) wherever all three are declared."""
     report = Report(tolerance, data.sample_plan)
     identity = np.eye(data.group.n)
+    at = data.atlas.value
 
     for (a, b), g in sorted(data.transitions.items()):
         if a == b:
             pts = data.points(a)
             report.add(f"cocycle:identity:{a}",
-                       max_residual(g.value(pts) - identity), len(pts))
+                       max_residual(at(g, pts) - identity), len(pts))
 
     for (a, b) in sorted(data.transitions):
         if not a < b or (b, a) not in data.transitions:
@@ -49,8 +50,8 @@ def check_cocycle(data: LocalConnectionData, tolerance=DEFAULT_TOLERANCE) -> Rep
         if overlap is None:
             continue
         pts, (y, _) = data.points(overlap), data.pushed(overlap)
-        product = data.transitions[(b, a)].value(y) \
-            @ data.transitions[(a, b)].value(pts)
+        product = at(data.transitions[(b, a)], y) \
+            @ at(data.transitions[(a, b)], pts)
         report.add(f"cocycle:{a},{b}", max_residual(product - identity),
                    len(pts))
 
@@ -63,9 +64,9 @@ def check_cocycle(data: LocalConnectionData, tolerance=DEFAULT_TOLERANCE) -> Rep
         if triple is None or not len(triple[0]):
             continue
         pts, y = triple
-        lhs = data.transitions[(a, b)].value(pts) \
-            @ data.transitions[(b, c)].value(y)
-        rhs = data.transitions[(a, c)].value(pts)
+        lhs = at(data.transitions[(a, b)], pts) \
+            @ at(data.transitions[(b, c)], y)
+        rhs = at(data.transitions[(a, c)], pts)
         report.add(f"cocycle:{a},{b},{c}", max_residual(lhs - rhs), len(pts))
     return report
 
@@ -95,11 +96,11 @@ def check_overlaps(data: LocalConnectionData,
     return report
 
 
-def check_relation(report: Report, name, lhs, theta, g, pts, e):
+def check_relation(report: Report, name, lhs, theta, g, pts, e, atlas):
     """Add one relation check to the report: lhs against the gauge of theta
-    by the group map g at points pts in directions e, or against theta
-    itself when g is None, over len(pts) * dim samples."""
-    rhs = theta if g is None else gauge(*g.jet(pts, e), theta)
+    by the group map g, its jet at points pts in directions e taken from the
+    atlas's memo, or theta itself when g is None; len(pts) * dim samples."""
+    rhs = theta if g is None else gauge(*atlas.jet(g, pts, e), theta)
     report.add(name, max_residual(lhs - rhs), len(pts) * e.shape[-1])
 
 
@@ -116,5 +117,5 @@ def check_compatibility(data: LocalConnectionData,
         y, w = data.pushed(ov)
         check_relation(report, f"compatibility:{ov.src},{ov.dst}",
                        data.forms[ov.dst](y, w), data.forms[ov.src](pts, e),
-                       data.transitions[(ov.src, ov.dst)], pts, e)
+                       data.transitions[(ov.src, ov.dst)], pts, e, data.atlas)
     return report

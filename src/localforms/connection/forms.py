@@ -18,7 +18,7 @@ from typing import Callable, Mapping, Tuple
 import numpy as np
 
 from ..expr import ExprAST
-from ..lie import GroupMap, adjoint, batch_shape, inverse
+from ..lie import GroupMap, batch_shape, inverse
 
 
 class LocalForm:
@@ -82,9 +82,10 @@ def zero_form(chart, dim, n) -> LocalForm:
 
 def gauge(g, dg, omega):
     """The gauge law at values: Ad(g^-1) . omega + g^-1 . dg for group values
-    g, their derivatives dg and algebra values omega (stacks broadcast)."""
+    g, their derivatives dg and algebra values omega (stacks broadcast),
+    computed as g^-1 omega g + g^-1 dg with one inverse of g."""
     g_inv = inverse(g)
-    return adjoint(g_inv, omega) + g_inv @ dg
+    return g_inv @ omega @ g + g_inv @ dg
 
 
 def gauge_transform(form: LocalForm, g: GroupMap) -> LocalForm:

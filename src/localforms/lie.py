@@ -2,9 +2,9 @@
 
 Groups are closed subgroups of GL(n, R); elements are plain (n, n) float
 arrays.  The module provides the adjoint action, the exponential, the left
-and right logarithmic differentials of group-valued maps, and group
-morphisms together with their induced Lie-algebra morphisms (computed by
-dual-number differentiation at the identity, never by finite differences).
+logarithmic differential of group-valued maps, and group morphisms together
+with their induced Lie-algebra morphisms (computed by dual-number
+differentiation at the identity, never by finite differences).
 """
 
 from __future__ import annotations
@@ -39,12 +39,7 @@ def inverse(g):
 
 def adjoint(g, X):
     """Ad(g)X = g X g^-1, broadcast over stacks of g and X."""
-    g = ensure_invertible(g)
-    return g @ np.asarray(X, dtype=float) @ np.linalg.inv(g)
-
-
-def commutator(X, Y):
-    return X @ Y - Y @ X
+    return np.asarray(g, dtype=float) @ np.asarray(X, dtype=float) @ inverse(g)
 
 
 # The exponential of a matrix or a stack under its Lie-group name, for
@@ -162,12 +157,6 @@ def log_diff_left(f: GroupMap, x, v):
     """Left logarithmic differential (f^-1 df)_x(v) = f(x)^-1 . T_x f(v)."""
     value, d_value = f.jet(x, v)
     return inverse(value) @ d_value
-
-
-def log_diff_right(f: GroupMap, x, v):
-    """Right logarithmic differential (df . f^-1)_x(v) = T_x f(v) . f(x)^-1."""
-    value, d_value = f.jet(x, v)
-    return d_value @ inverse(value)
 
 
 # ----- group morphisms ------------------------------------------------

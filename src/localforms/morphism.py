@@ -18,10 +18,10 @@ import numpy as np
 
 from .atlas import directions
 from .connection import (DEFAULT_TOLERANCE, CallableForm, LocalConnectionData,
-                         PointRep, check_relation)
+                         check_relation)
 from .errors import AtlasMismatchError, MorphismCocycleViolation
 from .lie import (ComposedGroupMap, ConstGroupMap, GroupMap, GroupMorphismSpec,
-                  GroupSpec, adjoint, inverse)
+                  GroupSpec, inverse)
 from .report import Report, max_residual
 
 
@@ -41,17 +41,13 @@ class MorphismData:
         return ConstGroupMap(np.eye(self.target_group.n))
 
 
-def _require_shared_atlas(a: LocalConnectionData, b: LocalConnectionData):
-    if not a.atlas.same_charts(b.atlas):
-        raise AtlasMismatchError("bundles do not share an atlas")
-
-
 def check_related(omega: LocalConnectionData, theta: LocalConnectionData,
                   m: MorphismData, tolerance=DEFAULT_TOLERANCE) -> Report:
     """Relatedness criterion per chart:
     phibar(omega_a,x(v)) = Ad(h_a(x)^-1).theta_a,x(v) + (h_a^-1 dh_a)_x(v),
     or phibar(omega_a,x(v)) = theta_a,x(v) where no h_a is declared."""
-    _require_shared_atlas(omega, theta)
+    if not omega.atlas.same_charts(theta.atlas):
+        raise AtlasMismatchError("bundles do not share an atlas")
     report = Report(tolerance, omega.sample_plan)
     for chart_id in sorted(omega.atlas.charts):
         pts = omega.points(chart_id)
@@ -59,70 +55,70 @@ def check_related(omega: LocalConnectionData, theta: LocalConnectionData,
         check_relation(report, f"related:{chart_id}",
                        m.phi.induced(omega.forms[chart_id](pts, e)),
                        theta.forms[chart_id](pts, e), m.h.get(chart_id),
-                       pts, e)
+                       pts, e, omega.atlas)
     return report
 
 
 def check_morphism_cocycle(m: MorphismData, source: LocalConnectionData,
                            target_transitions: Mapping[Tuple[str, str], GroupMap],
-                           tolerance=DEFAULT_TOLERANCE) -> Report:
+                           tolerance=DEFAULT_TOLERANCE,
+                           require=False) -> Report:
     """Completion condition on the target transition family:
     h_ab(x) = h_a(x) . phi(g_ab(x)) . h_b(psi(x))^-1 on every overlap, where
-    an h that is not declared is left out of the product."""
+    an h that is not declared is left out of the product.  With `require`, a
+    failing condition raises MorphismCocycleViolation."""
     report = Report(tolerance, source.sample_plan)
+    at = source.atlas.value
     for ov in source.atlas.overlaps:
         key = (ov.src, ov.dst)
         if key not in source.transitions or key not in target_transitions:
             continue
         pts = source.points(ov)
-        expected = m.phi.apply(source.transitions[key].value(pts))
+        expected = m.phi.apply(at(source.transitions[key], pts))
         h_a, h_b = m.h.get(ov.src), m.h.get(ov.dst)
         if h_a is not None:
-            expected = h_a.value(pts) @ expected
+            expected = at(h_a, pts) @ expected
         if h_b is not None:
-            expected = expected @ inverse(h_b.value(source.pushed(ov)[0]))
+            expected = expected @ inverse(at(h_b, source.pushed(ov)[0]))
         report.add(f"morphism-cocycle:{ov.src},{ov.dst}",
-                   max_residual(target_transitions[key].value(pts) - expected),
+                   max_residual(at(target_transitions[key], pts) - expected),
                    len(pts))
+    if require and not report.passed:
+        raise MorphismCocycleViolation(
+            f"target transitions fail the morphism cocycle condition: "
+            f"{', '.join(report.failing())}")
     return report
-
-
-def morphism_eval(m: MorphismData, p: PointRep) -> PointRep:
-    """Image of a trivialized point: group part h_a(x) . phi(a)."""
-    image = m.phi.apply(p.a)
-    h = m.h.get(p.chart)
-    return PointRep(p.chart, p.x,
-                    image if h is None else h.value(p.x) @ image)
 
 
 def pushforward_connection(omega: LocalConnectionData, m: MorphismData,
                            target_transitions: Mapping[Tuple[str, str], GroupMap],
-                           tolerance=DEFAULT_TOLERANCE) -> LocalConnectionData:
+                           tolerance=DEFAULT_TOLERANCE,
+                           check=True) -> LocalConnectionData:
     """The unique related connection on the target bundle, with local forms
     theta_a = Ad(h_a) . phibar(omega_a) - dh_a . h_a^-1, or phibar(omega_a)
-    where no h_a is declared."""
-    cocycle = check_morphism_cocycle(m, omega, target_transitions, tolerance)
-    if not cocycle.passed:
-        raise MorphismCocycleViolation(
-            f"target transitions fail the morphism cocycle condition: "
-            f"{', '.join(cocycle.failing())}")
+    where no h_a is declared.  The target transitions must pass the morphism
+    cocycle condition, checked here unless the caller does (check=False)."""
+    if check:
+        check_morphism_cocycle(m, omega, target_transitions, tolerance,
+                               require=True)
     forms = {chart_id: _pushforward_form(form, m.phi, m.h.get(chart_id),
-                                         m.target_group.n)
+                                         m.target_group.n, omega.atlas)
              for chart_id, form in omega.forms.items()}
     return LocalConnectionData(omega.atlas, m.target_group,
                                dict(target_transitions), forms,
                                omega.sample_plan, omega.params)
 
 
-def _pushforward_form(form, phi, h, n):
-    """The gauge law solved for theta: Ad(h) . phibar(omega) - dh . h^-1, or
-    phibar(omega) alone when h is None (no gauge)."""
+def _pushforward_form(form, phi, h, n, atlas):
+    """The gauge law solved for theta, h phibar(omega) h^-1 - dh h^-1 with
+    h's jet from the atlas's memo, or phibar(omega) when h is None."""
 
     def fn(x, v):
         if h is None:
             return phi.induced(form(x, v))
-        hx, dh = h.jet(x, v)
-        return adjoint(hx, phi.induced(form(x, v))) - dh @ inverse(hx)
+        hx, dh = atlas.jet(h, x, v)
+        h_inv = inverse(hx)
+        return hx @ phi.induced(form(x, v)) @ h_inv - dh @ h_inv
 
     return CallableForm(form.chart, form.dim, n, fn)
 
@@ -134,7 +130,5 @@ def associated_connection(omega: LocalConnectionData, phi: GroupMorphismSpec,
     phi . g_ab."""
     transitions = {key: ComposedGroupMap(phi, g)
                    for key, g in omega.transitions.items()}
-    forms = {chart_id: _pushforward_form(form, phi, None, target_group.n)
-             for chart_id, form in omega.forms.items()}
-    return LocalConnectionData(omega.atlas, target_group, transitions, forms,
-                               omega.sample_plan, omega.params)
+    return pushforward_connection(omega, MorphismData(phi, {}, target_group),
+                                  transitions, check=False)

@@ -84,8 +84,8 @@ class TowerSpec:
         tolerance bounds each link; along a chain the links' residuals add.
 
         Each pair is checked on its upper level's sample set of each
-        off-diagonal overlap, which the atlas's memo samples once per plan,
-        and each level's transitions are evaluated once per sample set."""
+        off-diagonal overlap, which the atlas's memo samples once per plan;
+        it keeps each level's transitions' values once per sample set."""
         top = self.level(self.depth)
         for data in self.levels[:-1]:
             if not data.atlas.same_charts(top.atlas):
@@ -102,38 +102,20 @@ class TowerSpec:
                         VALIDATE_TOLERANCE,
                         f"connectors ({j},{i}) vs ({j - 1},{i}).({j},{j - 1})"
                         f" differ")
-        transition_values = _per_sample_set(
-            lambda level, key, pts:
-            self.level(level).transitions[key].value(pts))
         for i in range(1, self.depth):
-            upper = self.level(i + 1)
-            phi = self.connector(i + 1, i)
+            upper, phi = self.level(i + 1), self.connector(i + 1, i)
+            at = upper.atlas.value
             for key in upper.transitions:
                 if key[0] == key[1]:
                     continue
                 pts = upper.points(upper.atlas.overlap(*key))
                 _first_violation(
-                    transition_values(i, key, pts)
-                    - phi.apply(transition_values(i + 1, key, pts)),
+                    at(self.level(i).transitions[key], pts)
+                    - phi.apply(at(upper.transitions[key], pts)),
                     VALIDATE_TOLERANCE,
                     f"transition {key} at level {i} deviates from the "
                     f"projected level-{i + 1} transition")
         return self
-
-
-def _per_sample_set(evaluate):
-    """evaluate(level, name, pts), kept per level and name for as long as it
-    is asked for at the same points: the atlas's memo hands out one array per
-    sample set, so a level is evaluated once per sample set."""
-    values = {}  # (level, name) -> (points, value there)
-
-    def at(level, name, pts):
-        cached = values.get((level, name))
-        if cached is None or cached[0] is not pts:
-            cached = values[(level, name)] = (pts, evaluate(level, name, pts))
-        return cached[1]
-
-    return at
 
 
 def _first_violation(diff, tolerance, message):
@@ -154,24 +136,22 @@ def check_tower_related(tower: TowerSpec,
 
     Each chart's sample set comes from the atlas's memo, and each level's
     form is evaluated once per chart and sample set, however many pairs it
-    takes part in."""
-    top = tower.level(tower.depth)
-    report = Report(tolerance, top.sample_plan)
-    form_values = _per_sample_set(
-        lambda level, chart_id, pts: tower.level(level).forms[chart_id](
-            pts, directions(pts.shape[-1])))
-
+    takes part in, and kept in the same memo."""
+    report = Report(tolerance, tower.level(tower.depth).sample_plan)
     for j in range(2, tower.depth + 1):
         upper = tower.level(j)
+        form, charts = upper.atlas.form, []
+        for chart in sorted(upper.atlas.charts):
+            pts = upper.points(chart)
+            e = directions(pts.shape[-1])
+            charts.append((chart, pts, e, form(upper.forms[chart], pts, e)))
         for i in range(1, j):
             phi = tower.connector(j, i)
-            for chart_id in sorted(upper.atlas.charts):
-                pts = upper.points(chart_id)
-                check_relation(
-                    report, f"tower-related:{j}->{i}:{chart_id}",
-                    phi.induced(form_values(j, chart_id, pts)),
-                    form_values(i, chart_id, pts), None, pts,
-                    directions(pts.shape[-1]))
+            for chart_id, pts, e, omega in charts:
+                check_relation(report, f"tower-related:{j}->{i}:{chart_id}",
+                               phi.induced(omega),
+                               form(tower.level(i).forms[chart_id], pts, e),
+                               None, pts, e, upper.atlas)
     return report
 
 

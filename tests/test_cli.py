@@ -146,6 +146,49 @@ def test_push(tmp_path):
     assert any(name.startswith("related:") for name in names)
 
 
+def test_push_reports_the_morphism_cocycle(tmp_path):
+    code, report = run(tmp_path, "push",
+                       fixture_path("monopole_k1.json"),
+                       fixture_path("morphism_gauge.json"))
+    assert code == 0
+    names = [c["name"] for c in report["checks"]]
+    assert names == ["compatibility:U_N,U_S", "compatibility:U_S,U_N",
+                     "morphism-cocycle:U_N,U_S", "morphism-cocycle:U_S,U_N",
+                     "related:U_N", "related:U_S"]
+
+
+def test_push_with_a_failing_cocycle_is_an_input_error(tmp_path, capsys):
+    # target transitions of the k = 1 bundle do not complete phi = g * g
+    doc = json.loads(open(fixture_path("morphism_squaring.json")).read())
+    doc["target_transitions"] = {
+        "U_N,U_S": "mexp(-k*x2*[[0,-1],[1,0]])",
+        "U_S,U_N": "mexp(k*x2*[[0,-1],[1,0]])"}
+    path = tmp_path / "morphism.json"
+    path.write_text(json.dumps(doc))
+    code, report = run(tmp_path, "push", fixture_path("monopole_k1.json"),
+                       str(path))
+    assert code == 2 and report is None
+    assert capsys.readouterr().err == (
+        "error: target transitions fail the morphism cocycle condition: "
+        "morphism-cocycle:U_N,U_S, morphism-cocycle:U_S,U_N\n")
+
+
+def test_push_with_singular_target_transitions_names_the_cocycle(tmp_path,
+                                                                capsys):
+    # the pushed data's compatibility, which runs first, cannot invert them;
+    # the failing cocycle is still the error reported
+    doc = json.loads(open(fixture_path("morphism_squaring.json")).read())
+    doc["target_transitions"] = {"U_N,U_S": "[[0,0],[0,0]]",
+                                 "U_S,U_N": "[[0,0],[0,0]]"}
+    path = tmp_path / "morphism.json"
+    path.write_text(json.dumps(doc))
+    code, _ = run(tmp_path, "push", fixture_path("monopole_k1.json"),
+                  str(path))
+    assert code == 2
+    assert capsys.readouterr().err.startswith(
+        "error: target transitions fail the morphism cocycle condition")
+
+
 def test_push_requires_target_transitions(tmp_path, capsys):
     code, _ = run(tmp_path, "push",
                   fixture_path("monopole_k1.json"),

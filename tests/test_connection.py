@@ -312,13 +312,9 @@ def test_verify_samples_and_pushes_each_overlap_once(tmp_path, monkeypatch):
     assert sorted(pushes) == sorted((ov.src, ov.dst) for ov in atlas.overlaps)
 
 
-def test_verify_exponentiates_once_per_transition_walk(tmp_path,
-                                                      monkeypatch):
-    # each mexp is one expm call, its derivative riding along: two cocycle
-    # values and two compatibility jets, one per overlap and pass
+def _expm_calls(monkeypatch):
+    """Record, for every expm call, whether it was given tangents."""
     import localforms.expr.dual
-    from localforms.cli import main
-    from conftest import fixture_path
     expm = localforms.expr.dual.expm
     calls = []
 
@@ -327,9 +323,79 @@ def test_verify_exponentiates_once_per_transition_walk(tmp_path,
         return expm(a, e)
 
     monkeypatch.setattr(localforms.expr.dual, "expm", counted)
+    return calls
+
+
+def test_verify_exponentiates_once_per_transition_walk(tmp_path,
+                                                      monkeypatch):
+    # each mexp is one expm call, its derivative riding along: one
+    # compatibility jet per overlap, and the cocycle's values at U_N->U_S's
+    # sample points are that jet's primal; only U_S,U_N at the pushed points
+    # takes a value of its own
+    from localforms.cli import main
+    from conftest import fixture_path
+    calls = _expm_calls(monkeypatch)
     assert main(["verify", fixture_path("monopole_k1.json"), "--grid", "4",
                  "--out", str(tmp_path / "report.json")]) == 0
+    assert sorted(calls) == [False, True, True]
+
+
+def test_push_exponentiates_each_target_transition_once(tmp_path,
+                                                        monkeypatch):
+    # the pushed data's compatibility takes the target transitions' jets,
+    # and the morphism cocycle reads their primals; the source transitions
+    # are values only
+    from localforms.cli import main
+    from conftest import fixture_path
+    calls = _expm_calls(monkeypatch)
+    assert main(["push", fixture_path("monopole_k1.json"),
+                 fixture_path("morphism_squaring.json"), "--grid", "4",
+                 "--out", str(tmp_path / "report.json")]) == 0
     assert sorted(calls) == [False, False, True, True]
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "monopole_k1.json"],
+    ["push", "monopole_k1.json", "morphism_gauge.json"]])
+def test_no_memo_entry_outlives_the_command(tmp_path, monkeypatch, argv):
+    # the memo lives on the loaded atlas, which is garbage once main returns
+    import gc
+    import weakref
+    import localforms.cli
+    from conftest import fixture_path
+    atlases = []
+    load_bundle = localforms.cli.load_bundle
+
+    def loading(path):
+        data = load_bundle(path)
+        atlases.append(weakref.ref(data.atlas))
+        return data
+
+    monkeypatch.setattr(localforms.cli, "load_bundle", loading)
+    command, *files = argv
+    assert localforms.cli.main(
+        [command, *map(fixture_path, files), "--grid", "4",
+         "--out", str(tmp_path / "report.json")]) == 0
+    gc.collect()
+    assert len(atlases) == 1 and atlases[0]() is None
+
+
+def test_atlas_memo_keeps_jets_and_values(monopole):
+    from localforms.atlas import directions
+    ov = monopole.atlas.overlaps[0]
+    g = monopole.transitions[(ov.src, ov.dst)]
+    pts, e = monopole.points(ov), directions(2)
+    jet = monopole.atlas.jet(g, pts, e)
+    assert monopole.atlas.jet(g, pts, e)[1] is jet[1]
+    # a value where the jet is kept is its primal, the bits of a value walk
+    assert monopole.atlas.value(g, pts) is jet[0]
+    assert jet[0].tobytes() == g.value(pts).tobytes()
+    assert not jet[0].flags.writeable and not jet[1].flags.writeable
+    # a writable argument could change under its id: it is not kept
+    copy = np.array(pts)
+    assert monopole.atlas.value(g, copy) is not monopole.atlas.value(g, copy)
+    y = monopole.pushed(ov)[0]
+    assert monopole.atlas.value(g, y) is monopole.atlas.value(g, y)
 
 
 def test_atlas_memo_is_read_only_and_keyed_by_plan(monopole):

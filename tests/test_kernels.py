@@ -66,6 +66,75 @@ def test_derivative_matches_frechet_at_every_scaling(n):
             assert _norm1(got[k, i] - want) <= 1e-13 * _norm1(want)
 
 
+def _commuting(rng, n, norm, scale):
+    """A matrix of the given 1-norm and a direction that commutes with it:
+    two multiples of one matrix, as every `mexp` of a scalar times a
+    constant matrix gives."""
+    m = rng.standard_normal((n, n))
+    return m * (norm / _norm1(m)), m * scale
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5])
+def test_commuting_directions_take_the_value_times_e(n):
+    rng = np.random.default_rng(60 + n)
+    pairs = [_commuting(rng, n, norm, scale)
+             for norm, scale in zip(NORMS, (1.0, -0.5, 3.0, 0.1, 2.0, -1.0))]
+    stack = np.stack([a for a, _ in pairs])
+    e = np.stack([np.stack([d for _, d in pairs]),
+                  np.stack([-2.0 * d for _, d in pairs])])
+    value, got = expm(stack, e)
+    assert np.array_equal(value, expm(stack))
+    assert np.array_equal(got, value @ e)
+    for i, a in enumerate(stack):
+        for k in range(2):
+            want = expm_frechet(a, e[k, i], compute_expm=False)
+            assert _norm1(got[k, i] - want) <= 1e-13 * _norm1(want)
+
+
+def test_mixed_stacks_match_their_solo_calls():
+    rng = np.random.default_rng(12)
+    n = 3
+    pairs = [_commuting(rng, n, norm, 1.5) for norm in NORMS]
+    stack = np.stack([a for a, _ in pairs])
+    commuting = np.stack([d for _, d in pairs])
+    e = np.stack([commuting, commuting.copy(),
+                  rng.standard_normal(stack.shape)])
+    e[1, ::2] = rng.standard_normal((3, n, n))  # rows 0, 2, 4 do not commute
+    stack[5, 0, 0] = np.nan
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        value, got = expm(stack, e)
+    assert np.all(np.isnan(got[:, 5]))
+    for i in range(5):
+        for k in range(3):
+            solo = expm(stack[i], e[k, i])
+            assert np.array_equal(value[i], solo[0])
+            assert np.array_equal(got[k, i], solo[1])
+            want = expm_frechet(stack[i], e[k, i], compute_expm=False)
+            assert _norm1(got[k, i] - want) <= 1e-13 * _norm1(want)
+        assert np.array_equal(got[0, i], value[i] @ e[0, i])
+    assert np.array_equal(got[1, 1::2][:2], value[1:5:2] @ e[1, 1:5:2])
+
+
+@pytest.mark.parametrize("ratio, fast", [(0.95, True), (1.05, False)])
+def test_commutation_bound_picks_the_path(ratio, fast, monkeypatch):
+    # e diagonal with powers of two, so a e - e a is computed exactly: its
+    # 1-norm is |t|, against the bound 4 n u |a|_1 |e|_1
+    import localforms.expr.dual as dual
+    e = np.diag([1.0, 2.0, 4.0])
+    a = np.diag([0.3, -0.7, 1.1])
+    bound = 4 * 3 * dual._UNIT_ROUNDOFF * _norm1(a) * _norm1(e)
+    a[0, 1] = ratio * bound
+    assert _norm1(a @ e - e @ a) == a[0, 1]
+    value, got = expm(a, e[None])
+    want = expm_frechet(a, e, compute_expm=False)
+    assert _norm1(got[0] - want) <= 1e-13 * _norm1(want)
+    monkeypatch.setattr(dual, "_UNIT_ROUNDOFF", -1.0)  # no row passes
+    pade = expm(a, e[None])[1]
+    assert np.array_equal(got, value @ e[None] if fast else pade)
+    assert not np.array_equal(value @ e[None], pade)
+
+
 def test_zero_direction_is_exactly_zero():
     rng = np.random.default_rng(6)
     a = rng.standard_normal((4, 3, 3))

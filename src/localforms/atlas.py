@@ -170,9 +170,10 @@ def _key(params):
 class Atlas:
     """Charts and overlaps of one document, with the memo of what is
     computed on their sample sets: each sample set and overlap push once per
-    (plan, region, params); a map's jet or value and a form's value once per
-    map and read-only argument arrays, by identity, a value where the jet is
-    kept being its primal.  All read-only; it lives and dies with the atlas."""
+    (plan, region, params); a map's jet or value, a form's value and its
+    image under a morphism once per map and read-only argument arrays, by
+    identity (a value where the jet is kept is its primal).  All read-only;
+    it lives and dies with the atlas."""
 
     charts: Mapping[str, Chart]
     overlaps: Tuple[Overlap, ...]
@@ -207,6 +208,11 @@ class Atlas:
     def form(self, form, x, v):
         """form(x, v) of a local form."""
         return self._memoized(("form",), lambda: form(x, v), form, x, v)
+
+    def induced(self, phi, form, x, v):
+        """phi.induced(form(x, v)) of a group morphism and a local form."""
+        return self._memoized(("induced",), lambda: phi.induced(
+            self.form(form, x, v)), phi, form, x, v)
 
     def points(self, plan: SamplePlan, region, params=None) -> np.ndarray:
         """The sample points of a chart (given by its id) or of an

@@ -129,19 +129,24 @@ def _parse_box(value, owner):
 
 
 def _parse_params(doc, base=None):
-    """The document's scalar params, over (and overriding) base."""
+    """The document's scalar params (JSON numbers), over and overriding
+    base."""
     params = dict(base or {})
-    params.update({str(k): float(v) for k, v in
-                   _parse_object(doc.get("params", {}), "params").items()})
+    for name, value in _parse_object(doc.get("params", {}), "params").items():
+        if _kind(value) != "a number":
+            raise ValidationError(
+                f"params: {name} must be a number, not {_kind(value)}")
+        params[str(name)] = float(value)
     return params
 
 
-def _parse_key(key, owner, form) -> Tuple[str, str]:
-    """The two comma-separated names of a pair key such as 'alpha,beta'."""
-    parts = key.split(",")
-    if len(parts) != 2:
-        raise ValidationError(f"{owner} key '{key}' is not '{form}'")
-    return parts[0].strip(), parts[1].strip()
+def _parse_key(key, owner, form, kind=str) -> tuple:
+    """Both comma-separated parts of a pair key, such as 'a,b', by `kind`."""
+    try:
+        a, b = (kind(part.strip()) for part in key.split(","))
+    except ValueError:
+        raise ValidationError(f"{owner} key '{key}' is not '{form}'") from None
+    return a, b
 
 
 def _parse_group(doc) -> GroupSpec:
@@ -341,7 +346,7 @@ def load_tower(path) -> TowerSpec:
     connectors = {}
     for key, entry in _parse_object(doc.get("connectors", {}),
                                     "connectors").items():
-        j, i = (int(part) for part in _parse_key(key, "connector", "j,i"))
+        j, i = _parse_key(key, "connector", "j,i", int)
         if not (1 <= i < j <= len(levels)):
             raise ValidationError(f"connector '{key}' is out of range")
         owner = f"connector '{key}'"

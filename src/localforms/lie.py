@@ -9,6 +9,7 @@ differentiation at the identity, never by finite differences).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Mapping, Optional
 
@@ -162,6 +163,22 @@ def log_diff_left(f: GroupMap, x, v):
 # ----- group morphisms ------------------------------------------------
 
 
+@functools.cache
+def _identity(n):
+    """The (n, n) identity, one read-only array per n."""
+    return _read_only(np.eye(n), (n, n))
+
+
+def _read_only(array, shape):
+    """`array` read-only in `shape`: a view when it has that shape (so a
+    caller's array is not frozen), else broadcast, as a constant image is."""
+    if np.shape(array) != shape:
+        return np.broadcast_to(array, shape)
+    view = array.view()
+    view.flags.writeable = False
+    return view
+
+
 @dataclass(frozen=True)
 class GroupMorphismSpec:
     """A smooth homomorphism between matrix groups, given as an expression in
@@ -169,7 +186,7 @@ class GroupMorphismSpec:
     induces by differentiation at the identity.
 
     Every method takes one matrix or a stack of them and evaluates the whole
-    stack in one walk."""
+    stack in one walk; results are read-only (see `_read_only`)."""
 
     source_dim: int
     target_dim: int
@@ -192,7 +209,7 @@ class GroupMorphismSpec:
         g = np.asarray(g, dtype=float)
         self._check_source(g, "morphism argument")
         image = self._eval(Dual.matrix(g)).primal
-        return np.broadcast_to(image, g.shape[:-2] + image.shape[-2:])
+        return _read_only(image, g.shape[:-2] + image.shape[-2:])
 
     def jet(self, g, E):
         """The image of g and the derivative at g along the matrix E (shape
@@ -203,33 +220,29 @@ class GroupMorphismSpec:
         value = image.primal
         tangent = 0.0 if image.tangent is None else image.tangent
         batch = np.broadcast_shapes(g.shape[:-2], np.shape(E)[:-2])
-        return (np.broadcast_to(value, g.shape[:-2] + value.shape[-2:]),
-                np.broadcast_to(tangent, batch + value.shape[-2:]))
+        return (_read_only(value, g.shape[:-2] + value.shape[-2:]),
+                _read_only(tangent, batch + value.shape[-2:]))
 
     def induced(self, X):
         """Induced algebra morphism: d/dt phi(exp(tX)) at t = 0."""
         X = np.asarray(X, dtype=float)
         self._check_source(X, "algebra element")
-        return self.jet(np.eye(self.source_dim), X)[1]
+        return self.jet(_identity(self.source_dim), X)[1]
 
     def compose(self, other: "GroupMorphismSpec") -> "GroupMorphismSpec":
         """self after other (self . other)."""
         if other.target_dim != self.source_dim:
             raise GroupMismatchError("morphism composition dimension mismatch")
-        return _ComposedMorphism(other.source_dim, self.target_dim,
+        return _ComposedMorphism(other.source_dim, self.target_dim, None,
                                  outer=self, inner=other)
 
 
+@dataclass(frozen=True)
 class _ComposedMorphism(GroupMorphismSpec):
     """Composition of two morphism specs; apply and jets chain through."""
 
-    def __init__(self, source_dim, target_dim, outer, inner):
-        object.__setattr__(self, "source_dim", source_dim)
-        object.__setattr__(self, "target_dim", target_dim)
-        object.__setattr__(self, "phi", None)
-        object.__setattr__(self, "params", {})
-        object.__setattr__(self, "outer", outer)
-        object.__setattr__(self, "inner", inner)
+    outer: Optional[GroupMorphismSpec] = None
+    inner: Optional[GroupMorphismSpec] = None
 
     def apply(self, g):
         return self.outer.apply(self.inner.apply(g))

@@ -53,7 +53,8 @@ def check_related(omega: LocalConnectionData, theta: LocalConnectionData,
         pts = omega.points(chart_id)
         e = directions(omega.atlas.chart(chart_id).dim)
         check_relation(report, f"related:{chart_id}",
-                       m.phi.induced(omega.forms[chart_id](pts, e)),
+                       omega.atlas.induced(m.phi, omega.forms[chart_id],
+                                           pts, e),
                        theta.forms[chart_id](pts, e), m.h.get(chart_id),
                        pts, e, omega.atlas)
     return report
@@ -110,15 +111,15 @@ def pushforward_connection(omega: LocalConnectionData, m: MorphismData,
 
 
 def _pushforward_form(form, phi, h, n, atlas):
-    """The gauge law solved for theta, h phibar(omega) h^-1 - dh h^-1 with
-    h's jet from the atlas's memo, or phibar(omega) when h is None."""
+    """The gauge law solved for theta, h phibar(omega) h^-1 - dh h^-1, or
+    phibar(omega) when h is None; h's jet and phibar(omega) are memoized."""
 
     def fn(x, v):
         if h is None:
-            return phi.induced(form(x, v))
+            return atlas.induced(phi, form, x, v)
         hx, dh = atlas.jet(h, x, v)
         h_inv = inverse(hx)
-        return hx @ phi.induced(form(x, v)) @ h_inv - dh @ h_inv
+        return hx @ atlas.induced(phi, form, x, v) @ h_inv - dh @ h_inv
 
     return CallableForm(form.chart, form.dim, n, fn)
 

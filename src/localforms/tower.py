@@ -11,13 +11,14 @@ and projective consistency of pointwise connection values.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import List, Mapping, Tuple
 
 import numpy as np
 
 from .atlas import directions
 from .connection import (DEFAULT_TOLERANCE, LocalConnectionData, PointRep,
-                         TangentRep, check_relation, global_form_eval)
+                         TangentRep, global_form_eval)
 from .errors import (LevelOutOfRange, TowerInvariantViolation,
                      ValidationError)
 from .lie import GroupMorphismSpec, identity_morphism
@@ -74,44 +75,59 @@ class TowerSpec:
         the connectors on sampled group elements, and the limit-chart
         condition on transitions; raises on the first violation.
 
-        Composition is checked along consecutive chains: for each level
-        j >= 3, on one sample stack g of its group, every declared (j, i)
-        with i < j-1 must agree with (j-1, i) after (j, j-1).  By induction
-        on j every connector then equals the chain (i+1, i) ... (j, j-1) of
-        consecutive connectors (an undeclared one is that chain), so every
-        (j, i) equals (k, i) after (j, k) for each k between: O(depth^2)
-        morphism evaluations instead of one per (j, k, i) triple.  The
-        tolerance bounds each link; along a chain the links' residuals add.
-
-        Each pair is checked on its upper level's sample set of each
-        off-diagonal overlap, which the atlas's memo samples once per plan;
-        it keeps each level's transitions' values once per sample set."""
+        For each level j >= 3, on one sample stack of its group, every
+        declared (j, i) with i < j-1 must agree with (j-1, i) after (j, j-1).
+        By induction on j every connector then equals its chain of
+        consecutive connectors (an undeclared one is that chain), so (j, i)
+        equals (k, i) after (j, k) for every k between, with no check per
+        triple; the links' residuals add along a chain.  Each declared
+        connector is walked once, on everything the checks apply it to, and
+        each pair's transitions are compared on its upper level's overlap
+        sample sets, which the atlas's memo keeps with their values."""
         top = self.level(self.depth)
         for data in self.levels[:-1]:
             if not data.atlas.same_charts(top.atlas):
                 raise TowerInvariantViolation("levels do not share an atlas")
         rng = np.random.default_rng(VALIDATE_SEED)
+        g = {j: self.level(j).group.sample_group(rng, (VALIDATE_SAMPLES,))
+             for j in range(3, self.depth + 1)}
+        overlaps = {j: {key: level.points(level.atlas.overlap(*key))
+                        for key in level.transitions if key[0] != key[1]}
+                    for j, level in enumerate(self.levels[1:], start=2)}
+        # each (j, i) a check applies, walked once, top-down, on the stack of
+        # g_j, the mid-chain image (j+1, j)(g_{j+1}) and level j's transitions
+        images = {}
+        for j in range(self.depth, 1, -1):
+            upper = self.level(j)
+            for i in range(1, j):
+                args = {"g": g[j]} if (j, i) in self.connectors and j in g \
+                    else {}
+                if (j + 1, i) in self.connectors:
+                    args["mid"] = images[(j + 1, j)]["g"]
+                if i == j - 1:
+                    args.update((key, upper.atlas.value(
+                        upper.transitions[key], pts))
+                        for key, pts in overlaps[j].items())
+                if args:
+                    out = self.connector(j, i).apply(
+                        np.concatenate(list(args.values())))
+                    images[(j, i)] = {name: out[end - len(a):end] for
+                                      (name, a), end in zip(args.items(),
+                                      accumulate(map(len, args.values())))}
         for j in range(3, self.depth + 1):
-            g = self.level(j).group.sample_group(rng, (VALIDATE_SAMPLES,))
-            mid = self.connectors[(j, j - 1)].apply(g)
             for i in range(1, j - 1):
                 if (j, i) in self.connectors:
                     _first_violation(
-                        self.connectors[(j, i)].apply(g)
-                        - self.connector(j - 1, i).apply(mid),
+                        images[(j, i)]["g"] - images[(j - 1, i)]["mid"],
                         VALIDATE_TOLERANCE,
                         f"connectors ({j},{i}) vs ({j - 1},{i}).({j},{j - 1})"
                         f" differ")
         for i in range(1, self.depth):
-            upper, phi = self.level(i + 1), self.connector(i + 1, i)
-            at = upper.atlas.value
-            for key in upper.transitions:
-                if key[0] == key[1]:
-                    continue
-                pts = upper.points(upper.atlas.overlap(*key))
+            for key, pts in overlaps[i + 1].items():
                 _first_violation(
-                    at(self.level(i).transitions[key], pts)
-                    - phi.apply(at(upper.transitions[key], pts)),
+                    self.level(i + 1).atlas.value(
+                        self.level(i).transitions[key], pts)
+                    - images[(i + 1, i)][key],
                     VALIDATE_TOLERANCE,
                     f"transition {key} at level {i} deviates from the "
                     f"projected level-{i + 1} transition")
@@ -123,7 +139,7 @@ def _first_violation(diff, tolerance, message):
     exceeds the tolerance."""
     residuals = np.linalg.norm(diff, axis=(-2, -1))
     bad = residuals > tolerance
-    if np.any(bad):
+    if bad.any():
         raise TowerInvariantViolation(
             f"{message} by {residuals[np.argmax(bad)]:.3e}")
 
@@ -136,22 +152,26 @@ def check_tower_related(tower: TowerSpec,
 
     Each chart's sample set comes from the atlas's memo, and each level's
     form is evaluated once per chart and sample set, however many pairs it
-    takes part in, and kept in the same memo."""
+    takes part in, and kept in the same memo.  A pair walks phibar^(ji) once,
+    on every chart's values stacked, and cuts the residuals back per chart."""
     report = Report(tolerance, tower.level(tower.depth).sample_plan)
     for j in range(2, tower.depth + 1):
         upper = tower.level(j)
-        form, charts = upper.atlas.form, []
-        for chart in sorted(upper.atlas.charts):
-            pts = upper.points(chart)
-            e = directions(pts.shape[-1])
-            charts.append((chart, pts, e, form(upper.forms[chart], pts, e)))
+        charts = [(c, upper.points(c)) for c in sorted(upper.atlas.charts)]
+
+        def stacked(level):
+            return np.concatenate([upper.atlas.form(
+                level.forms[c], pts, directions(pts.shape[-1])).reshape(
+                (-1, level.group.n, level.group.n)) for c, pts in charts])
+
+        omega = stacked(upper)
+        ends = list(accumulate(pts.size for _, pts in charts))
         for i in range(1, j):
-            phi = tower.connector(j, i)
-            for chart_id, pts, e, omega in charts:
-                check_relation(report, f"tower-related:{j}->{i}:{chart_id}",
-                               phi.induced(omega),
-                               form(tower.level(i).forms[chart_id], pts, e),
-                               None, pts, e, upper.atlas)
+            residuals = np.linalg.norm(tower.connector(j, i).induced(
+                omega) - stacked(tower.level(i)), axis=(-2, -1))
+            for (c, pts), end in zip(charts, ends):
+                report.add(f"tower-related:{j}->{i}:{c}", residuals[
+                    end - pts.size:end].max(initial=0.0), pts.size)
     return report
 
 

@@ -578,6 +578,14 @@ def _set(*keys, value):
      "target_transitions must be an object, not a list"),
     ("sphere_levi_civita.json", ["convert-christoffel"],
      _set("gamma", value="x"), "gamma must be an object, not a string"),
+    # a connector key read by int(), params read by float()
+    ("tower_unipotent.json", ["tower"],
+     _set("connectors", "2,x", value={"phi": "g"}),
+     "connector key '2,x' is not 'j,i'"),
+    ("abelian.json", ["verify"], _set("params", value={"zz": "2"}),
+     "params: zz must be a number, not a string"),
+    ("abelian.json", ["verify"], _set("params", value={"zz": True}),
+     "params: zz must be a number, not a boolean"),
 ])
 def test_inconsistent_document_is_a_usage_error(tmp_path, capsys, name, argv,
                                                 edit, needle):

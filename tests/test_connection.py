@@ -215,6 +215,22 @@ def test_compatibility_failing_check_is_named():
     assert "compatibility:U_N,U_S" in report.failing()
 
 
+def test_overlap_roundtrip_of_changes_that_are_not_inverse_fails():
+    # psi(x) = x + 0.01 both ways: there and back moves each point by 0.02
+    import dataclasses
+    from localforms.atlas import Atlas, Overlap
+    data = load_fixture("abelian.json", grid=5, random=5)
+    shifted = tuple(Overlap(ov.src, ov.dst, ov.domain,
+                            (parse("x1 + 0.01", ["x1"]),))
+                    for ov in data.atlas.overlaps)
+    data = dataclasses.replace(data, atlas=Atlas(data.atlas.charts, shifted))
+    checks = {c.name: c for c in check_overlaps(data).checks}
+    for name in ("overlap-roundtrip:U1,U2", "overlap-roundtrip:U2,U1"):
+        assert checks[name].max_residual == pytest.approx(0.02, abs=1e-12)
+        assert checks[name].sample_count > 0
+        assert not checks[name].passed
+
+
 def _three_chart_bundle(ac_mask=None, bc_mask=None, broken=False):
     """Three 1-d charts whose SO(2) transitions g_ab = R(f_a - f_b) satisfy
     the triple cocycle (unless `broken`).  The U2->U3 overlap ends 5e-10

@@ -76,6 +76,23 @@ def test_construct_then_verify(seed):
     assert check_compatibility(theta, 1e-8).passed
 
 
+def test_morphism_cocycle_evaluates_h_b_at_the_moved_point():
+    # on the monopole psi moves x1 to pi - x1, so an h that depends on x1
+    # takes different values at x and psi(x): the completed transitions
+    # h_a(x) phi(g_ab(x)) h_b(psi(x))^-1 pass, those with h_b(x) do not
+    source = load_fixture("monopole_k1.json", grid=4, random=4)
+    rng = np.random.default_rng(61)
+    m = MorphismData(_identity_phi(), _random_h_family(rng, source.atlas),
+                     GroupSpec("SO(2)", 2, (J,)))
+    assert check_morphism_cocycle(m, source,
+                                  _completed_transitions(source, m)).passed
+    at_x = {(a, b): ProductGroupMap(ProductGroupMap(
+        m.h_map(a), ComposedGroupMap(m.phi, g)), InverseGroupMap(m.h_map(b)))
+        for (a, b), g in source.transitions.items()}
+    report = check_morphism_cocycle(m, source, at_x)
+    assert all(c.max_residual > 1e-3 for c in report.checks)
+
+
 def test_pushforward_uniqueness_two_code_paths():
     # the unique related connection, built once by the library's formula
     # Ad(h).phibar(omega) - dh.h^-1 and once via the left logarithmic
@@ -294,3 +311,59 @@ def test_push_samples_each_overlap_once(tmp_path, monkeypatch):
     domains = [ov.domain for ov in atlas.overlaps]
     assert sorted(box for box in boxes if box in domains) == sorted(domains)
     assert sorted(pushes) == sorted((ov.src, ov.dst) for ov in atlas.overlaps)
+
+
+def test_morphism_results_are_read_only():
+    # the identity's image is a read-only view of the caller's own array,
+    # which stays writable; a smaller walk result is broadcast
+    g = np.stack([exp_matrix(t * J) for t in (0.1, 0.2, 0.3)])
+    E = np.stack([J, 2 * J, 3 * J])
+    identity, const = _identity_phi(), GroupMorphismSpec(
+        2, 2, parse("[[1,0],[0,1]]", [], matrix_params={"g": (2, 2)}))
+    results = [identity.apply(g), *identity.jet(g, E), identity.induced(E),
+               _squaring_phi().apply(g), *_squaring_phi().jet(g[0], E),
+               const.apply(g), *const.jet(g, E)]
+    assert [r.shape for r in results] \
+        == [(3, 2, 2)] * 5 + [(2, 2)] + [(3, 2, 2)] * 4
+    assert not any(r.flags.writeable for r in results)
+    assert np.shares_memory(results[0], g) and g.flags.writeable
+    assert E.flags.writeable
+    np.testing.assert_array_equal(results[0], g)
+
+
+def test_atlas_memo_does_not_freeze_a_mapped_array():
+    # the memo freezes the identity's image, a view, not the map's array
+    from localforms.lie import GroupMap
+
+    class Held(GroupMap):
+        def value(self, x):
+            return held
+
+    source = load_fixture("abelian.json", grid=3, random=0)
+    pts = source.points("U1")
+    held = np.stack([np.eye(2)] * len(pts))
+    image = source.atlas.value(ComposedGroupMap(_identity_phi(), Held()), pts)
+    assert not image.flags.writeable and held.flags.writeable
+
+
+@pytest.mark.parametrize("morphism", ["morphism_gauge.json",
+                                      "morphism_squaring.json"])
+def test_push_walks_each_source_form_once_per_sample_set(tmp_path,
+                                                         monkeypatch,
+                                                         morphism):
+    # relatedness's phibar(omega_a) and the pushed theta_a at the chart's
+    # points share one memo entry; the pushed data's compatibility takes
+    # the rest: 2 charts + 2 overlaps x (source, pushed points)
+    from conftest import fixture_path
+    from localforms.cli import main
+    from localforms.connection import ExprForm
+    forms, induced = [], []
+    call, induce = ExprForm.__call__, GroupMorphismSpec.induced
+    monkeypatch.setattr(ExprForm, "__call__", lambda self, x, v:
+                        forms.append(self) or call(self, x, v))
+    monkeypatch.setattr(GroupMorphismSpec, "induced", lambda self, X:
+                        induced.append(self) or induce(self, X))
+    assert main(["push", fixture_path("monopole_k1.json"),
+                 fixture_path(morphism), "--grid", "4",
+                 "--out", str(tmp_path / "report.json")]) == 0
+    assert (len(forms), len(induced)) == (6, 6)  # 8 and 8 with no memo

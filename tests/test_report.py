@@ -13,6 +13,12 @@ def test_check_fails_closed():
     assert not CheckResult("empty", 0.0, 0, 1e-8).passed
 
 
+def test_residual_at_the_tolerance_fails():
+    # a check passes only below its tolerance
+    assert not CheckResult("at", 1e-8, 10, 1e-8).passed
+    assert CheckResult("under", np.nextafter(1e-8, 0.0), 10, 1e-8).passed
+
+
 def test_report_with_a_non_finite_check_fails():
     report = Report(1e-8)
     report.add("fine", 0.0, 5)

@@ -340,6 +340,117 @@ def test_validate_gives_the_triple_loop_verdict():
                for got, _ in verdicts.values() if got is not None)
 
 
+def _validate_per_pair(tower):
+    """TowerSpec.validate with one connector walk per use: each pair check,
+    mid-chain image and projected transition applies its connector afresh;
+    returns the first violation's message or None."""
+    top = tower.level(tower.depth)
+    for data in tower.levels[:-1]:
+        if not data.atlas.same_charts(top.atlas):
+            return "levels do not share an atlas"
+    rng = np.random.default_rng(7)
+
+    def violation(diff, message):
+        residuals = np.linalg.norm(diff, axis=(-2, -1))
+        bad = residuals > 1e-9
+        if np.any(bad):
+            return f"{message} by {residuals[np.argmax(bad)]:.3e}"
+        return None
+
+    for j in range(3, tower.depth + 1):
+        g = tower.level(j).group.sample_group(rng, (20,))
+        mid = tower.connector(j, j - 1).apply(g)
+        for i in range(1, j - 1):
+            if (j, i) in tower.connectors:
+                found = violation(
+                    tower.connector(j, i).apply(g)
+                    - tower.connector(j - 1, i).apply(mid),
+                    f"connectors ({j},{i}) vs ({j - 1},{i}).({j},{j - 1})"
+                    f" differ")
+                if found:
+                    return found
+    for i in range(1, tower.depth):
+        upper, lower = tower.level(i + 1), tower.level(i)
+        phi = tower.connector(i + 1, i)
+        for key, g_upper in upper.transitions.items():
+            if key[0] == key[1]:
+                continue
+            ov = upper.atlas.overlap(*key)
+            pts = sample(upper.sample_plan, ov.domain, ov.mask, upper.params)
+            found = violation(
+                lower.transitions[key].value(pts)
+                - phi.apply(g_upper.value(pts)),
+                f"transition {key} at level {i} deviates from the "
+                f"projected level-{i + 1} transition")
+            if found:
+                return found
+    return None
+
+
+def _broken_transition(tower):
+    level1 = tower.level(1)
+    broken = dict(level1.transitions)
+    broken[("U1", "U2")] = ConstGroupMap(np.eye(2) + 0.1 * np.eye(2, k=1))
+    return dataclasses.replace(tower, levels=(dataclasses.replace(
+        level1, transitions=broken),) + tower.levels[1:])
+
+
+def test_validate_gives_the_per_pair_message():
+    # one walk per connector on the stacked arguments changes no bit of the
+    # residuals: the first violation's message is the per-pair one
+    towers = dict(_variants())
+    towers["broken transition"] = _broken_transition(_tower(grid=3, random=3))
+    messages = {name: (_verdict(tower), _validate_per_pair(tower))
+                for name, tower in towers.items()}
+    assert {name: got for name, (got, _) in messages.items()} \
+        == {name: want for name, (_, want) in messages.items()}
+    assert sum(want is not None for _, want in messages.values()) == 10
+    assert messages["broken transition"][1].startswith("transition ")
+
+
+def _morphism_walks(monkeypatch):
+    """Record the morphism of every GroupMorphismSpec walk."""
+    calls = []
+    walk = GroupMorphismSpec._eval
+
+    def counted(self, arg):
+        calls.append(self)
+        return walk(self, arg)
+
+    monkeypatch.setattr(GroupMorphismSpec, "_eval", counted)
+    return calls
+
+
+def test_each_connector_walks_once_per_phase(monkeypatch):
+    calls = _morphism_walks(monkeypatch)
+    tower = load_tower(fixture_path("tower_unipotent.json"))
+    connectors = sorted(map(id, tower.connectors.values()))
+    # load applies each connector to the identity
+    assert sorted(map(id, calls)) == connectors
+    # validate walks each connector once on everything it checks (was 14)
+    calls.clear()
+    tower.validate()
+    assert sorted(map(id, calls)) == connectors
+    # relatedness walks each level pair's connector once on every chart's
+    # forms (was one walk per pair and chart, 12)
+    calls.clear()
+    check_tower_related(tower, 1e-8)
+    assert sorted(map(id, calls)) == connectors
+
+
+def test_undeclared_connector_walks_its_chain_links(monkeypatch):
+    # without (3,1), the (4,1) check applies the chain (2,1).(3,2) to the
+    # mid-chain image (4,3)(g_4): one more walk of each link
+    tower = _tower(grid=3, random=3)
+    tower = dataclasses.replace(tower, connectors={
+        key: phi for key, phi in tower.connectors.items() if key != (3, 1)})
+    calls = _morphism_walks(monkeypatch)
+    tower.validate()
+    assert {key: sum(phi is walked for walked in calls)
+            for key, phi in tower.connectors.items()} \
+        == {(2, 1): 2, (3, 2): 2, (4, 1): 1, (4, 2): 1, (4, 3): 1}
+
+
 class _CountingMap(GroupMap):
     def __init__(self, inner, calls, name):
         self.inner, self.calls, self.name = inner, calls, name

@@ -9,8 +9,11 @@ case list is built from this working tree: every case of
 `tests/test_golden.py` at its stored sample plan, at `--grid 4 --random 5`
 and at `--grid 15`, and every command (set-up included) of
 `perfbench/inputs.build_plan` for each workload at seeds 101 and 202, and
-`tower` on a depth-16 tower from `perfbench/inputs.tower_doc` and on its
-mutated twin (17x16 truncation literals), with the generated inputs
+`tower` on a depth-16 tower from `perfbench/inputs.tower_doc`, on its
+mutated twin (17x16 truncation literals) and on two copies with one
+connector swapped for a shifted diagonal block, (16,15) in one and (16,2)
+in the other, which fail `validate`, so the first violation's
+`tower_invariant_error` is compared too; the generated inputs are
 written once into the temporary directory.  Both trees
 run the same case list through `localforms.cli.main`, each in one child
 process that imports the package from that tree's `src/`.  Every case whose
@@ -43,6 +46,9 @@ from bench_pairs import ROOT, _git, unpack_revision
 
 SEEDS = (101, 202)
 DEEP_TOWER = 16
+# connectors of the deep tower swapped for a wrong morphism, one per case:
+# a consecutive and a non-consecutive pair, so `validate` fails on each
+SHIFTED = ((DEEP_TOWER, DEEP_TOWER - 1), (DEEP_TOWER, 2))
 GOLDEN_PLANS = {"stored": [], "grid4-random5": ["--grid", "4", "--random", "5"],
                 "grid15": ["--grid", "15"]}
 # one BLAS/OpenMP thread, as in the benchmark's children
@@ -84,7 +90,21 @@ def build_cases(workdir):
             Path(workdir) / f"{name}.json",
             inputs.tower_doc(mf, DEEP_TOWER, 1.25, 0.375, mutated))
         cases.append((f"deep:{name}", ["tower", path]))
+    for j, i in SHIFTED:
+        doc = inputs.tower_doc(mf, DEEP_TOWER, 1.25, 0.375)
+        doc["connectors"][f"{j},{i}"]["phi"] = shifted_block(j, i)
+        name = f"tower_d{DEEP_TOWER}_shifted_{j}_{i}"
+        path = inputs._write(Path(workdir) / f"{name}.json", doc)
+        cases.append((f"deep:{name}", ["tower", path]))
     return cases
+
+
+def shifted_block(j, i):
+    """A morphism UT(j+1) -> UT(i+1) that is not the truncation: the
+    diagonal block on indices 1..i+1 instead of 0..i."""
+    a = str([[1 if c == r + 1 else 0 for c in range(j + 1)]
+             for r in range(i + 1)])
+    return f"{a} * g * transpose({a})"
 
 
 def run_cases():

@@ -7,10 +7,10 @@ from localforms.atlas import sample
 from localforms.connection import CallableForm, check_compatibility
 from localforms.errors import AtlasMismatchError, MorphismCocycleViolation
 from localforms.expr import parse
-from localforms.lie import (ComposedGroupMap, ExprGroupMap, GroupMorphismSpec,
-                            GroupSpec, InverseGroupMap, ProductGroupMap,
-                            adjoint, batch_shape, exp_matrix, inverse,
-                            log_diff_left)
+from localforms.lie import (ComposedGroupMap, ExprGroupMap, GroupMap,
+                            GroupMorphismSpec, GroupSpec, InverseGroupMap,
+                            ProductGroupMap, adjoint, batch_shape, exp_matrix,
+                            inverse, log_diff_left)
 from localforms.connection.data import PulledBackGroupMap
 from localforms.morphism import (MorphismData, associated_connection,
                                  check_morphism_cocycle, check_related,
@@ -333,8 +333,6 @@ def test_morphism_results_are_read_only():
 
 def test_atlas_memo_does_not_freeze_a_mapped_array():
     # the memo freezes the identity's image, a view, not the map's array
-    from localforms.lie import GroupMap
-
     class Held(GroupMap):
         def value(self, x):
             return held
@@ -366,4 +364,4 @@ def test_push_walks_each_source_form_once_per_sample_set(tmp_path,
     assert main(["push", fixture_path("monopole_k1.json"),
                  fixture_path(morphism), "--grid", "4",
                  "--out", str(tmp_path / "report.json")]) == 0
-    assert (len(forms), len(induced)) == (6, 6)  # 8 and 8 with no memo
+    assert (len(forms), len(induced)) == (6, 6)

@@ -427,12 +427,12 @@ def test_each_connector_walks_once_per_phase(monkeypatch):
     connectors = sorted(map(id, tower.connectors.values()))
     # load applies each connector to the identity
     assert sorted(map(id, calls)) == connectors
-    # validate walks each connector once on everything it checks (was 14)
+    # validate walks each connector once, on everything it checks
     calls.clear()
     tower.validate()
     assert sorted(map(id, calls)) == connectors
-    # relatedness walks each level pair's connector once on every chart's
-    # forms (was one walk per pair and chart, 12)
+    # relatedness walks each level pair's connector once, on every chart's
+    # forms stacked
     calls.clear()
     check_tower_related(tower, 1e-8)
     assert sorted(map(id, calls)) == connectors

@@ -34,9 +34,6 @@ class Chart:
     def coords(self):
         return tuple(f"x{i + 1}" for i in range(self.dim))
 
-    def contains(self, x, slack=1e-9):
-        return in_box(x, self.box, slack)
-
 
 @dataclass(frozen=True, eq=False)
 class Overlap:
@@ -62,19 +59,17 @@ class Overlap:
                 f"point {first.tolist()} outside overlap domain "
                 f"{self.src}->{self.dst}")
 
-    def map_point(self, x, params=None):
+    def map_point(self, x):
         """psi(x) for one point (d,) or a stack batch + (d,)."""
         self._require_inside(x)
-        return np.stack([ast.eval(x, params) for ast in self.coord_change],
-                        axis=-1)
+        return np.stack([ast.eval(x) for ast in self.coord_change], axis=-1)
 
-    def push(self, x, v, params=None):
+    def push(self, x, v):
         """Return (psi(x), Dpsi(x) v).  `v` has shape dirs + (d,) with dirs
         broadcastable against the points' batch; Dpsi(x) v has shape
         broadcast + (d',)."""
         self._require_inside(x)
-        pairs = [ast.eval_dual(x, params, seeds=v)
-                 for ast in self.coord_change]
+        pairs = [ast.eval_dual(x, seeds=v) for ast in self.coord_change]
         return (np.stack([y for y, _ in pairs], axis=-1),
                 np.stack([w for _, w in pairs], axis=-1))
 
@@ -103,12 +98,12 @@ def directions(dim):
     return e
 
 
-def mask_keep(mask: Optional[ExprAST], points, params=None) -> np.ndarray:
+def mask_keep(mask: Optional[ExprAST], points) -> np.ndarray:
     """Mask of the points at which the mask expression is positive (all of
     them when there is no mask)."""
     if mask is None:
         return np.ones(np.shape(points)[:-1], dtype=bool)
-    return np.asarray(mask.eval(points, params)) > 0
+    return np.asarray(mask.eval(points)) > 0
 
 
 @dataclass(frozen=True)
@@ -129,8 +124,8 @@ class SamplePlan:
                 f"sample plan seed {self.seed} must not be negative")
 
 
-def sample(plan: SamplePlan, box, mask: Optional[ExprAST] = None,
-           params=None) -> np.ndarray:
+def sample(plan: SamplePlan, box, mask: Optional[ExprAST] = None
+           ) -> np.ndarray:
     """Deterministic sample points of a box: midpoints of a grid^d lattice
     plus `n_random` seeded uniform points.  Points where the mask expression
     is <= 0 are dropped.  Identical inputs yield identical output."""
@@ -148,7 +143,7 @@ def sample(plan: SamplePlan, box, mask: Optional[ExprAST] = None,
         highs = np.array([hi for _, hi in box])
         points.append(rng.uniform(lows, highs, (plan.n_random, d)))
     pts = np.concatenate(points, axis=0)
-    return pts[mask_keep(mask, pts, params)]
+    return pts[mask_keep(mask, pts)]
 
 
 def _intersect_boxes(box1, box2):
@@ -161,16 +156,11 @@ def _intersect_boxes(box1, box2):
     return tuple(out)
 
 
-def _key(params):
-    """Params as a memo key."""
-    return tuple(sorted((params or {}).items()))
-
-
 @dataclass(frozen=True)
 class Atlas:
     """Charts and overlaps of one document, with the memo of what is
     computed on their sample sets: each sample set and overlap push once per
-    (plan, region, params); a map's jet or value, a form's value and its
+    (plan, region); a map's jet or value, a form's value and its
     image under a morphism once per map and read-only argument arrays, by
     identity (a value where the jet is kept is its primal).  All read-only;
     it lives and dies with the atlas."""
@@ -214,27 +204,25 @@ class Atlas:
         return self._memoized(("induced",), lambda: phi.induced(
             self.form(form, x, v)), phi, form, x, v)
 
-    def points(self, plan: SamplePlan, region, params=None) -> np.ndarray:
+    def points(self, plan: SamplePlan, region) -> np.ndarray:
         """The sample points of a chart (given by its id) or of an
         overlap."""
         def build():
             if isinstance(region, Overlap):
-                return sample(plan, region.domain, region.mask, params)
-            return sample(plan, self.chart(region).box, params=params)
+                return sample(plan, region.domain, region.mask)
+            return sample(plan, self.chart(region).box)
 
-        return self._memoized(("points", plan, region, _key(params)), build)
+        return self._memoized(("points", plan, region), build)
 
-    def pushed(self, plan: SamplePlan, overlap: Overlap, params=None):
+    def pushed(self, plan: SamplePlan, overlap: Overlap):
         """(psi(x), Dpsi(x) e) at the overlap's sample points x, for every
         unit direction e of the source chart: shapes (N, d') and
         (d, N, d')."""
-        return self._memoized(("pushed", plan, overlap, _key(params)),
-                              lambda: overlap.push(
-                                  self.points(plan, overlap, params),
-                                  directions(self.chart(overlap.src).dim),
-                                  params))
+        return self._memoized(("pushed", plan, overlap), lambda: overlap.push(
+            self.points(plan, overlap),
+            directions(self.chart(overlap.src).dim)))
 
-    def triple_points(self, plan: SamplePlan, a, b, c, params=None):
+    def triple_points(self, plan: SamplePlan, a, b, c):
         """(x, psi_ab(x)) at the sample points x of the triple-cocycle box:
         the intersection of the a->b and a->c overlap domains, kept where
         both masks keep x and where psi_ab(x) lies in the b->c overlap and
@@ -249,15 +237,14 @@ class Atlas:
             return None
 
         def build():
-            pts = sample(plan, domain, ov_ab.mask, params)
-            pts = pts[mask_keep(ov_ac.mask, pts, params)]
-            y = ov_ab.map_point(pts, params)
+            pts = sample(plan, domain, ov_ab.mask)
+            pts = pts[mask_keep(ov_ac.mask, pts)]
+            y = ov_ab.map_point(pts)
             keep = in_box(y, ov_bc.domain)
-            keep[keep] = mask_keep(ov_bc.mask, y[keep], params)
+            keep[keep] = mask_keep(ov_bc.mask, y[keep])
             return pts[keep], y[keep]
 
-        return self._memoized(("triple", plan, (a, b, c), _key(params)),
-                              build)
+        return self._memoized(("triple", plan, (a, b, c)), build)
 
     def chart(self, chart_id) -> Chart:
         try:

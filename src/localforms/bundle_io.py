@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import functools
 import json
+import math
 from typing import Dict, Tuple
 
 import numpy as np
@@ -61,9 +62,9 @@ def _document_loader(load):
 
 def _parse_expr(text, coords, params, shape, owner, matrix_params=None):
     """The one reader of a document expression: parse the text over the
-    coordinates and the params' names, and require the field's shape, None
-    for a scalar or (rows, cols) for a matrix."""
-    ast = parse(text, coords, sorted(params), matrix_params)
+    coordinates and the params, which it binds to their values, and require
+    the field's shape, None for a scalar or (rows, cols) for a matrix."""
+    ast = parse(text, coords, params, matrix_params)
     if ast.shape != shape:
         raise ValidationError(
             f"{owner} must be scalar" if shape is None
@@ -115,11 +116,31 @@ def _parse_int(value, owner):
     return value
 
 
+def _parse_number(value, owner):
+    """A number field, which must be a JSON number: float() would read a
+    string or a boolean as one."""
+    if _kind(value) != "a number":
+        raise ValidationError(f"{owner} must be a number, not {_kind(value)}")
+    return float(value)
+
+
+def _parse_numbers(value, owner):
+    """A number or nested lists of them, such as a matrix, as given: every
+    entry must be a JSON number."""
+    if isinstance(value, list):
+        for i, entry in enumerate(value):
+            _parse_numbers(entry, f"{owner}[{i}]")
+    else:
+        _parse_number(value, owner)
+    return value
+
+
 def _parse_interval(value, owner):
     """An interval [lo, hi] as two floats."""
     if len(_parse_list(value, owner)) != 2:
         raise ValidationError(f"{owner} must be a list [lo, hi]")
-    return float(value[0]), float(value[1])
+    return tuple(_parse_number(bound, f"{owner}[{i}]")
+                 for i, bound in enumerate(value))
 
 
 def _parse_box(value, owner):
@@ -129,14 +150,16 @@ def _parse_box(value, owner):
 
 
 def _parse_params(doc, base=None):
-    """The document's scalar params (JSON numbers), over and overriding
-    base."""
+    """The document's scalar params, over and overriding base.  Each is
+    bound into the expressions as a literal is, so it must be a finite
+    number: JSON readers take 1e400 as inf and accept NaN and Infinity."""
     params = dict(base or {})
     for name, value in _parse_object(doc.get("params", {}), "params").items():
-        if _kind(value) != "a number":
+        value = _parse_number(value, f"params: {name}")
+        if not math.isfinite(value):
             raise ValidationError(
-                f"params: {name} must be a number, not {_kind(value)}")
-        params[str(name)] = float(value)
+                f"params: {name} must be a finite number, not {value}")
+        params[str(name)] = value
     return params
 
 
@@ -150,21 +173,24 @@ def _parse_key(key, owner, form, kind=str) -> tuple:
 
 
 def _parse_group(doc) -> GroupSpec:
-    """The group, its generators (if any) stacked in one (k, n, n) array."""
+    """The group, its generators (if any) stacked in one (k, n, n) array of
+    JSON numbers: a string, or a list of booleans only, stacks to an array
+    that is neither integer nor float (numpy reads a boolean among numbers
+    as 0 or 1)."""
     doc = _parse_object(doc, "group")
     n = _parse_int(doc["n"], "group: n")
+    owner = f"group '{doc.get('name')}': generators"
     generators = None
     if doc.get("generators"):
         try:
-            generators = np.asarray(doc["generators"], dtype=float)
-        except ValueError:
-            # an entry that is no number keeps its own message; else the
-            # generators have different shapes
-            for g in doc["generators"]:
-                np.asarray(g, dtype=float)
-        if generators is None or generators.shape[1:] != (n, n):
-            raise ValidationError(
-                f"group '{doc.get('name')}': generators are not all {n}x{n}")
+            generators = np.asarray(doc["generators"])
+        except ValueError:  # generators of different shapes
+            raise ValidationError(f"{owner} are not all {n}x{n}") from None
+        if generators.dtype.kind not in "iuf":
+            raise ValidationError(f"{owner} must be numbers")
+        if generators.shape[1:] != (n, n):
+            raise ValidationError(f"{owner} are not all {n}x{n}")
+        generators = generators.astype(float)
     return GroupSpec(doc.get("name", "G"), n, generators)
 
 
@@ -228,7 +254,7 @@ def _parse_transitions(doc, atlas, n, params, owner="transitions"):
                 f"transition '{key}' references an undeclared chart")
         transitions[(a, b)] = ExprGroupMap(a, _parse_expr(
             text, atlas.chart(a).coords, params, (n, n),
-            f"transition '{key}'"), params)
+            f"transition '{key}'"))
     return transitions
 
 
@@ -243,7 +269,7 @@ def _parse_forms(doc, atlas, n, params):
         coeffs = tuple(_parse_expr(text, atlas.chart(chart_id).coords, params,
                                    (n, n), f"form coefficient on '{chart_id}'")
                        for text in _parse_list(texts, f"forms['{chart_id}']"))
-        forms[chart_id] = ExprForm(chart_id, len(coeffs), n, coeffs, params)
+        forms[chart_id] = ExprForm(chart_id, len(coeffs), n, coeffs)
     return forms
 
 
@@ -271,7 +297,7 @@ def _parse_phi(text, n, m, params, owner) -> GroupMorphismSpec:
     parameter g whose value is (m, m) and which maps the identity to the
     identity."""
     ast = _parse_expr(text, [], params, (m, m), owner, {"g": (n, n)})
-    phi = GroupMorphismSpec(n, m, ast, params)
+    phi = GroupMorphismSpec(n, m, ast)
     try:
         unit = phi.apply(np.eye(n))
     except LocalFormsError as exc:
@@ -299,7 +325,7 @@ def load_morphism(path, atlas=None, params=None) -> MorphismData:
             raise ValidationError("h maps given without a bundle atlas")
         h[chart_id] = ExprGroupMap(chart_id, _parse_expr(
             text, atlas.chart(chart_id).coords, merged, (m, m),
-            f"h on '{chart_id}'"), merged)
+            f"h on '{chart_id}'"))
     morphism = MorphismData(phi, h, target_group)
     target_transitions = None
     if doc.get("target_transitions") and atlas is not None:
@@ -362,7 +388,6 @@ def load_path(path, atlas, params=None, *, n=None):
     starting group element, which must be a finite, invertible n x n matrix
     when n is given."""
     doc = _load_json(path)
-    params = params or {}
     segments = []
     for entry in _parse_entries(doc["segments"], "segments"):
         chart = atlas.chart(entry["chart"])
@@ -378,6 +403,6 @@ def load_path(path, atlas, params=None, *, n=None):
         segments.append(PathSegment(entry["chart"], curve, t0, t1))
     a0 = None
     if doc.get("a0") is not None:
-        a0 = (np.asarray(doc["a0"], dtype=float) if n is None
-              else start_matrix(doc["a0"], n))
+        a0 = _parse_numbers(doc["a0"], "a0")
+        a0 = np.asarray(a0, dtype=float) if n is None else start_matrix(a0, n)
     return segments, a0

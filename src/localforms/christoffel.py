@@ -67,8 +67,7 @@ def christoffel_to_forms(data: ChristoffelData,
             rows = tuple(tuple(entry.root for entry in row) for row in block)
             coeffs.append(ExprAST(MatLit(rows), chart.coords,
                                   table[0][0][0].params))
-        forms[chart_id] = ExprForm(chart_id, chart.dim, n, tuple(coeffs),
-                                   data.params)
+        forms[chart_id] = ExprForm(chart_id, chart.dim, n, tuple(coeffs))
     group = GroupSpec(f"GL({n})", n)
     return LocalConnectionData(data.atlas, group, dict(transitions), forms,
                                data.sample_plan, data.params)

@@ -59,8 +59,7 @@ def check_cocycle(data: LocalConnectionData, tolerance=DEFAULT_TOLERANCE) -> Rep
         if not all(key in data.transitions
                    for key in [(a, b), (b, c), (a, c)]):
             continue
-        triple = data.atlas.triple_points(
-            data.sample_plan, a, b, c, data.params)
+        triple = data.atlas.triple_points(data.sample_plan, a, b, c)
         if triple is None or not len(triple[0]):
             continue
         pts, y = triple
@@ -89,7 +88,7 @@ def check_overlaps(data: LocalConnectionData,
             continue
         inside = in_box(y, reverse.domain)
         if np.any(inside):
-            back = reverse.map_point(y[inside], data.params)
+            back = reverse.map_point(y[inside])
             report.add(f"overlap-roundtrip:{ov.src},{ov.dst}",
                        max_residual(back - pts[inside], axis=-1),
                        np.count_nonzero(inside))

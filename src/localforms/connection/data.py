@@ -21,13 +21,12 @@ class PulledBackGroupMap(GroupMap):
 
     inner: GroupMap
     overlap: Overlap
-    params: Mapping[str, float] = field(default_factory=dict)
 
     def value(self, x):
-        return self.inner.value(self.overlap.map_point(x, self.params))
+        return self.inner.value(self.overlap.map_point(x))
 
     def jet(self, x, v):
-        return self.inner.jet(*self.overlap.push(x, v, self.params))
+        return self.inner.jet(*self.overlap.push(x, v))
 
 
 @dataclass(frozen=True)
@@ -70,13 +69,13 @@ class LocalConnectionData:
 
     def points(self, region):
         """The sample points of a chart id or an overlap under this data's
-        plan and params, from the atlas's memo (read-only)."""
-        return self.atlas.points(self.sample_plan, region, self.params)
+        plan, from the atlas's memo (read-only)."""
+        return self.atlas.points(self.sample_plan, region)
 
     def pushed(self, overlap: Overlap):
         """The overlap's memoized push of its sample points and of every
         unit direction: (psi(x), Dpsi(x) e), read-only."""
-        return self.atlas.pushed(self.sample_plan, overlap, self.params)
+        return self.atlas.pushed(self.sample_plan, overlap)
 
     def transition(self, a, b) -> GroupMap:
         try:
@@ -90,7 +89,7 @@ class LocalConnectionData:
             return InverseGroupMap(self.transitions[(a, b)])
         if (b, a) in self.transitions:
             ov = self.atlas.require_overlap(a, b)
-            return PulledBackGroupMap(self.transitions[(b, a)], ov, self.params)
+            return PulledBackGroupMap(self.transitions[(b, a)], ov)
         raise ValidationError(f"no transition between '{a}' and '{b}'")
 
     def with_forms(self, forms) -> "LocalConnectionData":

@@ -12,8 +12,8 @@ transformation, pushforward and tower projection.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Mapping, Tuple
+from dataclasses import dataclass
+from typing import Callable, Tuple
 
 import numpy as np
 
@@ -44,7 +44,6 @@ class ExprForm(LocalForm):
     dim: int
     n: int
     coeffs: Tuple[ExprAST, ...]
-    params: Mapping[str, float] = field(default_factory=dict)
 
     def __call__(self, x, v):
         x = np.asarray(x, dtype=float)
@@ -57,11 +56,11 @@ class ExprForm(LocalForm):
                 continue
             # zero components are skipped, so 0 * inf never becomes NaN
             with np.errstate(invalid="ignore"):
-                out += np.where(nonzero, vj * ast.eval(x, self.params), 0.0)
+                out += np.where(nonzero, vj * ast.eval(x), 0.0)
         return out
 
     def coefficient(self, x, i):
-        return np.asarray(self.coeffs[i].eval(x, self.params), dtype=float)
+        return np.asarray(self.coeffs[i].eval(x), dtype=float)
 
 
 @dataclass(frozen=True)

@@ -66,9 +66,9 @@ def chart_change(data: LocalConnectionData, p: PointRep, target,
         return p if u is None else (p, u)
     overlap = data.atlas.require_overlap(p.chart, target)
     if u is None:
-        y = overlap.map_point(p.x, data.params)
+        y = overlap.map_point(p.x)
         g = data.reverse_transition(p.chart, target).value(p.x)
         return PointRep(target, y, g @ p.a)
-    y, v_new = overlap.push(p.x, u.v, data.params)
+    y, v_new = overlap.push(p.x, u.v)
     g, dg = data.reverse_transition(p.chart, target).jet(p.x, u.v)
     return PointRep(target, y, g @ p.a), TangentRep(v_new, dg @ p.a + g @ u.w)

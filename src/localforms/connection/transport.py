@@ -35,11 +35,11 @@ class PathSegment:
     t0: float = 0.0
     t1: float = 1.0
 
-    def at(self, t, params=None):
+    def at(self, t):
         """Curve points and velocities at parameter t, a float or an array
         of parameters: shapes t.shape + (d,)."""
         t = np.asarray(t, dtype=float)[..., None]
-        pairs = [ast.eval_dual(t, params, seeds=[1.0]) for ast in self.curve]
+        pairs = [ast.eval_dual(t, seeds=[1.0]) for ast in self.curve]
         return (np.stack([x for x, _ in pairs], axis=-1),
                 np.stack([xdot for _, xdot in pairs], axis=-1))
 
@@ -69,8 +69,7 @@ def parallel_transport(data: LocalConnectionData,
     a = start_matrix(a0, data.group.n)
     prev = None  # (chart, end point)
     for segment in path:
-        (x_start, x_end), _ = segment.at([segment.t0, segment.t1],
-                                          data.params)
+        (x_start, x_end), _ = segment.at([segment.t0, segment.t1])
         if prev is not None:
             prev_chart, x_prev = prev
             if prev_chart == segment.chart:
@@ -95,8 +94,7 @@ def _integrate_segment(data, segment, a, steps):
     # the nodes t_s of the accumulated t += h, then the midpoints t_s + h/2
     ticks = np.add.accumulate(np.concatenate(([segment.t0],
                                               np.full(steps, h))))
-    x, xdot = segment.at(np.concatenate((ticks, ticks[:-1] + 0.5 * h)),
-                         data.params)
+    x, xdot = segment.at(np.concatenate((ticks, ticks[:-1] + 0.5 * h)))
     rhs = -data.forms[segment.chart](x, xdot)
     ends, mids = rhs[:steps + 1], rhs[steps + 1:]
     # RK4 is linear in a: step s maps a to (I + D_s) a, with D_s built from

@@ -14,8 +14,7 @@ from typing import Dict, Mapping, NamedTuple, Tuple
 
 import numpy as np
 
-from ..errors import (DomainError, ExpressionSyntaxError, ShapeError,
-                      ValidationError)
+from ..errors import DomainError, ExpressionSyntaxError, ValidationError
 from .evaluate import evaluate
 from .dual import Dual
 from .nodes import (Binary, Call, MatLit, Name, Node, Num, Shape, Unary,
@@ -241,13 +240,14 @@ class _Parser:
 
 @dataclass(frozen=True)
 class ExprAST:
-    """A validated expression over chart coordinates and parameters.  Its
-    static shape is inferred when it is built, which checks every name and
-    every shape rule of the grammar once, and is kept."""
+    """A validated expression over chart coordinates and the params of the
+    document that declared it, whose values it keeps: every walk binds them.
+    Its static shape is inferred when it is built, which checks every name
+    and every shape rule of the grammar once, and is kept."""
 
     root: Node
     coords: Tuple[str, ...]
-    params: Tuple[str, ...] = ()
+    params: Mapping[str, float] = field(default_factory=dict)
     matrix_params: Mapping[str, Tuple[int, int]] = field(default_factory=dict)
     shape: Shape = field(init=False, repr=False, compare=False)
 
@@ -267,38 +267,24 @@ class ExprAST:
     def __str__(self):
         return self.to_source()
 
-    def _bindings(self, points, params, seeds):
-        """Coordinate and parameter bindings for points of shape batch + (d,)
-        and seeds (None, or shape dirs + (d,)); a matrix parameter must have
-        its declared shape."""
+    def _bindings(self, points, seeds):
+        """Coordinate bindings for points of shape batch + (d,) and seeds
+        (None, or shape dirs + (d,))."""
         if points.shape[-1:] != (len(self.coords),):
             raise ValidationError(
                 f"expected {len(self.coords)} coordinates, got "
                 f"{points.shape[-1] if points.ndim else 0}")
-        params = dict(params or {})
-        bindings = {}
-        for j, name in enumerate(self.coords):
-            bindings[name] = Dual(points[..., j],
-                                  None if seeds is None else seeds[..., j])
-        for name in self.params:
-            if name not in params:
-                raise ValidationError(f"parameter '{name}' is not bound")
-            bindings[name] = Dual(np.float64(params[name]))
-        for name, shape in self.matrix_params.items():
-            if name not in params:
-                raise ValidationError(f"parameter '{name}' is not bound")
-            value = Dual.matrix(params[name])
-            if value.primal.shape[-2:] != tuple(shape):
-                raise ShapeError(
-                    f"parameter '{name}' has shape "
-                    f"{value.primal.shape[-2:]}, expected {tuple(shape)}")
-            bindings[name] = value
-        return bindings
+        return {name: Dual(points[..., j],
+                           None if seeds is None else seeds[..., j])
+                for j, name in enumerate(self.coords)}
 
     def _walk(self, bindings, points=None):
-        """One evaluation of the tree over the whole batch.  Overflow gives
-        inf and invalid operations NaN, which the checks report as failing;
-        a domain violation names its sample point."""
+        """One evaluation of the tree over the whole batch, with the params
+        bound to their values.  Overflow gives inf and invalid operations
+        NaN, which the checks report as failing; a domain violation names
+        its sample point."""
+        bindings = {**bindings, **{name: Dual(np.float64(value))
+                                   for name, value in self.params.items()}}
         with np.errstate(all="ignore"):
             try:
                 return evaluate(self.root, bindings)
@@ -308,17 +294,17 @@ class ExprAST:
                 raise DomainError(f"{exc}{_where(exc.index, points)}") \
                     from None
 
-    def eval(self, points, params=None):
+    def eval(self, points):
         """Evaluate at one coordinate point (shape (d,)) or at a stack of
         points (shape batch + (d,)) in one walk; returns an array of shape
         batch + value shape (a float for one point of a scalar expression).
         """
         points = np.asarray(points, dtype=float)
-        result = self._walk(self._bindings(points, params, None), points)
+        result = self._walk(self._bindings(points, None), points)
         return _broadcast(result.primal,
                           points.shape[:-1] + _value_shape(result))
 
-    def eval_dual(self, points, params=None, *, seeds):
+    def eval_dual(self, points, *, seeds):
         """Evaluate together with the derivative along `seeds`, in one walk.
 
         `seeds` has shape dirs + (d,): one direction (d,) at every point,
@@ -332,7 +318,7 @@ class ExprAST:
         seeds = np.asarray(seeds, dtype=float)
         if seeds.shape[-1:] != (len(self.coords),):
             raise ValidationError("seed dimension mismatch")
-        result = self._walk(self._bindings(points, params, seeds), points)
+        result = self._walk(self._bindings(points, seeds), points)
         value_shape = _value_shape(result)
         batch = points.shape[:-1]
         tangent_shape = np.broadcast_shapes(seeds.shape[:-1], batch) \
@@ -342,9 +328,9 @@ class ExprAST:
                 _broadcast(tangent, tangent_shape))
 
     def eval_bound(self, bindings):
-        """Evaluate with explicit Dual bindings (used to differentiate through
-        matrix-valued parameters); returns the Dual, whose tangent is None
-        where it vanishes identically."""
+        """Evaluate with explicit Dual bindings of the matrix parameters
+        (used to differentiate through them); returns the Dual, whose
+        tangent is None where it vanishes identically."""
         return self._walk(bindings)
 
 
@@ -371,11 +357,13 @@ def _where(index, points):
     return f" at point {points[index].tolist()}"
 
 
-def parse(source, coords, params=(), matrix_params=None) -> ExprAST:
-    """Parse and validate an expression over the given names.
+def parse(source, coords, params=None, matrix_params=None) -> ExprAST:
+    """Parse and validate an expression over the coordinates, the params
+    (a map of each name to its value, bound at every evaluation) and the
+    matrix parameters (a map of each name to its shape).
 
     Raises ExpressionSyntaxError on malformed text and
     ValidationError/ShapeError on unknown names or dimension mismatches.
     """
-    return ExprAST(_Parser(source).parse(), tuple(coords), tuple(params),
+    return ExprAST(_Parser(source).parse(), tuple(coords), dict(params or {}),
                    dict(matrix_params or {}))

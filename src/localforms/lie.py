@@ -10,8 +10,8 @@ differentiation at the identity, never by finite differences).
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
-from typing import Mapping, Optional
+from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -105,13 +105,12 @@ def batch_shape(x, v=None):
 class ExprGroupMap(GroupMap):
     chart: str
     ast: ExprAST
-    params: Mapping[str, float] = field(default_factory=dict)
 
     def value(self, x):
-        return self.ast.eval(x, self.params)
+        return self.ast.eval(x)
 
     def jet(self, x, v):
-        return self.ast.eval_dual(x, self.params, seeds=v)
+        return self.ast.eval_dual(x, seeds=v)
 
 
 @dataclass(frozen=True)
@@ -191,7 +190,6 @@ class GroupMorphismSpec:
     source_dim: int
     target_dim: int
     phi: ExprAST
-    params: Mapping[str, float] = field(default_factory=dict)
 
     def _check_source(self, g, what):
         if g.shape[-2:] != (self.source_dim, self.source_dim):
@@ -200,10 +198,7 @@ class GroupMorphismSpec:
                 f"expected ({self.source_dim}, {self.source_dim})")
 
     def _eval(self, arg):
-        bindings = {"g": arg}
-        for name in self.phi.params:
-            bindings[name] = Dual(np.float64(self.params[name]))
-        return self.phi.eval_bound(bindings)
+        return self.phi.eval_bound({"g": arg})
 
     def apply(self, g):
         g = np.asarray(g, dtype=float)

@@ -117,7 +117,7 @@ def test_global_form_suite():
     for name in GOOD_FIXTURES:
         data = load_fixture(name, grid=4, random=6)
         for ov in data.atlas.overlaps:
-            pts = sample(data.sample_plan, ov.domain, ov.mask, data.params)
+            pts = sample(data.sample_plan, ov.domain, ov.mask)
             for x in pts[:8]:
                 a = exp_matrix(data.group.sample_algebra(rng))
                 p = PointRep(ov.src, x, a)
@@ -151,7 +151,7 @@ def test_relatedness_suite():
     for chart_id in source.atlas.charts:
         h = m.h_map(chart_id)
         chart = source.atlas.chart(chart_id)
-        pts = sample(source.sample_plan, chart.box, params=source.params)
+        pts = sample(source.sample_plan, chart.box)
         for x in pts:
             manual = adjoint(
                 h.value(x),
@@ -256,8 +256,7 @@ def test_tower_suite():
         declared = tower.level(i)
         for chart_id in declared.atlas.charts:
             chart = declared.atlas.chart(chart_id)
-            pts = sample(declared.sample_plan, chart.box,
-                         params=declared.params)
+            pts = sample(declared.sample_plan, chart.box)
             for x in pts:
                 delta = projected.forms[chart_id](x, [1.0]) \
                     - declared.forms[chart_id](x, [1.0])

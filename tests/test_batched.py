@@ -104,13 +104,13 @@ def test_check_on_a_stack_matches_the_pointwise_formula():
     data = load_fixture("monopole_k1.json", grid=4, random=3)
     ov = data.atlas.overlap("U_N", "U_S")
     g = data.transitions[("U_N", "U_S")]
-    pts = sample(data.sample_plan, ov.domain, ov.mask, data.params)
+    pts = sample(data.sample_plan, ov.domain, ov.mask)
     e = directions(2)
-    y, w = ov.push(pts, e, data.params)
+    y, w = ov.push(pts, e)
     lhs = data.forms["U_S"](y, w)
     for p, x in enumerate(pts):
         for i, direction in enumerate(np.eye(2)):
-            y_p, w_p = ov.push(x, direction, data.params)
+            y_p, w_p = ov.push(x, direction)
             assert np.array_equal(y[p], y_p)
             assert np.array_equal(w[i, p], w_p)
             assert np.allclose(lhs[i, p], data.forms["U_S"](y_p, w_p),

@@ -586,6 +586,40 @@ def _set(*keys, value):
      "params: zz must be a number, not a string"),
     ("abelian.json", ["verify"], _set("params", value={"zz": True}),
      "params: zz must be a number, not a boolean"),
+    # number fields once read by float() or np.asarray(dtype=float)
+    ("abelian.json", ["verify"], _set("charts", 0, "box", 0, 1, value="2"),
+     "chart 'U1': box[0][1] must be a number, not a string"),
+    ("abelian.json", ["verify"], _set("charts", 0, "box", 0, 0, value=False),
+     "chart 'U1': box[0][0] must be a number, not a boolean"),
+    ("abelian.json", ["verify"],
+     _set("overlaps", 0, "domain", 0, 1, value="2"),
+     "overlap U1->U2: domain[0][1] must be a number, not a string"),
+    ("abelian.json", ["verify"],
+     _set("overlaps", 0, "domain", 0, 0, value=False),
+     "overlap U1->U2: domain[0][0] must be a number, not a boolean"),
+    ("path_abelian.json", ["transport", fixture_path("abelian.json")],
+     _set("segments", 0, "t_range", 0, value="0"),
+     "segment in 'U1': t_range[0] must be a number, not a string"),
+    ("path_abelian.json", ["transport", fixture_path("abelian.json")],
+     _set("segments", 0, "t_range", 0, value=False),
+     "segment in 'U1': t_range[0] must be a number, not a boolean"),
+    ("path_abelian.json", ["transport", fixture_path("abelian.json")],
+     _set("a0", value=[[True, 0], [0, 1]]),
+     "a0[0][0] must be a number, not a boolean"),
+    ("path_abelian.json", ["transport", fixture_path("abelian.json")],
+     _set("a0", value=[[1, 0], [0, "1"]]),
+     "a0[1][1] must be a number, not a string"),
+    ("abelian.json", ["verify"],
+     _set("group", "generators", value=[[["0", "-1"], ["1", "0"]]]),
+     "group 'SO(2)': generators must be numbers"),
+    ("abelian.json", ["verify"],
+     _set("group", "generators", value=[[[False, True], [True, False]]]),
+     "group 'SO(2)': generators must be numbers"),
+    # a param is bound as a literal is: JSON reads 1e400 as inf
+    ("abelian.json", ["verify"], _set("params", value={"k": 1e400}),
+     "params: k must be a finite number, not inf"),
+    ("abelian.json", ["verify"], _set("params", value={"k": float("nan")}),
+     "params: k must be a finite number, not nan"),
 ])
 def test_inconsistent_document_is_a_usage_error(tmp_path, capsys, name, argv,
                                                 edit, needle):

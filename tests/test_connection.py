@@ -112,7 +112,7 @@ def test_global_form_is_chart_independent(name):
     rng = np.random.default_rng(5)
     for ov in data.atlas.overlaps:
         from localforms.atlas import sample
-        pts = sample(data.sample_plan, ov.domain, ov.mask, data.params)
+        pts = sample(data.sample_plan, ov.domain, ov.mask)
         for x in pts[:10]:
             a = exp_matrix(data.group.sample_algebra(rng))
             p = PointRep(ov.src, x, a)
@@ -166,9 +166,9 @@ def test_chart_change_walks_the_transition_once(monopole, monkeypatch):
     # its own transition value
     ov = monopole.atlas.require_overlap("U_N", "U_S")
     g_rev = monopole.reverse_transition("U_N", "U_S")
-    _, v = ov.push(x, u.v, monopole.params)
+    _, v = ov.push(x, u.v)
     w = g_rev.derivative(x, u.v) @ p.a + g_rev.value(x) @ u.w
-    assert q.x.tobytes() == ov.map_point(x, monopole.params).tobytes()
+    assert q.x.tobytes() == ov.map_point(x).tobytes()
     assert q.a.tobytes() == (g_rev.value(x) @ p.a).tobytes()
     assert u2.v.tobytes() == v.tobytes()
     assert u2.w.tobytes() == w.tobytes()
@@ -265,6 +265,55 @@ def _three_chart_bundle(ac_mask=None, bc_mask=None, broken=False):
     return LocalConnectionData(Atlas(charts, overlaps),
                                GroupSpec("SO(2)", 2, (J,)), transitions,
                                forms, SamplePlan(grid=4, n_random=0))
+
+
+def _shifted_three_chart_bundle():
+    """Three 1-d charts of one line, chart a's coordinate the line's s
+    shifted by c_a, so every coordinate change is a shift x -> x - c_a + c_b
+    and psi moves each point; the SO(2) transitions g_ab = R(f_a - f_b),
+    each f a function of s, depend on x and satisfy the triple cocycle."""
+    from localforms.atlas import Atlas, Chart, Overlap, SamplePlan
+    from localforms.connection import LocalConnectionData, zero_form
+    from localforms.lie import GroupSpec
+
+    shift = {"U1": 0.0, "U2": 1.0, "U3": 3.0}
+    f = {"U1": "{s}", "U2": "2*{s}", "U3": "sin({s})"}
+
+    def ast(text):
+        return parse(text, ["x1"])
+
+    def box(a, lo, hi):  # an s-interval in chart a's coordinate
+        return ((lo + shift[a], hi + shift[a]),)
+
+    def overlap(a, b, lo, hi):
+        return Overlap(a, b, box(a, lo, hi),
+                       (ast(f"x1 + {shift[b] - shift[a]}"),))
+
+    def g(a, b):
+        s = f"(x1 - {shift[a]})"
+        return ExprGroupMap(a, ast(f"mexp(({f[a].format(s=s)} - "
+                                   f"{f[b].format(s=s)}) * [[0,-1],[1,0]])"))
+
+    charts = {c: Chart(c, 1, box(c, lo, hi)) for c, lo, hi in
+              (("U1", 0.0, 2.0), ("U2", 1.0, 3.0), ("U3", 1.5, 4.0))}
+    overlaps = (overlap("U1", "U2", 1.0, 2.0), overlap("U1", "U3", 1.5, 2.0),
+                overlap("U2", "U3", 1.5, 3.0))
+    transitions = {(ov.src, ov.dst): g(ov.src, ov.dst) for ov in overlaps}
+    forms = {c: zero_form(c, 1, 2) for c in charts}
+    return LocalConnectionData(Atlas(charts, overlaps),
+                               GroupSpec("SO(2)", 2, (J,)), transitions,
+                               forms, SamplePlan(grid=4, n_random=0))
+
+
+def test_triple_cocycle_evaluates_g_ac_at_the_source_point():
+    # psi_ab shifts x by 1 and g_ac depends on x, so g_ab(x) g_bc(psi x)
+    # matches g_ac(x) and not g_ac(psi x)
+    data = _shifted_three_chart_bundle()
+    check = _triple(data)
+    assert check.passed and check.sample_count == 4
+    pts, y = data.atlas.triple_points(data.sample_plan, "U1", "U2", "U3")
+    g_ac = data.transitions[("U1", "U3")]
+    assert np.linalg.norm(g_ac.value(y) - g_ac.value(pts)) > 0.1
 
 
 def _triple(data):
@@ -430,8 +479,7 @@ def test_atlas_memo_is_read_only_and_keyed_by_plan(monopole):
     assert other.atlas is monopole.atlas
     fresh = other.points(ov)
     assert fresh is not pts and len(fresh) == 3 * 3 + 2
-    assert fresh.tobytes() == sample(plan, ov.domain, ov.mask,
-                                     other.params).tobytes()
+    assert fresh.tobytes() == sample(plan, ov.domain, ov.mask).tobytes()
     # a document loaded again has an atlas, and a memo, of its own
     again = load_fixture("monopole_k1.json", grid=5, random=5)
     assert again.points(again.atlas.overlaps[0]) is not pts
@@ -439,10 +487,9 @@ def test_atlas_memo_is_read_only_and_keyed_by_plan(monopole):
 
 def test_triple_points_are_memoized_read_only():
     data = _three_chart_bundle()
-    pts, y = data.atlas.triple_points(data.sample_plan, "U1", "U2", "U3",
-                                      data.params)
-    assert data.atlas.triple_points(data.sample_plan, "U1", "U2", "U3",
-                                    data.params)[0] is pts
+    pts, y = data.atlas.triple_points(data.sample_plan, "U1", "U2", "U3")
+    assert data.atlas.triple_points(data.sample_plan, "U1", "U2",
+                                    "U3")[0] is pts
     assert not pts.flags.writeable and not y.flags.writeable
-    assert data.atlas.triple_points(data.sample_plan, "U2", "U1", "U3",
-                                    data.params) is None
+    assert data.atlas.triple_points(data.sample_plan, "U2", "U1",
+                                    "U3") is None

@@ -30,12 +30,12 @@ def _compatibility_reference(data):
         if (ov.src, ov.dst) not in data.transitions:
             continue
         g = data.transitions[(ov.src, ov.dst)]
-        pts = sample(data.sample_plan, ov.domain, ov.mask, data.params)
+        pts = sample(data.sample_plan, ov.domain, ov.mask)
         dim = data.atlas.chart(ov.src).dim
         e = directions(dim)
         g_x = g.value(pts)
         g_inv = inverse(g_x)
-        y, w = ov.push(pts, e, data.params)
+        y, w = ov.push(pts, e)
         lhs = data.forms[ov.dst](y, w)
         rhs = g_inv @ data.forms[ov.src](pts, e) @ g_x \
             + g_inv @ g.derivative(pts, e)
@@ -49,7 +49,7 @@ def _related_reference(omega, theta, m):
     for chart_id in sorted(omega.atlas.charts):
         chart = omega.atlas.chart(chart_id)
         h = m.h_map(chart_id)
-        pts = sample(omega.sample_plan, chart.box, params=omega.params)
+        pts = sample(omega.sample_plan, chart.box)
         e = directions(chart.dim)
         h_x = h.value(pts)
         h_inv = inverse(h_x)

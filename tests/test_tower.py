@@ -93,16 +93,14 @@ def test_projection_reproduces_declared_levels():
         assert check_compatibility(projected, 1e-8).passed
         for chart_id in declared.atlas.charts:
             chart = declared.atlas.chart(chart_id)
-            pts = sample(declared.sample_plan, chart.box,
-                         params=declared.params)
+            pts = sample(declared.sample_plan, chart.box)
             for x in pts:
                 delta = projected.forms[chart_id](x, [1.0]) \
                     - declared.forms[chart_id](x, [1.0])
                 assert np.linalg.norm(delta) < 1e-8
         for key, g in declared.transitions.items():
             ov = declared.atlas.overlap(*key)
-            pts = sample(declared.sample_plan, ov.domain, ov.mask,
-                         declared.params)
+            pts = sample(declared.sample_plan, ov.domain, ov.mask)
             for x in pts:
                 delta = projected.transitions[key].value(x) - g.value(x)
                 assert np.linalg.norm(delta) < 1e-8
@@ -164,8 +162,7 @@ def _related_per_pair(tower, tolerance):
             phi = tower.connector(j, i)
             for chart_id in sorted(upper.atlas.charts):
                 chart = upper.atlas.chart(chart_id)
-                pts = sample(upper.sample_plan, chart.box,
-                             params=upper.params)
+                pts = sample(upper.sample_plan, chart.box)
                 e = directions(chart.dim)
                 lhs = phi.induced(upper.forms[chart_id](pts, e))
                 rhs = tower.level(i).forms[chart_id](pts, e)
@@ -280,7 +277,7 @@ def _validate_by_triples(tower, tolerance=1e-9, n_samples=20, seed=7):
             if key[0] == key[1]:
                 continue
             ov = upper.atlas.overlap(*key)
-            pts = sample(upper.sample_plan, ov.domain, ov.mask, upper.params)
+            pts = sample(upper.sample_plan, ov.domain, ov.mask)
             found = violation(
                 lower.transitions[key].value(pts)
                 - phi.apply(g_upper.value(pts)),
@@ -376,7 +373,7 @@ def _validate_per_pair(tower):
             if key[0] == key[1]:
                 continue
             ov = upper.atlas.overlap(*key)
-            pts = sample(upper.sample_plan, ov.domain, ov.mask, upper.params)
+            pts = sample(upper.sample_plan, ov.domain, ov.mask)
             found = violation(
                 lower.transitions[key].value(pts)
                 - phi.apply(g_upper.value(pts)),

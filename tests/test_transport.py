@@ -135,16 +135,16 @@ def rk4_reference(data, path, a, steps):
     switch of parallel_transport at junctions."""
     for before, segment in zip([None] + list(path), path):
         if before is not None and before.chart != segment.chart:
-            x_end, _ = before.at(before.t1, data.params)
+            x_end, _ = before.at(before.t1)
             a = chart_change(data, PointRep(before.chart, x_end, a),
                              segment.chart).a
         h = (segment.t1 - segment.t0) / steps
         ticks = [segment.t0]
         for _ in range(steps):
             ticks.append(ticks[-1] + h)
-        x, xdot = segment.at(ticks, data.params)
+        x, xdot = segment.at(ticks)
         ends = -data.forms[segment.chart](x, xdot)
-        x, xdot = segment.at(np.array(ticks[:-1]) + 0.5 * h, data.params)
+        x, xdot = segment.at(np.array(ticks[:-1]) + 0.5 * h)
         mids = -data.forms[segment.chart](x, xdot)
         for s in range(steps):
             k1 = ends[s] @ a
@@ -191,7 +191,7 @@ def test_transport_matches_step_by_step_rk4(case, steps):
 
 def test_sphere_path_does_not_commute():
     data, path, _ = _equivalence_cases()["sphere"]
-    x, xdot = path[0].at([0.0, 1.0], data.params)
+    x, xdot = path[0].at([0.0, 1.0])
     start, end = data.forms["U_N"](x, xdot)
     assert np.linalg.norm(start @ end - end @ start) > 0.1
 

@@ -79,6 +79,9 @@ def _require_intervals(box, owner):
         if not hi > lo:
             raise ValidationError(
                 f"{owner}: degenerate interval [{lo}, {hi}]")
+        if hi - lo == np.inf:  # a sample point would overflow
+            raise ValidationError(
+                f"{owner}: interval [{lo}, {hi}] is too wide")
 
 
 def in_box(points, box, slack=1e-9):

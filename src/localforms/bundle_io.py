@@ -1,18 +1,18 @@
 """Loaders for the JSON description files: bundles, morphisms, Christoffel
 data, towers and transport paths.
 
-All expressions use the chart-expression grammar (docs/grammar.md), with
-coordinates x1..xd of the owning chart (or t for path curves) and the file's
-params as scalar parameters.  Loading validates every expression and every
-structural reference; errors name the offending chart/overlap/form.
+Each document kind has one schema below, and one walker reads a document by
+it, naming the field's path in every error.  The loaders read the typed
+values and make only the semantic checks.  Expressions use the grammar of
+docs/grammar.md over the chart's coordinates (t for path curves) and params.
 """
 
 from __future__ import annotations
 
 import functools
 import json
-import math
-from typing import Dict, Tuple
+from sys import float_info
+from typing import NamedTuple, Tuple
 
 import numpy as np
 
@@ -26,8 +26,115 @@ from .lie import ExprGroupMap, GroupMorphismSpec, GroupSpec
 from .morphism import MorphismData
 from .tower import TowerSpec
 
+# A schema is a leaf type, [item] for a list of items, (first, second) for a
+# two-entry list, a dict of named fields (Opt for one that may be left out,
+# which reads as its default) or Map(values) for an object of any keys.
+# ARRAY is a list whose entries numpy checks when it stacks them.
+NUMBER, INTEGER, STRING, ARRAY = ("a finite number", "an integer", "a string",
+                                  "a list")
+_LEAF_TYPES = {INTEGER: int, STRING: str, ARRAY: list}
+_JSON_TYPES = {dict: "an object", list: "a list", bool: "a boolean",
+               str: "a string", type(None): "null"}
 
-def _load_json(path):
+
+class Opt(NamedTuple):
+    schema: object
+    default: object = None
+
+
+class Map(NamedTuple):
+    values: object
+
+
+def _where(path):
+    """A walker path as messages name it, such as charts[1].box[0][1]."""
+    text = "".join(f"[{step}]" if type(step) is int
+                   else f"['{step[0]}']" if type(step) is tuple  # a Map key
+                   else f".{step}" for step in path)
+    return text[1:] if text.startswith(".") else text or "the document"
+
+
+def _type_error(path, expected, value):
+    shown = _JSON_TYPES.get(type(value)) or repr(value)  # a number by value
+    return ValidationError(f"{_where(path)} must be {expected}, not {shown}")
+
+
+def _walk(value, schema, path=()):
+    """The typed value of a JSON value under its schema: lists as tuples,
+    numbers as floats, objects as dicts holding every named field.  The
+    path becomes text only for an error."""
+    kind = type(schema)
+    if kind is str:  # a leaf; NaN fails the comparison
+        if schema is NUMBER:
+            if type(value) in (int, float) and abs(value) <= float_info.max:
+                return float(value)
+        elif type(value) is _LEAF_TYPES[schema]:
+            return value
+        raise _type_error(path, schema, value)
+    if kind is list or kind is tuple:
+        if type(value) is not list:
+            raise _type_error(path, "a list", value)
+        fields = schema * len(value) if kind is list else schema
+        if len(fields) != len(value):
+            raise ValidationError(f"{_where(path)} must be a list of "
+                                  f"{len(schema)} entries, not {len(value)}")
+        return tuple([_walk(entry, field, path + (i,))
+                      for i, (entry, field) in enumerate(zip(value, fields))])
+    if type(value) is not dict:
+        raise _type_error(path, "an object", value)
+    if kind is Map:
+        return {key: _walk(item, schema.values, path + ((key,),))
+                for key, item in value.items()}
+    owner = f"{_where(path)}: " if path else ""
+    for key in value:
+        if key not in schema:
+            raise ValidationError(f"{owner}unknown key '{key}'")
+    fields = {}
+    for key, field in schema.items():
+        if type(field) is Opt:
+            if key not in value:
+                fields[key] = field.default
+                continue
+            field = field.schema
+        elif key not in value:
+            raise ValidationError(f"{owner}missing key '{key}'")
+        fields[key] = _walk(value[key], field, path + (key,))
+    return fields
+
+
+_INTERVALS = [(NUMBER, NUMBER)]
+_ATLAS = {
+    "charts": [{"id": STRING, "dim": INTEGER, "box": _INTERVALS}],
+    "overlaps": Opt([{"from": STRING, "to": STRING, "domain": _INTERVALS,
+                      "coord_change": [STRING], "mask": Opt(STRING)}], ()),
+}
+_CONNECTION = {
+    "group": {"name": Opt(STRING, "G"), "n": INTEGER,
+              "generators": Opt(ARRAY)},
+    "transitions": Opt(Map(STRING), {}),
+    "forms": Map([STRING]),
+}
+_PLAN = {"grid": Opt(INTEGER, SamplePlan.grid),
+         "random": Opt(INTEGER, SamplePlan.n_random),
+         "seed": Opt(INTEGER, SamplePlan.seed)}
+_PARAMS = Opt(Map(NUMBER), {})
+_SETTINGS = {"params": _PARAMS, "sample_plan": Opt(_PLAN, _walk({}, _PLAN))}
+
+BUNDLE = {**_ATLAS, **_CONNECTION, **_SETTINGS}
+MORPHISM = {"source_n": INTEGER, "target_n": INTEGER, "phi": STRING,
+            "target_group_name": Opt(STRING, "H"), "h": Opt(Map(STRING), {}),
+            "target_transitions": Opt(Map(STRING)), "params": _PARAMS}
+CHRISTOFFEL = {**_ATLAS, "fiber_dim": INTEGER, "gamma": Map([[[STRING]]]),
+               "transitions": Opt(Map(STRING), {}), **_SETTINGS}
+TOWER = {**_ATLAS, "levels": [_CONNECTION],
+         "connectors": Opt(Map({"phi": STRING}), {}), **_SETTINGS}
+# a path has no params of its own: its curves see the bundle's
+PATH = {"segments": [{"chart": STRING, "curve": [STRING],
+                      "t_range": Opt((NUMBER, NUMBER), (0.0, 1.0))}],
+        "a0": Opt([[NUMBER]])}
+
+
+def _load_json(path, schema):
     try:
         with open(path, "r", encoding="utf-8") as handle:
             doc = json.load(handle)
@@ -36,23 +143,19 @@ def _load_json(path):
             f"cannot read: {exc.strerror or exc}") from exc
     except json.JSONDecodeError as exc:
         raise ValidationError(f"not valid JSON: {exc}") from exc
-    return _parse_object(doc, "the document")
+    return _walk(doc, schema)
 
 
 def _document_loader(load):
     """Wrap a public loader so that every error in the document names the
-    file: a missing key or a value of the wrong type or form is a
-    ValidationError, not a KeyError, AttributeError, OverflowError,
-    TypeError or ValueError, and any other error of this package is
-    re-raised as a ValidationError that names the file."""
+    file: one of this package's, or numpy's on a typed value it cannot take,
+    such as a group size beyond its arrays."""
 
     @functools.wraps(load)
     def wrapper(path, *args, **kwargs):
         try:
             return load(path, *args, **kwargs)
-        except KeyError as exc:
-            raise ValidationError(f"'{path}': missing key {exc}") from exc
-        except (AttributeError, OverflowError, TypeError, ValueError) as exc:
+        except (TypeError, ValueError) as exc:
             raise ValidationError(f"'{path}': invalid value: {exc}") from exc
         except LocalFormsError as exc:
             raise ValidationError(f"'{path}': {exc}") from exc
@@ -72,97 +175,6 @@ def _parse_expr(text, coords, params, shape, owner, matrix_params=None):
     return ast
 
 
-_JSON_TYPES = {str: "a string", dict: "an object", list: "a list",
-               bool: "a boolean", int: "a number", float: "a number",
-               type(None): "null"}
-
-
-def _kind(value):
-    """The JSON type of a value, as a message names it."""
-    return _JSON_TYPES.get(type(value), type(value).__name__)
-
-
-def _parse_list(value, owner):
-    """A list-valued field, which must be a JSON list: a string in its place
-    would be read one character at a time."""
-    if not isinstance(value, list):
-        raise ValidationError(f"{owner} must be a list, not {_kind(value)}")
-    return value
-
-
-def _parse_object(value, owner):
-    """An object-valued field or entry, which must be a JSON object: a
-    string or a list in its place would be indexed as one."""
-    if not isinstance(value, dict):
-        raise ValidationError(
-            f"{owner} must be an object, not {_kind(value)}")
-    return value
-
-
-def _parse_entries(value, owner):
-    """A list of objects, such as the charts or the path segments."""
-    return [_parse_object(entry, f"{owner}[{i}]")
-            for i, entry in enumerate(_parse_list(value, owner))]
-
-
-def _parse_int(value, owner):
-    """An integer field, which must be a JSON integer: int() would truncate
-    a fraction and read a string or a boolean as a number.  A number or a
-    string in its place is named by its value."""
-    if type(value) is not int:
-        kind = (repr(value) if isinstance(value, (float, str))
-                else _kind(value))
-        raise ValidationError(f"{owner} must be an integer, not {kind}")
-    return value
-
-
-def _parse_number(value, owner):
-    """A number field, which must be a JSON number: float() would read a
-    string or a boolean as one."""
-    if _kind(value) != "a number":
-        raise ValidationError(f"{owner} must be a number, not {_kind(value)}")
-    return float(value)
-
-
-def _parse_numbers(value, owner):
-    """A number or nested lists of them, such as a matrix, as given: every
-    entry must be a JSON number."""
-    if isinstance(value, list):
-        for i, entry in enumerate(value):
-            _parse_numbers(entry, f"{owner}[{i}]")
-    else:
-        _parse_number(value, owner)
-    return value
-
-
-def _parse_interval(value, owner):
-    """An interval [lo, hi] as two floats."""
-    if len(_parse_list(value, owner)) != 2:
-        raise ValidationError(f"{owner} must be a list [lo, hi]")
-    return tuple(_parse_number(bound, f"{owner}[{i}]")
-                 for i, bound in enumerate(value))
-
-
-def _parse_box(value, owner):
-    """A box: one interval [lo, hi] per coordinate."""
-    return tuple(_parse_interval(interval, f"{owner}[{i}]")
-                 for i, interval in enumerate(_parse_list(value, owner)))
-
-
-def _parse_params(doc, base=None):
-    """The document's scalar params, over and overriding base.  Each is
-    bound into the expressions as a literal is, so it must be a finite
-    number: JSON readers take 1e400 as inf and accept NaN and Infinity."""
-    params = dict(base or {})
-    for name, value in _parse_object(doc.get("params", {}), "params").items():
-        value = _parse_number(value, f"params: {name}")
-        if not math.isfinite(value):
-            raise ValidationError(
-                f"params: {name} must be a finite number, not {value}")
-        params[str(name)] = value
-    return params
-
-
 def _parse_key(key, owner, form, kind=str) -> tuple:
     """Both comma-separated parts of a pair key, such as 'a,b', by `kind`."""
     try:
@@ -172,49 +184,38 @@ def _parse_key(key, owner, form, kind=str) -> tuple:
     return a, b
 
 
-def _parse_group(doc) -> GroupSpec:
-    """The group, its generators (if any) stacked in one (k, n, n) array of
-    JSON numbers: a string, or a list of booleans only, stacks to an array
-    that is neither integer nor float (numpy reads a boolean among numbers
-    as 0 or 1)."""
-    doc = _parse_object(doc, "group")
-    n = _parse_int(doc["n"], "group: n")
-    owner = f"group '{doc.get('name')}': generators"
-    generators = None
-    if doc.get("generators"):
+def _parse_group(group, where) -> GroupSpec:
+    """The group, its generators (if any) stacked by numpy in one (k, n, n)
+    array of JSON numbers: a string, or a list of booleans only, stacks to
+    an array that is neither integer nor float (numpy reads a boolean among
+    numbers as 0 or 1)."""
+    n, generators = group["n"], None
+    if group["generators"]:
         try:
-            generators = np.asarray(doc["generators"])
+            generators = np.asarray(group["generators"])
         except ValueError:  # generators of different shapes
-            raise ValidationError(f"{owner} are not all {n}x{n}") from None
-        if generators.dtype.kind not in "iuf":
-            raise ValidationError(f"{owner} must be numbers")
-        if generators.shape[1:] != (n, n):
-            raise ValidationError(f"{owner} are not all {n}x{n}")
+            pass
+        if (generators is None or generators.dtype.kind not in "iuf"
+                or generators.shape[1:] != (n, n)):
+            raise ValidationError(f"{where}group.generators must be {n}x{n} "
+                                  f"matrices of numbers")
         generators = generators.astype(float)
-    return GroupSpec(doc.get("name", "G"), n, generators)
+    return GroupSpec(group["name"], n, generators)
 
 
-def _parse_plan(doc) -> SamplePlan:
-    """The sample plan, with SamplePlan's default for each missing field."""
-    doc = _parse_object({} if doc is None else doc, "sample_plan")
-    plan = SamplePlan()
-    return SamplePlan(
-        _parse_int(doc.get("grid", plan.grid), "sample_plan: grid"),
-        _parse_int(doc.get("random", plan.n_random), "sample_plan: random"),
-        _parse_int(doc.get("seed", plan.seed), "sample_plan: seed"))
+def _parse_plan(plan) -> SamplePlan:
+    return SamplePlan(plan["grid"], plan["random"], plan["seed"])
 
 
 def _parse_atlas(doc, params) -> Atlas:
-    charts: Dict[str, Chart] = {}
-    for entry in _parse_entries(doc.get("charts", []), "charts"):
-        owner = f"chart '{entry['id']}'"
-        chart = Chart(entry["id"], _parse_int(entry["dim"], f"{owner}: dim"),
-                      _parse_box(entry["box"], f"{owner}: box"))
+    charts = {}
+    for entry in doc["charts"]:
+        chart = Chart(entry["id"], entry["dim"], entry["box"])
         if chart.id in charts:
             raise ValidationError(f"duplicate chart '{chart.id}'")
         charts[chart.id] = chart
     overlaps = []
-    for entry in _parse_entries(doc.get("overlaps", []), "overlaps"):
+    for entry in doc["overlaps"]:
         src, dst = entry["from"], entry["to"]
         for chart_id in (src, dst):
             if chart_id not in charts:
@@ -222,8 +223,7 @@ def _parse_atlas(doc, params) -> Atlas:
                     f"overlap {src}->{dst} references undeclared chart "
                     f"'{chart_id}'")
         src_chart, dst_chart = charts[src], charts[dst]
-        change = _parse_list(entry["coord_change"],
-                             f"overlap {src}->{dst}: coord_change")
+        change = entry["coord_change"]
         if len(change) != dst_chart.dim:
             raise ValidationError(
                 f"overlap {src}->{dst}: {len(change)} coordinate-change "
@@ -231,23 +231,21 @@ def _parse_atlas(doc, params) -> Atlas:
         asts = tuple(_parse_expr(text, src_chart.coords, params, None,
                                  f"overlap {src}->{dst}: coordinate change")
                      for text in change)
-        mask = None
-        if entry.get("mask"):
-            mask = _parse_expr(entry["mask"], src_chart.coords, params, None,
-                               f"overlap {src}->{dst}: mask")
-        domain = _parse_box(entry["domain"], f"overlap {src}->{dst}: domain")
-        if len(domain) != src_chart.dim:
+        mask = None if entry["mask"] is None else _parse_expr(
+            entry["mask"], src_chart.coords, params, None,
+            f"overlap {src}->{dst}: mask")
+        if len(entry["domain"]) != src_chart.dim:
             raise ValidationError(
                 f"overlap {src}->{dst}: domain dimension mismatch")
-        overlaps.append(Overlap(src, dst, domain, asts, mask))
+        overlaps.append(Overlap(src, dst, entry["domain"], asts, mask))
     if not charts:
         raise ValidationError("no charts declared")
     return Atlas(charts, tuple(overlaps))
 
 
-def _parse_transitions(doc, atlas, n, params, owner="transitions"):
+def _parse_transitions(texts, atlas, n, params):
     transitions = {}
-    for key, text in _parse_object(doc, owner).items():
+    for key, text in texts.items():
         a, b = _parse_key(key, "transition", "alpha,beta")
         if a not in atlas.charts or b not in atlas.charts:
             raise ValidationError(
@@ -262,23 +260,25 @@ def _parse_forms(doc, atlas, n, params):
     """Forms with one coefficient per entry; LocalConnectionData.validate
     compares their count with the chart's dimension."""
     forms = {}
-    for chart_id, texts in _parse_object(doc, "forms").items():
+    for chart_id, texts in doc.items():
         if chart_id not in atlas.charts:
             raise ValidationError(
                 f"form declared for undeclared chart '{chart_id}'")
         coeffs = tuple(_parse_expr(text, atlas.chart(chart_id).coords, params,
                                    (n, n), f"form coefficient on '{chart_id}'")
-                       for text in _parse_list(texts, f"forms['{chart_id}']"))
+                       for text in texts)
         forms[chart_id] = ExprForm(chart_id, len(coeffs), n, coeffs)
     return forms
 
 
-def _parse_connection(doc, atlas, plan, params) -> LocalConnectionData:
-    """The group, transitions and forms of one bundle, validated."""
-    group = _parse_group(doc["group"])
-    transitions = _parse_transitions(doc.get("transitions", {}), atlas,
-                                     group.n, params)
-    forms = _parse_forms(doc.get("forms", {}), atlas, group.n, params)
+def _parse_connection(doc, atlas, plan, params, where=""
+                      ) -> LocalConnectionData:
+    """The group, transitions and forms of one bundle, validated; `where`
+    is the path of the bundle's fields in the document."""
+    group = _parse_group(doc["group"], where)
+    transitions = _parse_transitions(doc["transitions"], atlas, group.n,
+                                     params)
+    forms = _parse_forms(doc["forms"], atlas, group.n, params)
     return LocalConnectionData(atlas, group, transitions, forms, plan,
                                params).validate()
 
@@ -286,10 +286,9 @@ def _parse_connection(doc, atlas, plan, params) -> LocalConnectionData:
 @_document_loader
 def load_bundle(path) -> LocalConnectionData:
     """Load and validate a bundle description file."""
-    doc = _load_json(path)
-    params = _parse_params(doc)
-    return _parse_connection(doc, _parse_atlas(doc, params),
-                             _parse_plan(doc.get("sample_plan")), params)
+    doc = _load_json(path, BUNDLE)
+    return _parse_connection(doc, _parse_atlas(doc, doc["params"]),
+                             _parse_plan(doc["sample_plan"]), doc["params"])
 
 
 def _parse_phi(text, n, m, params, owner) -> GroupMorphismSpec:
@@ -313,14 +312,15 @@ def _parse_phi(text, n, m, params, owner) -> GroupMorphismSpec:
 @_document_loader
 def load_morphism(path, atlas=None, params=None) -> MorphismData:
     """Load a morphism description: phi (expression in the matrix parameter
-    g), optional per-chart h maps, and group dimensions."""
-    doc = _load_json(path)
-    merged = _parse_params(doc, params)
-    n, m = (_parse_int(doc[key], key) for key in ("source_n", "target_n"))
+    g), optional per-chart h maps, and group dimensions.  Its own params
+    win over the bundle's `params`."""
+    doc = _load_json(path, MORPHISM)
+    merged = {**(params or {}), **doc["params"]}
+    n, m = doc["source_n"], doc["target_n"]
     phi = _parse_phi(doc["phi"], n, m, merged, "phi")
-    target_group = GroupSpec(doc.get("target_group_name", "H"), m)
+    target_group = GroupSpec(doc["target_group_name"], m)
     h = {}
-    for chart_id, text in _parse_object(doc.get("h", {}), "h").items():
+    for chart_id, text in doc["h"].items():
         if atlas is None:
             raise ValidationError("h maps given without a bundle atlas")
         h[chart_id] = ExprGroupMap(chart_id, _parse_expr(
@@ -328,34 +328,29 @@ def load_morphism(path, atlas=None, params=None) -> MorphismData:
             f"h on '{chart_id}'"))
     morphism = MorphismData(phi, h, target_group)
     target_transitions = None
-    if doc.get("target_transitions") and atlas is not None:
+    if doc["target_transitions"] and atlas is not None:
         target_transitions = _parse_transitions(
-            doc["target_transitions"], atlas, m, merged, "target_transitions")
+            doc["target_transitions"], atlas, m, merged)
     return morphism, target_transitions
 
 
 @_document_loader
 def load_christoffel(path) -> Tuple[ChristoffelData, dict]:
     """Load Christoffel data plus the vector bundle's transition family."""
-    doc = _load_json(path)
-    params = _parse_params(doc)
-    n = _parse_int(doc["fiber_dim"], "fiber_dim")
+    doc = _load_json(path, CHRISTOFFEL)
+    params, n = doc["params"], doc["fiber_dim"]
     atlas = _parse_atlas(doc, params)
     gamma = {}
-    for chart_id, table in _parse_object(doc.get("gamma", {}),
-                                         "gamma").items():
+    for chart_id, table in doc["gamma"].items():
         coords = atlas.chart(chart_id).coords
         owner = f"Christoffel symbol on '{chart_id}'"
-        where = f"gamma['{chart_id}']"
         gamma[chart_id] = tuple(
             tuple(tuple(_parse_expr(entry, coords, params, None, owner)
-                        for entry in _parse_list(row, f"{where}[{i}][{j}]"))
-                  for j, row in enumerate(_parse_list(block, f"{where}[{i}]")))
-            for i, block in enumerate(_parse_list(table, where)))
-    plan = _parse_plan(doc.get("sample_plan"))
+                        for entry in row) for row in block)
+            for block in table)
+    plan = _parse_plan(doc["sample_plan"])
     data = ChristoffelData(atlas, n, gamma, plan, params).validate()
-    transitions = _parse_transitions(doc.get("transitions", {}), atlas, n,
-                                     params)
+    transitions = _parse_transitions(doc["transitions"], atlas, n, params)
     return data, transitions
 
 
@@ -363,22 +358,20 @@ def load_christoffel(path) -> Tuple[ChristoffelData, dict]:
 def load_tower(path) -> TowerSpec:
     """Load a tower description: shared atlas, per-level bundle data and the
     connecting morphisms keyed 'j,i'."""
-    doc = _load_json(path)
-    params = _parse_params(doc)
+    doc = _load_json(path, TOWER)
+    params = doc["params"]
     atlas = _parse_atlas(doc, params)
-    plan = _parse_plan(doc.get("sample_plan"))
-    levels = [_parse_connection(entry, atlas, plan, params)
-              for entry in _parse_entries(doc["levels"], "levels")]
+    plan = _parse_plan(doc["sample_plan"])
+    levels = [_parse_connection(entry, atlas, plan, params, f"levels[{i}].")
+              for i, entry in enumerate(doc["levels"])]
     connectors = {}
-    for key, entry in _parse_object(doc.get("connectors", {}),
-                                    "connectors").items():
+    for key, entry in doc["connectors"].items():
         j, i = _parse_key(key, "connector", "j,i", int)
         if not (1 <= i < j <= len(levels)):
             raise ValidationError(f"connector '{key}' is out of range")
-        owner = f"connector '{key}'"
         connectors[(j, i)] = _parse_phi(
-            _parse_object(entry, owner)["phi"], levels[j - 1].group.n,
-            levels[i - 1].group.n, params, owner)
+            entry["phi"], levels[j - 1].group.n, levels[i - 1].group.n,
+            params, f"connector '{key}'")
     return TowerSpec(tuple(levels), connectors)
 
 
@@ -386,23 +379,20 @@ def load_tower(path) -> TowerSpec:
 def load_path(path, atlas, params=None, *, n=None):
     """Load a transport path: a list of curve segments plus an optional
     starting group element, which must be a finite, invertible n x n matrix
-    when n is given."""
-    doc = _load_json(path)
+    when n is given.  The curves see `params`, the bundle's."""
+    doc = _load_json(path, PATH)
     segments = []
-    for entry in _parse_entries(doc["segments"], "segments"):
+    for entry in doc["segments"]:
         chart = atlas.chart(entry["chart"])
         owner = f"segment in '{entry['chart']}': curve"
         curve = tuple(_parse_expr(text, ["t"], params, None, owner)
-                      for text in _parse_list(entry["curve"], owner))
+                      for text in entry["curve"])
         if len(curve) != chart.dim:
             raise ValidationError(
                 f"segment in '{entry['chart']}': {len(curve)} curve "
                 f"expressions, chart dim is {chart.dim}")
-        t0, t1 = _parse_interval(entry.get("t_range", [0.0, 1.0]),
-                                 f"segment in '{entry['chart']}': t_range")
-        segments.append(PathSegment(entry["chart"], curve, t0, t1))
-    a0 = None
-    if doc.get("a0") is not None:
-        a0 = _parse_numbers(doc["a0"], "a0")
+        segments.append(PathSegment(entry["chart"], curve, *entry["t_range"]))
+    a0 = doc["a0"]
+    if a0 is not None:
         a0 = np.asarray(a0, dtype=float) if n is None else start_matrix(a0, n)
     return segments, a0

@@ -77,12 +77,6 @@ class LocalConnectionData:
         unit direction: (psi(x), Dpsi(x) e), read-only."""
         return self.atlas.pushed(self.sample_plan, overlap)
 
-    def transition(self, a, b) -> GroupMap:
-        try:
-            return self.transitions[(a, b)]
-        except KeyError:
-            raise ValidationError(f"no transition ({a},{b}) declared") from None
-
     def reverse_transition(self, a, b) -> GroupMap:
         """g_ba expressed in a-coordinates."""
         if (a, b) in self.transitions:
@@ -91,7 +85,3 @@ class LocalConnectionData:
             ov = self.atlas.require_overlap(a, b)
             return PulledBackGroupMap(self.transitions[(b, a)], ov)
         raise ValidationError(f"no transition between '{a}' and '{b}'")
-
-    def with_forms(self, forms) -> "LocalConnectionData":
-        return LocalConnectionData(self.atlas, self.group, self.transitions,
-                                   dict(forms), self.sample_plan, self.params)

@@ -90,9 +90,6 @@ class GroupMap:
     def jet(self, x, v):
         raise NotImplementedError
 
-    def derivative(self, x, v):
-        return self.jet(x, v)[1]
-
 
 def batch_shape(x, v=None):
     """Broadcast batch shape of points x and directions v."""

@@ -1,6 +1,7 @@
 import dataclasses
 import importlib.util
 import pathlib
+from typing import NamedTuple
 
 import pytest
 
@@ -26,6 +27,22 @@ def load_fixture(name, grid=None, random=None, seed=None):
         plan.n_random if random is None else random,
         plan.seed if seed is None else seed)
     return dataclasses.replace(data, sample_plan=plan)
+
+
+class Case(NamedTuple):
+    """An error-message row whose test id names the case by `label`, and
+    whose message must contain `needle`; pass `ids=case_id`."""
+    label: str
+    needle: str
+
+
+def case_id(value):
+    return value.label if isinstance(value, Case) else None
+
+
+def expected(needle):
+    """The needle of a row: a Case's, or the plain string itself."""
+    return needle.needle if isinstance(needle, Case) else needle
 
 
 def load_tool(name):

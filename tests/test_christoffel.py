@@ -80,7 +80,7 @@ def test_forms_to_christoffel_requires_expression_forms():
     bundle = load_fixture("sphere_frame.json", grid=3, random=3)
     converted = forms_to_christoffel(bundle)
     assert set(converted.gamma) == {"U_N", "U_S"}
-    composite = bundle.with_forms({
+    composite = dataclasses.replace(bundle, forms={
         chart: zero_form(chart, 2, 2) for chart in bundle.atlas.charts})
     with pytest.raises(ShapeError):
         forms_to_christoffel(composite)

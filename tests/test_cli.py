@@ -9,7 +9,7 @@ import pytest
 
 from localforms.cli import _build_parser, main
 
-from conftest import ROOT, fixture_path
+from conftest import ROOT, Case, case_id, expected, fixture_path
 
 FAST = ["--grid", "5", "--random", "8"]
 
@@ -285,10 +285,14 @@ def _bad_grid(doc):
     doc["sample_plan"] = {"grid": "x"}
 
 
-@pytest.mark.parametrize("edit, needle", [(_drop_group, "'group'"),
-                                          (_drop_box, "'box'"),
-                                          (_bad_grid, "'x'")])
+@pytest.mark.parametrize("edit, needle", [
+    (_drop_group, "'group'"),
+    (_drop_box, "'box'"),
+    (_bad_grid,
+     Case("'x'", "sample_plan.grid must be an integer, not a string")),
+], ids=case_id)
 def test_malformed_document_is_a_usage_error(tmp_path, capsys, edit, needle):
+    needle = expected(needle)
     path = _abelian_variant(tmp_path, edit)
     code, report = run(tmp_path, "verify", path)
     assert code == 2
@@ -366,10 +370,15 @@ def _oversized_generators(doc):
     (_duplicate_chart, "duplicate chart 'U1'"),
     (_negative_plan, "must not be negative"),
     (_infinite_literal, "number '1e400' is too large"),
-    (_mixed_generators, "group 'SO(2)': generators are not all 2x2"),
-    (_oversized_generators, "group 'SO(2)': generators are not all 2x2"),
-])
+    (_mixed_generators,
+     Case("group 'SO(2)': generators are not all 2x2",
+          "group.generators must be 2x2 matrices of numbers")),
+    (_oversized_generators,
+     Case("group 'SO(2)': generators are not all 2x2",
+          "group.generators must be 2x2 matrices of numbers")),
+], ids=case_id)
 def test_document_error_names_the_file(tmp_path, capsys, edit, needle):
+    needle = expected(needle)
     path = _abelian_variant(tmp_path, edit)
     code, report = run(tmp_path, "verify", path, fast=False)
     assert code == 2
@@ -487,7 +496,8 @@ def _set(*keys, value):
      "forms['U1'] must be a list, not a string"),
     ("abelian.json", ["verify"],
      _set("overlaps", 0, "coord_change", value="x1"),
-     "overlap U1->U2: coord_change must be a list, not a string"),
+     Case("overlap U1->U2: coord_change must be a list, not a string",
+          "overlaps[0].coord_change must be a list, not a string")),
     ("tower_unipotent.json", ["tower"],
      _set("levels", 1, "forms", "U2", value="x1"),
      "forms['U2'] must be a list, not a string"),
@@ -500,25 +510,33 @@ def _set(*keys, value):
      "gamma['U_N'][1][0] must be a list"),
     ("path_abelian.json", ["transport", fixture_path("abelian.json")],
      _set("segments", 0, "curve", value="t"),
-     "segment in 'U1': curve must be a list, not a string"),
+     Case("segment in 'U1': curve must be a list, not a string",
+          "segments[0].curve must be a list, not a string")),
     ("path_abelian.json", ["transport", fixture_path("abelian.json")],
      _set("segments", 0, "curve", value={"x": "t"}),
-     "segment in 'U1': curve must be a list, not an object"),
+     Case("segment in 'U1': curve must be a list, not an object",
+          "segments[0].curve must be a list, not an object")),
     # structural lists and intervals, once misread or named no field
     ("path_abelian.json", ["transport", fixture_path("abelian.json")],
      _set("segments", 0, "t_range", value="01"),
-     "segment in 'U1': t_range must be a list, not a string"),
+     Case("segment in 'U1': t_range must be a list, not a string",
+          "segments[0].t_range must be a list, not a string")),
     ("path_abelian.json", ["transport", fixture_path("abelian.json")],
      _set("segments", 0, "t_range", value=[0.0, 0.5, 1.0]),
-     "segment in 'U1': t_range must be a list [lo, hi]"),
+     Case("segment in 'U1': t_range must be a list [lo, hi]",
+          "segments[0].t_range must be a list of 2 entries, not 3")),
     ("abelian.json", ["verify"], _set("charts", 0, "box", value=["02"]),
-     "chart 'U1': box[0] must be a list, not a string"),
+     Case("chart 'U1': box[0] must be a list, not a string",
+          "charts[0].box[0] must be a list, not a string")),
     ("abelian.json", ["verify"], _set("charts", 0, "box", value="ab"),
-     "chart 'U1': box must be a list, not a string"),
+     Case("chart 'U1': box must be a list, not a string",
+          "charts[0].box must be a list, not a string")),
     ("abelian.json", ["verify"], _set("overlaps", 0, "domain", value=["12"]),
-     "overlap U1->U2: domain[0] must be a list, not a string"),
+     Case("overlap U1->U2: domain[0] must be a list, not a string",
+          "overlaps[0].domain[0] must be a list, not a string")),
     ("abelian.json", ["verify"], _set("overlaps", 0, "domain", value="ab"),
-     "overlap U1->U2: domain must be a list, not a string"),
+     Case("overlap U1->U2: domain must be a list, not a string",
+          "overlaps[0].domain must be a list, not a string")),
     ("abelian.json", ["verify"], _set("charts", value="U1"),
      "charts must be a list, not a string"),
     ("abelian.json", ["verify"], _set("overlaps", value="U1"),
@@ -529,21 +547,30 @@ def _set(*keys, value):
      "levels must be a list, not a string"),
     # integer fields, once truncated or converted by int()
     ("abelian.json", ["verify"], _set("sample_plan", "seed", value=1.9),
-     "sample_plan: seed must be an integer, not 1.9"),
+     Case("sample_plan: seed must be an integer, not 1.9",
+          "sample_plan.seed must be an integer, not 1.9")),
     ("abelian.json", ["verify"], _set("group", "n", value=2.9),
-     "group: n must be an integer, not 2.9"),
+     Case("group: n must be an integer, not 2.9",
+          "group.n must be an integer, not 2.9")),
     ("abelian.json", ["verify"], _set("group", "n", value="2"),
-     "group: n must be an integer, not '2'"),
+     Case("group: n must be an integer, not '2'",
+          "group.n must be an integer, not a string")),
     ("abelian.json", ["verify"], _set("sample_plan", "grid", value="7"),
-     "sample_plan: grid must be an integer, not '7'"),
+     Case("sample_plan: grid must be an integer, not '7'",
+          "sample_plan.grid must be an integer, not a string")),
     ("abelian.json", ["verify"], _set("sample_plan", "grid", value=True),
-     "sample_plan: grid must be an integer, not a boolean"),
+     Case("sample_plan: grid must be an integer, not a boolean",
+          "sample_plan.grid must be an integer, not a boolean")),
     ("abelian.json", ["verify"], _set("sample_plan", "random", value=None),
-     "sample_plan: random must be an integer, not null"),
+     Case("sample_plan: random must be an integer, not null",
+          "sample_plan.random must be an integer, not null")),
     ("abelian.json", ["verify"], _set("charts", 0, "dim", value=1.0),
-     "chart 'U1': dim must be an integer, not 1.0"),
+     Case("chart 'U1': dim must be an integer, not 1.0",
+          "charts[0].dim must be an integer, not 1.0")),
     ("morphism_squaring.json", ["push", fixture_path("monopole_k1.json")],
-     _set("target_n", value="2"), "target_n must be an integer, not '2'"),
+     _set("target_n", value="2"),
+     Case("target_n must be an integer, not '2'",
+          "target_n must be an integer, not a string")),
     ("sphere_levi_civita.json", ["convert-christoffel"],
      _set("fiber_dim", value=[2]), "fiber_dim must be an integer, not a list"),
     # object fields and entries, once indexed as strings or lists
@@ -555,11 +582,13 @@ def _set(*keys, value):
      _set("segments", 0, value="U1"),
      "segments[0] must be an object, not a string"),
     ("tower_unipotent.json", ["tower"], _set("connectors", "2,1", value="g"),
-     "connector '2,1' must be an object, not a string"),
+     Case("connector '2,1' must be an object, not a string",
+          "connectors['2,1'] must be an object, not a string")),
     ("abelian.json", ["verify"], _set("group", value="U1"),
      "group must be an object, not a string"),
     ("tower_unipotent.json", ["tower"], _set("levels", 0, value=3),
-     "levels[0] must be an object, not a number"),
+     Case("levels[0] must be an object, not a number",
+          "levels[0] must be an object, not 3")),
     ("abelian.json", ["verify"], _set("transitions", value=["x"]),
      "transitions must be an object, not a list"),
     ("abelian.json", ["verify"], _set("forms", value="x"),
@@ -583,48 +612,87 @@ def _set(*keys, value):
      _set("connectors", "2,x", value={"phi": "g"}),
      "connector key '2,x' is not 'j,i'"),
     ("abelian.json", ["verify"], _set("params", value={"zz": "2"}),
-     "params: zz must be a number, not a string"),
+     Case("params: zz must be a number, not a string",
+          "params['zz'] must be a finite number, not a string")),
     ("abelian.json", ["verify"], _set("params", value={"zz": True}),
-     "params: zz must be a number, not a boolean"),
+     Case("params: zz must be a number, not a boolean",
+          "params['zz'] must be a finite number, not a boolean")),
     # number fields once read by float() or np.asarray(dtype=float)
     ("abelian.json", ["verify"], _set("charts", 0, "box", 0, 1, value="2"),
-     "chart 'U1': box[0][1] must be a number, not a string"),
+     Case("chart 'U1': box[0][1] must be a number, not a string",
+          "charts[0].box[0][1] must be a finite number, not a string")),
     ("abelian.json", ["verify"], _set("charts", 0, "box", 0, 0, value=False),
-     "chart 'U1': box[0][0] must be a number, not a boolean"),
+     Case("chart 'U1': box[0][0] must be a number, not a boolean",
+          "charts[0].box[0][0] must be a finite number, not a boolean")),
     ("abelian.json", ["verify"],
      _set("overlaps", 0, "domain", 0, 1, value="2"),
-     "overlap U1->U2: domain[0][1] must be a number, not a string"),
+     Case("overlap U1->U2: domain[0][1] must be a number, not a string",
+          "overlaps[0].domain[0][1] must be a finite number, not a string")),
     ("abelian.json", ["verify"],
      _set("overlaps", 0, "domain", 0, 0, value=False),
-     "overlap U1->U2: domain[0][0] must be a number, not a boolean"),
+     Case("overlap U1->U2: domain[0][0] must be a number, not a boolean",
+          "overlaps[0].domain[0][0] must be a finite number, not a boolean")),
     ("path_abelian.json", ["transport", fixture_path("abelian.json")],
      _set("segments", 0, "t_range", 0, value="0"),
-     "segment in 'U1': t_range[0] must be a number, not a string"),
+     Case("segment in 'U1': t_range[0] must be a number, not a string",
+          "segments[0].t_range[0] must be a finite number, not a string")),
     ("path_abelian.json", ["transport", fixture_path("abelian.json")],
      _set("segments", 0, "t_range", 0, value=False),
-     "segment in 'U1': t_range[0] must be a number, not a boolean"),
+     Case("segment in 'U1': t_range[0] must be a number, not a boolean",
+          "segments[0].t_range[0] must be a finite number, not a boolean")),
     ("path_abelian.json", ["transport", fixture_path("abelian.json")],
      _set("a0", value=[[True, 0], [0, 1]]),
-     "a0[0][0] must be a number, not a boolean"),
+     Case("a0[0][0] must be a number, not a boolean",
+          "a0[0][0] must be a finite number, not a boolean")),
     ("path_abelian.json", ["transport", fixture_path("abelian.json")],
      _set("a0", value=[[1, 0], [0, "1"]]),
-     "a0[1][1] must be a number, not a string"),
+     Case("a0[1][1] must be a number, not a string",
+          "a0[1][1] must be a finite number, not a string")),
     ("abelian.json", ["verify"],
      _set("group", "generators", value=[[["0", "-1"], ["1", "0"]]]),
-     "group 'SO(2)': generators must be numbers"),
+     Case("group 'SO(2)': generators must be numbers",
+          "group.generators must be 2x2 matrices of numbers")),
     ("abelian.json", ["verify"],
      _set("group", "generators", value=[[[False, True], [True, False]]]),
-     "group 'SO(2)': generators must be numbers"),
+     Case("group 'SO(2)': generators must be numbers",
+          "group.generators must be 2x2 matrices of numbers")),
     # a param is bound as a literal is: JSON reads 1e400 as inf
     ("abelian.json", ["verify"], _set("params", value={"k": 1e400}),
-     "params: k must be a finite number, not inf"),
+     Case("params: k must be a finite number, not inf",
+          "params['k'] must be a finite number, not inf")),
     ("abelian.json", ["verify"], _set("params", value={"k": float("nan")}),
-     "params: k must be a finite number, not nan"),
-])
+     Case("params: k must be a finite number, not nan",
+          "params['k'] must be a finite number, not nan")),
+    # a box bound JSON reads as inf overflowed the chart's sampling, and a
+    # finite box can be as wide; "{}" stands for the variant's path
+    ("abelian.json",
+     ["relate", "{}", "{}", fixture_path("morphism_identity.json")],
+     _set("charts", 1, "box", 0, 1, value=float("inf")),
+     "charts[1].box[0][1] must be a finite number, not inf"),
+    ("abelian.json",
+     ["relate", "{}", "{}", fixture_path("morphism_identity.json")],
+     _set("charts", 1, "box", 0, value=[-1e308, 1e308]),
+     "chart 'U2': interval [-1e+308, 1e+308] is too wide"),
+    # unknown keys, once ignored: a path has no params of its own
+    ("path_abelian.json", ["transport", fixture_path("abelian.json")],
+     _set("params", value={"zz": 1.0}), "unknown key 'params'"),
+    ("abelian.json", ["verify"], _set("sample_plna", value={"grid": 3}),
+     "unknown key 'sample_plna'"),
+    ("abelian.json", ["verify"], _set("charts", 0, "bx", value=[[0, 1]]),
+     "charts[0]: unknown key 'bx'"),
+    # null is no field's value: an absent key is how a field is left out
+    ("path_abelian.json", ["transport", fixture_path("abelian.json")],
+     _set("a0", value=None), "a0 must be a list, not null"),
+    ("abelian.json", ["verify"], _set("sample_plan", value=None),
+     "sample_plan must be an object, not null"),
+], ids=case_id)
 def test_inconsistent_document_is_a_usage_error(tmp_path, capsys, name, argv,
                                                 edit, needle):
+    needle = expected(needle)
     path = _variant(tmp_path, name, edit)
-    code, report = run(tmp_path, *argv, path)
+    code, report = run(tmp_path, *(
+        [path if arg == "{}" else arg for arg in argv] if "{}" in argv
+        else [*argv, path]))
     assert code == 2
     assert report is None
     err = capsys.readouterr().err

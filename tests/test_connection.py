@@ -167,7 +167,7 @@ def test_chart_change_walks_the_transition_once(monopole, monkeypatch):
     ov = monopole.atlas.require_overlap("U_N", "U_S")
     g_rev = monopole.reverse_transition("U_N", "U_S")
     _, v = ov.push(x, u.v)
-    w = g_rev.derivative(x, u.v) @ p.a + g_rev.value(x) @ u.w
+    w = g_rev.jet(x, u.v)[1] @ p.a + g_rev.value(x) @ u.w
     assert q.x.tobytes() == ov.map_point(x).tobytes()
     assert q.a.tobytes() == (g_rev.value(x) @ p.a).tobytes()
     assert u2.v.tobytes() == v.tobytes()

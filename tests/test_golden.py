@@ -21,7 +21,8 @@ FLOAT_TOLERANCE = 1e-12
 
 _BUNDLES = ("flat", "flat_mutated", "abelian", "abelian_mutated",
             "monopole_k1", "monopole_k1_mutated", "monopole_k2", "monopole_k3",
-            "sphere_frame", "sphere_frame_mutated")
+            "sphere_frame", "sphere_frame_mutated", "three_charts",
+            "three_charts_mutated")
 
 CASES = {f"verify-{name}": ["verify", f"{name}.json"] for name in _BUNDLES}
 CASES.update({

@@ -307,7 +307,7 @@ def test_no_h_gives_an_inf_residual_not_nan():
     # NaN; with no gauge the residual stays inf
     source = load_fixture("abelian.json", grid=3, random=0)
     m = MorphismData(_identity_phi(), {}, GroupSpec("SO(2)", 2, (J,)))
-    blown = source.with_forms({
+    blown = dataclasses.replace(source, forms={
         chart: CallableForm(chart, 1, 2, lambda x, v: np.full(
             batch_shape(x, v) + (2, 2), np.inf))
         for chart in source.forms})

@@ -77,7 +77,7 @@ def test_well_definedness_via_generic_transition(abelian):
     # same check with the factorization built from the reverse transition
     # instead of a hand-simplified expression
     g_1 = _so2_map("U1", "mexp(x1^2 * [[0,-1],[1,0]])")
-    g_2 = ProductGroupMap(abelian.transition("U2", "U1"), g_1)
+    g_2 = ProductGroupMap(abelian.transitions[("U2", "U1")], g_1)
     d_1 = connection_operator(abelian, SectionRep("U1", g_1))
     d_2 = connection_operator(abelian, SectionRep("U2", g_2))
     rng = np.random.default_rng(65)

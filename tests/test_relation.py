@@ -38,7 +38,7 @@ def _compatibility_reference(data):
         y, w = ov.push(pts, e)
         lhs = data.forms[ov.dst](y, w)
         rhs = g_inv @ data.forms[ov.src](pts, e) @ g_x \
-            + g_inv @ g.derivative(pts, e)
+            + g_inv @ g.jet(pts, e)[1]
         report.add(f"compatibility:{ov.src},{ov.dst}",
                    max_residual(lhs - rhs), len(pts) * dim)
     return report
@@ -55,7 +55,7 @@ def _related_reference(omega, theta, m):
         h_inv = inverse(h_x)
         lhs = m.phi.induced(omega.forms[chart_id](pts, e))
         rhs = h_inv @ theta.forms[chart_id](pts, e) @ h_x \
-            + h_inv @ h.derivative(pts, e)
+            + h_inv @ h.jet(pts, e)[1]
         report.add(f"related:{chart_id}", max_residual(lhs - rhs),
                    len(pts) * chart.dim)
     return report

@@ -186,9 +186,8 @@ def _counting(tower):
             return form(x, v)
         return CallableForm(form.chart, form.dim, form.n, fn)
 
-    levels = tuple(level.with_forms({c: wrap(f) for c, f in
-                                     level.forms.items()})
-                   for level in tower.levels)
+    levels = tuple(dataclasses.replace(level, forms={
+        c: wrap(f) for c, f in level.forms.items()}) for level in tower.levels)
     return dataclasses.replace(tower, levels=levels), calls
 
 

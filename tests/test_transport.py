@@ -11,7 +11,7 @@ from localforms.errors import PathDiscontinuityError, ValidationError
 from localforms.expr import parse
 from localforms.lie import exp_matrix
 
-from conftest import fixture_path, load_fixture
+from conftest import Case, case_id, expected, fixture_path, load_fixture
 
 J = np.array([[0.0, -1.0], [1.0, 0.0]])
 
@@ -213,16 +213,21 @@ def test_transport_needs_a_step(steps):
 
 
 @pytest.mark.parametrize("a0, needle", [
-    ([1.0, 2.0], "a0 must be a finite 2x2 matrix"),
-    (1.0, "a0 must be a finite 2x2 matrix"),
+    ([1.0, 2.0], Case("a0 must be a finite 2x2 matrix",
+                      "a0[0] must be a list, not 1.0")),
+    (1.0, Case("a0 must be a finite 2x2 matrix",
+               "a0 must be a list, not 1.0")),
     ([[1.0]], "a0 must be a finite 2x2 matrix"),
     (np.eye(3).tolist(), "a0 must be a finite 2x2 matrix"),
-    ([[np.nan, 0.0], [0.0, 1.0]], "a0 must be a finite 2x2 matrix"),
+    ([[np.nan, 0.0], [0.0, 1.0]],
+     Case("a0 must be a finite 2x2 matrix",
+          "a0[0][0] must be a finite number, not nan")),
     ([[0.0, 0.0], [0.0, 0.0]], "treated as singular"),
     ([[1.0, 0.0], [0.0]], "a0 must be a finite 2x2 matrix"),
-])
+], ids=case_id)
 def test_transport_needs_a_finite_invertible_start(tmp_path, capsys, a0,
                                                     needle):
+    needle = expected(needle)
     path = tmp_path / "path.json"
     doc = json.loads(open(fixture_path("path_abelian.json")).read())
     path.write_text(json.dumps(dict(doc, a0=a0)))
@@ -230,5 +235,5 @@ def test_transport_needs_a_finite_invertible_start(tmp_path, capsys, a0,
                  "--out", str(tmp_path / "report.json")])
     err = capsys.readouterr().err
     assert code == 2
-    assert err.startswith(f"error: '{path}': a0 ") and needle in err
+    assert err.startswith(f"error: '{path}': a0") and needle in err
     assert err.count("\n") == 1 and "Traceback" not in err

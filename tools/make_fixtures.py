@@ -109,6 +109,50 @@ def monopole_mutated():
     return doc
 
 
+# three 1-d charts of one line, chart a's coordinate x1 = s + SHIFT[a]; the
+# transitions g_ab = R(f_a(s) - f_b(s)) depend on x1 and satisfy the triple
+# cocycle, and the forms (theta(s) - f_a'(s)) J, theta(s) = s/2, pass
+# compatibility
+SHIFT = {"U1": 0, "U2": 1, "U3": 3}
+F = {"U1": ("{s}", "1"), "U2": ("2*{s}", "2"), "U3": ("sin({s})", "cos({s})")}
+
+
+def three_charts():
+    def s(a):
+        return f"(x1 - {SHIFT[a]})" if SHIFT[a] else "x1"
+
+    def domain(a, lo, hi):  # an s-interval in chart a's coordinate
+        return [[lo + SHIFT[a], hi + SHIFT[a]]]
+
+    def transition(a, b):
+        return f"mexp(({F[a][0]} - {F[b][0]})*{J})".format(s=s(a))
+
+    overlaps = [("U1", "U2", 1.0, 2.0), ("U1", "U3", 1.5, 2.0),
+                ("U2", "U3", 1.5, 3.0)]
+    return {
+        "charts": [{"id": a, "dim": 1, "box": domain(a, lo, hi)}
+                   for a, lo, hi in (("U1", 0.0, 2.0), ("U2", 1.0, 3.0),
+                                     ("U3", 1.5, 4.0))],
+        "overlaps": [{"from": a, "to": b, "domain": domain(a, lo, hi),
+                      "coord_change": [f"x1 + {SHIFT[b] - SHIFT[a]}"]}
+                     for a, b, lo, hi in overlaps],
+        "group": {"name": "SO(2)", "n": 2,
+                  "generators": [[[0, -1], [1, 0]]]},
+        "transitions": {f"{a},{b}": transition(a, b)
+                        for a, b, _, _ in overlaps},
+        "forms": {a: [f"(0.5*{s(a)} - {F[a][1].format(s=s(a))})*{J}"]
+                  for a in SHIFT},
+        "sample_plan": PLAN,
+    }
+
+
+def three_charts_mutated():
+    # g_U1,U3 rotated by a constant: only the triple cocycle fails
+    doc = three_charts()
+    doc["transitions"]["U1,U3"] = f"mexp((x1 - sin(x1) + 0.1)*{J})"
+    return doc
+
+
 SPHERE_GAMMA = [
     [["0", "0"],
      ["0", "cos(x1)/sin(x1)"]],
@@ -279,6 +323,8 @@ def main():
     write("sphere_frame_mutated.json", sphere_frame_mutated())
     write("sphere_levi_civita.json", sphere_levi_civita())
     write("sphere_levi_civita_mutated.json", sphere_levi_civita_mutated())
+    write("three_charts.json", three_charts())
+    write("three_charts_mutated.json", three_charts_mutated())
     write("tower_unipotent.json", tower())
     write("tower_unipotent_mutated.json", tower_mutated())
     paths()

@@ -1,0 +1,137 @@
+#!/usr/bin/env python3
+"""Check that tier-1 kills every listed source mutant.
+
+    python3 tools/mutants.py
+
+Each mutant is one edit of one source file, (file, exact old text, new
+text), and the law of the paper or the document rule it breaks.  The
+committed files of HEAD are unpacked into a temporary directory (removed
+again at the end), as `tools/same_reports.py` does; an edit whose old text
+does not occur exactly once in its file there is an error (exit 2) before
+any test runs.  For each mutant in turn the edit is applied, tier-1 runs
+with `-x` on that tree, and the file is restored.  Each line of output
+names the mutant and the first test that failed on it, or SURVIVED; the exit
+code is 1 if any mutant survives, else 0.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+from bench_pairs import _git, unpack_revision
+
+SRC = "src/localforms/"
+# (name, file, old text, new text, the law it breaks)
+MUTANTS = [
+    ("gauge-ad-g", SRC + "connection/forms.py",
+     "return g_inv @ omega @ g + g_inv @ dg",
+     "return g @ omega @ g_inv + g_inv @ dg",
+     "the gauge law takes Ad(g^-1), not Ad(g)"),
+    ("gauge-no-dg", SRC + "connection/forms.py",
+     "return g_inv @ omega @ g + g_inv @ dg",
+     "return g_inv @ omega @ g",
+     "the gauge law adds g^-1 dg"),
+    ("pushforward-sign", SRC + "morphism.py",
+     "@ h_inv - dh @ h_inv", "@ h_inv + dh @ h_inv",
+     "the pushforward subtracts dh h^-1"),
+    ("pushforward-h-inv-dh", SRC + "morphism.py",
+     "@ h_inv - dh @ h_inv", "@ h_inv - h_inv @ dh",
+     "the pushforward subtracts dh h^-1, not h^-1 dh"),
+    ("morphism-cocycle-h-b-at-x", SRC + "morphism.py",
+     "inverse(at(h_b, source.pushed(ov)[0]))", "inverse(at(h_b, pts))",
+     "the morphism cocycle takes h_b at psi_ab(x)"),
+    ("triple-g-ac-at-psi", SRC + "connection/checks.py",
+     "rhs = at(data.transitions[(a, c)], pts)",
+     "rhs = at(data.transitions[(a, c)], y)",
+     "the triple cocycle compares with g_ac at x"),
+    ("triple-never-added", SRC + "connection/checks.py",
+     'report.add(f"cocycle:{a},{b},{c}", max_residual(lhs - rhs), len(pts))',
+     "max_residual(lhs - rhs)",
+     "every triple overlap is checked"),
+    ("roundtrip-self", SRC + "connection/checks.py",
+     "max_residual(back - pts[inside], axis=-1)",
+     "max_residual(back - back, axis=-1)",
+     "coordinate changes of an overlap pair are mutually inverse"),
+    ("passed-at-tolerance", SRC + "report.py",
+     "self.max_residual < self.tolerance",
+     "self.max_residual <= self.tolerance",
+     "a check passes only below its tolerance"),
+    ("junction-no-transition", SRC + "connection/transport.py",
+     "a = q.a", "a = a",
+     "transport changes chart through the transition"),
+    ("tower-no-transition-projection", SRC + "tower.py",
+     "for i in range(1, self.depth):\n            for key, pts in overlaps",
+     "for i in range(1, 1):\n            for key, pts in overlaps",
+     "connectors project each level's transitions onto the next"),
+    ("schema-unknown-key", SRC + "bundle_io.py",
+     "if key not in schema:", "if key not in schema and False:",
+     "a document has no unknown keys"),
+    ("schema-non-finite-number", SRC + "bundle_io.py",
+     "abs(value) <= float_info.max", "True",
+     "document numbers are finite"),
+    ("schema-boolean-integer", SRC + "bundle_io.py",
+     "elif type(value) is _LEAF_TYPES[schema]:",
+     "elif isinstance(value, _LEAF_TYPES[schema]):",
+     "a boolean is not an integer, a number or a string"),
+]
+
+
+def first_failure(output):
+    """The node id of the first test that failed or errored, from pytest's
+    short summary."""
+    for line in output.splitlines():
+        if line.startswith(("FAILED ", "ERROR ")):
+            node = line.split(" ", 1)[1]
+            end = node.find("] - ")  # a parametrized id may hold " - "
+            return node[:end + 1] if end >= 0 else node.split(" - ")[0]
+    return None
+
+
+def run_tier1(tree):
+    env = dict(os.environ, PYTHONPATH=str(tree / "src"),
+               PYTHONDONTWRITEBYTECODE="1")
+    proc = subprocess.run(
+        [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider"],
+        cwd=tree, env=env, capture_output=True, text=True)
+    return proc.returncode, proc.stdout + proc.stderr
+
+
+def main():
+    revision = _git("rev-parse", "HEAD")
+    scratch = Path(tempfile.mkdtemp(prefix="mutants-"))
+    try:
+        tree = unpack_revision(revision, scratch / "tree")
+        for name, path, old, _, _ in MUTANTS:
+            count = (tree / path).read_text().count(old)
+            if count != 1:
+                print(f"error: mutant {name}: old text occurs {count} times "
+                      f"in {path}", file=sys.stderr)
+                return 2
+        survivors = 0
+        for name, path, old, new, law in MUTANTS:
+            source = (tree / path).read_text()
+            (tree / path).write_text(source.replace(old, new))
+            try:
+                code, output = run_tier1(tree)
+            finally:
+                (tree / path).write_text(source)
+            if code == 0:
+                survivors += 1
+                print(f"SURVIVED {name}: {law}")
+            else:
+                killer = first_failure(output) or f"exit code {code}"
+                print(f"killed {name} by {killer}")
+    finally:
+        shutil.rmtree(scratch, ignore_errors=True)
+    print(f"{len(MUTANTS)} mutants against {revision[:12]}, "
+          f"{survivors} survived")
+    return 1 if survivors else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

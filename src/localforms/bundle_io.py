@@ -29,10 +29,12 @@ from .tower import TowerSpec
 # A schema is a leaf type, [item] for a list of items, (first, second) for a
 # two-entry list, a dict of named fields (Opt for one that may be left out,
 # which reads as its default) or Map(values) for an object of any keys.
-# ARRAY is a list whose entries numpy checks when it stacks them.
-NUMBER, INTEGER, STRING, ARRAY = ("a finite number", "an integer", "a string",
-                                  "a list")
-_LEAF_TYPES = {INTEGER: int, STRING: str, ARRAY: list}
+# ARRAY is a list whose entries numpy checks when it stacks them; SIZE is an
+# integer of at least 1.
+NUMBER, INTEGER, SIZE, STRING, ARRAY = (
+    "a finite number", "an integer", "a positive integer", "a string",
+    "a list")
+_LEAF_TYPES = {INTEGER: int, SIZE: int, STRING: str, ARRAY: list}
 _JSON_TYPES = {dict: "an object", list: "a list", bool: "a boolean",
                str: "a string", type(None): "null"}
 
@@ -54,6 +56,13 @@ def _where(path):
     return text[1:] if text.startswith(".") else text or "the document"
 
 
+def _chart(atlas, chart_id, path):
+    """The atlas's chart `chart_id`, referenced at the walker path `path`."""
+    if chart_id not in atlas.charts:
+        raise ValidationError(f"{_where(path)}: unknown chart '{chart_id}'")
+    return atlas.charts[chart_id]
+
+
 def _type_error(path, expected, value):
     shown = _JSON_TYPES.get(type(value)) or repr(value)  # a number by value
     return ValidationError(f"{_where(path)} must be {expected}, not {shown}")
@@ -68,8 +77,11 @@ def _walk(value, schema, path=()):
         if schema is NUMBER:
             if type(value) in (int, float) and abs(value) <= float_info.max:
                 return float(value)
-        elif type(value) is _LEAF_TYPES[schema]:
+        elif type(value) is _LEAF_TYPES[schema] and (
+                schema is not SIZE or value >= 1):
             return value
+        elif schema is SIZE and type(value) is not int:
+            schema = INTEGER  # not an integer at all
         raise _type_error(path, schema, value)
     if kind is list or kind is tuple:
         if type(value) is not list:
@@ -104,12 +116,12 @@ def _walk(value, schema, path=()):
 
 _INTERVALS = [(NUMBER, NUMBER)]
 _ATLAS = {
-    "charts": [{"id": STRING, "dim": INTEGER, "box": _INTERVALS}],
+    "charts": [{"id": STRING, "dim": SIZE, "box": _INTERVALS}],
     "overlaps": Opt([{"from": STRING, "to": STRING, "domain": _INTERVALS,
                       "coord_change": [STRING], "mask": Opt(STRING)}], ()),
 }
 _CONNECTION = {
-    "group": {"name": Opt(STRING, "G"), "n": INTEGER,
+    "group": {"name": Opt(STRING, "G"), "n": SIZE,
               "generators": Opt(ARRAY)},
     "transitions": Opt(Map(STRING), {}),
     "forms": Map([STRING]),
@@ -121,10 +133,10 @@ _PARAMS = Opt(Map(NUMBER), {})
 _SETTINGS = {"params": _PARAMS, "sample_plan": Opt(_PLAN, _walk({}, _PLAN))}
 
 BUNDLE = {**_ATLAS, **_CONNECTION, **_SETTINGS}
-MORPHISM = {"source_n": INTEGER, "target_n": INTEGER, "phi": STRING,
+MORPHISM = {"source_n": SIZE, "target_n": SIZE, "phi": STRING,
             "target_group_name": Opt(STRING, "H"), "h": Opt(Map(STRING), {}),
             "target_transitions": Opt(Map(STRING)), "params": _PARAMS}
-CHRISTOFFEL = {**_ATLAS, "fiber_dim": INTEGER, "gamma": Map([[[STRING]]]),
+CHRISTOFFEL = {**_ATLAS, "fiber_dim": SIZE, "gamma": Map([[[STRING]]]),
                "transitions": Opt(Map(STRING), {}), **_SETTINGS}
 TOWER = {**_ATLAS, "levels": [_CONNECTION],
          "connectors": Opt(Map({"phi": STRING}), {}), **_SETTINGS}
@@ -323,9 +335,9 @@ def load_morphism(path, atlas=None, params=None) -> MorphismData:
     for chart_id, text in doc["h"].items():
         if atlas is None:
             raise ValidationError("h maps given without a bundle atlas")
+        coords = _chart(atlas, chart_id, ("h", (chart_id,))).coords
         h[chart_id] = ExprGroupMap(chart_id, _parse_expr(
-            text, atlas.chart(chart_id).coords, merged, (m, m),
-            f"h on '{chart_id}'"))
+            text, coords, merged, (m, m), f"h on '{chart_id}'"))
     morphism = MorphismData(phi, h, target_group)
     target_transitions = None
     if doc["target_transitions"] and atlas is not None:
@@ -342,7 +354,7 @@ def load_christoffel(path) -> Tuple[ChristoffelData, dict]:
     atlas = _parse_atlas(doc, params)
     gamma = {}
     for chart_id, table in doc["gamma"].items():
-        coords = atlas.chart(chart_id).coords
+        coords = _chart(atlas, chart_id, ("gamma", (chart_id,))).coords
         owner = f"Christoffel symbol on '{chart_id}'"
         gamma[chart_id] = tuple(
             tuple(tuple(_parse_expr(entry, coords, params, None, owner)
@@ -382,8 +394,8 @@ def load_path(path, atlas, params=None, *, n=None):
     when n is given.  The curves see `params`, the bundle's."""
     doc = _load_json(path, PATH)
     segments = []
-    for entry in doc["segments"]:
-        chart = atlas.chart(entry["chart"])
+    for k, entry in enumerate(doc["segments"]):
+        chart = _chart(atlas, entry["chart"], ("segments", k, "chart"))
         owner = f"segment in '{entry['chart']}': curve"
         curve = tuple(_parse_expr(text, ["t"], params, None, owner)
                       for text in entry["curve"])

@@ -19,7 +19,7 @@ import itertools
 import numpy as np
 
 from ..atlas import directions, in_box
-from ..expr.dual import DET_THRESHOLD
+from ..expr.dual import DET_THRESHOLD, det
 from ..report import Report, max_residual
 from .data import DEFAULT_TOLERANCE, LocalConnectionData
 from .forms import gauge
@@ -82,7 +82,7 @@ def check_overlaps(data: LocalConnectionData,
         y, columns = data.pushed(ov)
         jacobian = np.moveaxis(columns, 0, -1)
         jac_bad = float(np.any(
-            np.abs(np.linalg.det(jacobian)) <= DET_THRESHOLD))
+            np.abs(det(jacobian)) <= DET_THRESHOLD))
         report.add(f"overlap-jacobian:{ov.src},{ov.dst}", jac_bad, len(pts))
         if reverse is None:
             continue

@@ -16,10 +16,9 @@ from typing import Sequence, Tuple
 
 import numpy as np
 
-from ..errors import (PathDiscontinuityError, SingularMatrixError,
-                      ValidationError)
+from ..errors import PathDiscontinuityError, ValidationError
 from ..expr import ExprAST
-from ..expr.dual import DET_THRESHOLD
+from ..lie import ensure_invertible
 from .data import LocalConnectionData
 from .points import PointRep, chart_change
 
@@ -53,11 +52,7 @@ def start_matrix(a0, n) -> np.ndarray:
         a = None
     if a is None or a.shape != (n, n) or not np.isfinite(a).all():
         raise ValidationError(f"a0 must be a finite {n}x{n} matrix")
-    det = abs(np.linalg.det(a))
-    if det <= DET_THRESHOLD:
-        raise SingularMatrixError(
-            f"a0 with |det| = {det:.3e} treated as singular")
-    return a
+    return ensure_invertible(a, "a0")
 
 
 def parallel_transport(data: LocalConnectionData,

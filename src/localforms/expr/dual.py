@@ -14,16 +14,16 @@ when its `ExprAST` is built, so the operations below only compute.  All
 arithmetic propagates tangents by the exact product and chain rules,
 never by finite differences.
 
-`expm` is the package's one matrix exponential: Pade-13 scaling and squaring
-(Higham, SIAM J. Matrix Anal. Appl. 26(4), 2005) over a whole stack in a
-few numpy passes, each matrix scaled by its own power of two.  Given
-tangents, the same pass also gives the Frechet derivative along each of
-them (Al-Mohy & Higham, SIAM J. Matrix Anal. Appl. 30(4), 2009, Algorithm
-6.4): the derivatives of the Pade numerator and denominator are built from
-the same powers of the scaled matrix, one more solve with the denominator
-takes every direction at once, and the squarings carry (r, dr) to
-(r^2, r dr + dr r), or a commuting direction takes exp(a) e.  `mexp` makes
-that one call, with the value the same bits as a call without tangents.
+`expm` is the package's one matrix exponential, over a whole stack in a few
+numpy passes: the closed form c I + g (A - mu I) at 2x2 (Moler & Van Loan,
+SIAM Rev. 45(1), 2003), exact up to rounding in exp, cosh and sin, and
+Pade-13 scaling and squaring otherwise (Higham, SIAM J. Matrix Anal. Appl.
+26(4), 2005).  With tangents, a direction that commutes with the matrix
+takes exp(a) e; only one that does not runs the Pade pass's Frechet
+derivative (Al-Mohy & Higham, SIAM J. Matrix Anal. Appl. 30(4), 2009,
+Algorithm 6.4), whose own exp(a) serves only its squarings at 2x2.  `mexp`
+makes that one call.  `det` and `inverse` are ad - bc and the adjugate at
+2x2, LAPACK otherwise, the package's only ones.
 
 A domain violation at any sample raises DomainError carrying the batch index
 of the first offending sample.
@@ -174,9 +174,9 @@ class Dual:
         return Dual(*expm(self.primal, self.tangent), True)
 
     def inv(self):
-        _domain(np.abs(np.linalg.det(self.primal)) <= DET_THRESHOLD,
+        _domain(np.abs(det(self.primal)) <= DET_THRESHOLD,
                 "inverse of a (near-)singular matrix")
-        b = np.linalg.inv(self.primal)
+        b = inverse(self.primal)
         tangent = None if self.tangent is None else -b @ self.tangent @ b
         return Dual(b, tangent, True)
 
@@ -190,18 +190,17 @@ _PADE13 = tuple(b / 64764752532480000.0 for b in (
     33522128640.0, 1323241920.0, 40840800.0, 960960.0, 16380.0, 182.0, 1.0))
 _THETA13 = 5.371920351148152
 _UNIT_ROUNDOFF = 2.0 ** -53
+_TINY = np.finfo(float).tiny
 
 
 def expm(a, e=None):
     """Matrix exponential of one square matrix or of a stack batch + (n, n),
     and with tangents e also its Frechet derivative along each of them.
 
-    Every matrix gets its own scaling power s = max(0, ceil(log2(|A|_1 /
-    theta13))); the Pade products of the whole stack are stacked matmuls,
-    followed by one batched solve and s masked squarings per matrix, so each
-    result depends only on its own matrix.  A matrix with a non-finite
-    entry (or 1-norm) gives NaN; one whose exponential overflows gives a
-    non-finite matrix.  Neither raises or warns.
+    A 2x2 matrix takes `_expm2`, any other `_pade`, each matrix scaled by its
+    own power of two, so each result depends only on its own matrix.  A
+    matrix with a non-finite entry (or 1-norm) gives NaN; one whose
+    exponential overflows gives a non-finite matrix.  Neither raises or warns.
 
     With e, the result is (exp(a), L) where L[i] = Dexp_a(e[i]) has the
     broadcast shape of e and a: a's batch axes line up with e's trailing
@@ -224,68 +223,138 @@ def expm(a, e=None):
         return np.zeros(a.shape) if e is None else (np.zeros(a.shape),
                                                     np.zeros(shape))
     stack = a.reshape((-1, n, n))
-    dx = None
-    if e is not None:
-        e = np.broadcast_to(e, shape).reshape((-1,) + stack.shape)
-        live = np.flatnonzero(e.any(axis=(1, 2, 3)))
-        e_live = e[live]
+    slow = ()
     with np.errstate(all="ignore"):
-        norms = np.abs(stack).sum(axis=-2).max(axis=-1)
+        norms = _norm1(stack)
         finite = np.isfinite(norms)
-        mantissa, exponent = np.frexp(np.where(finite, norms, 0.0) / _THETA13)
-        s = np.maximum(exponent - (mantissa == 0.5), 0)
-        x = np.ldexp(np.where(finite[:, None, None], stack, 0.0),
-                     -s[:, None, None])
-        if e is not None and live.size:
-            comm, size = np.abs([stack @ e_live - e_live @ stack, e_live]
-                                ).sum(axis=-2).max(axis=-1)
-            # a non-finite matrix gives NaN either way
-            fast = ~finite | (comm <= 4 * n * _UNIT_ROUNDOFF * norms * size)
-            slow = np.flatnonzero(~fast.all(axis=1))
-            if slow.size:
-                dx = np.ldexp(e_live[slow], -s[:, None, None])
-        b = _PADE13
-        eye = np.eye(n)
-        x2 = x @ x
-        x4 = x2 @ x2
-        x6 = x4 @ x2
-        w1 = b[13] * x6 + b[11] * x4 + b[9] * x2
-        w = x6 @ w1 + b[7] * x6 + b[5] * x4 + b[3] * x2 + b[1] * eye
-        u = x @ w
-        z1 = b[12] * x6 + b[10] * x4 + b[8] * x2
-        v = x6 @ z1 + b[6] * x6 + b[4] * x4 + b[2] * x2 + eye
-        q = v - u
-        r = np.linalg.solve(q, v + u)
-        if dx is not None:
-            dx2 = x @ dx + dx @ x
-            dx4 = x2 @ dx2 + dx2 @ x2
-            dx6 = x4 @ dx2 + dx4 @ x2
-            dw = (x6 @ (b[13] * dx6 + b[11] * dx4 + b[9] * dx2) + dx6 @ w1
-                  + b[7] * dx6 + b[5] * dx4 + b[3] * dx2)
-            du = x @ dw + dx @ w
-            dv = (x6 @ (b[12] * dx6 + b[10] * dx4 + b[8] * dx2) + dx6 @ z1
-                  + b[6] * dx6 + b[4] * dx4 + b[2] * dx2)
-            # (V - U) r = V + U, differentiated; the directions are columns
-            rhs = (dv + du) - (dv - du) @ r
-            dirs, m = rhs.shape[:2]
-            dr = np.linalg.solve(q, rhs.transpose(1, 2, 0, 3).reshape(
-                m, n, dirs * n)).reshape(m, n, dirs, n).transpose(2, 0, 1, 3)
-        for k in range(int(s.max())):
-            active = s > k
-            ra = r[active]
-            if dx is not None:
-                da = dr[:, active]
-                dr[:, active] = ra @ da + da @ ra
-            r[active] = ra @ ra
+        if e is not None:
+            e = np.broadcast_to(e, shape).reshape((-1,) + stack.shape)
+            live = np.flatnonzero(e.any(axis=(1, 2, 3)))
+            e_live = e[live]
+            if live.size:
+                comm = _norm1(stack @ e_live - e_live @ stack)
+                size = _norm1(e_live)
+                # a non-finite matrix gives NaN either way
+                fast = ~finite | (comm <= 4 * n * _UNIT_ROUNDOFF * norms * size)
+                slow = np.flatnonzero(~fast.all(axis=1))
+        if n != 2 or len(slow):
+            r, dr = _pade(stack, norms, finite,
+                          e_live[slow] if len(slow) else None)
+        if n == 2:
+            r = _expm2(stack)
         r[~finite] = np.nan
         if e is None:
             return r.reshape(a.shape)
         deriv = np.zeros(e.shape)
         deriv[live] = r @ e_live
-        if dx is not None:
+        if len(slow):
             deriv[live[slow]] = np.where(fast[slow, :, None, None],
                                          deriv[live[slow]], dr)
     return r.reshape(a.shape), deriv.reshape(shape)
+
+
+def _norm1(x):
+    """1-norms of the matrices of x; at 2x2 by the same sums, without a
+    numpy reduction, which is slow over short axes."""
+    if x.shape[-1] != 2:
+        return np.abs(x).sum(axis=-2).max(axis=-1)
+    x = np.abs(x)
+    return np.maximum(x[..., 0, 0] + x[..., 1, 0], x[..., 0, 1] + x[..., 1, 1])
+
+
+def _expm2(a):
+    """exp of every matrix of an (m, 2, 2) stack: with mu = tr/2 and
+    h = (a00 - a11)/2, B = A - mu I squares to delta^2 I, delta^2 = h^2 +
+    a01 a10, so exp(A) = c I + g B, c = e^mu cosh(delta) and g = e^mu
+    sinh(delta)/delta (cos and sin of w = |delta| if delta is imaginary)."""
+    a00, a01, a10, a11 = a.reshape(-1, 4).T
+    mu, h = (a00 + a11) * 0.5, (a00 - a11) * 0.5
+    # delta^2 on entries scaled by a power of two near the largest, so that
+    # it cannot overflow; w at least the smallest normal double, where
+    # sin(w)/w = sinh(w)/w = 1 exactly, as at w = 0
+    k = np.frexp(np.maximum(np.maximum(np.abs(h), np.abs(a01)),
+                            np.abs(a10)))[1]
+    d2 = np.ldexp(h, -k) ** 2 + np.ldexp(a01, -k) * np.ldexp(a10, -k)
+    w = np.maximum(np.ldexp(np.sqrt(np.abs(d2)), k), _TINY)
+    real = d2 >= 0.0
+    scale = np.exp(mu)
+    c = scale * np.where(real, np.cosh(w), np.cos(w))
+    g = scale * (np.where(real, np.sinh(w), np.sin(w)) / w)
+    # beyond w = 1, e^(mu +- w) apart, so that no finite result overflows
+    big = np.flatnonzero(real & (w > 1.0))
+    if big.size:
+        up, down = np.exp(mu[big] + w[big]), np.exp(mu[big] - w[big])
+        c[big], g[big] = (up + down) * 0.5, (up - down) / (2.0 * w[big])
+    gh = g * h
+    return np.stack([c + gh, g * a01, g * a10, c - gh],
+                    axis=-1).reshape(a.shape)
+
+
+def _pade(stack, norms, finite, e=None):
+    """(exp, None) of an (m, n, n) stack of 1-norms `norms` (a non-finite
+    one's matrix is left as I), or (exp, Frechet derivatives) along each
+    direction of e (k, m, n, n), from the same Pade powers, one more solve
+    and squarings that carry (r, dr) to (r^2, r dr + dr r)."""
+    n = stack.shape[-1]
+    mantissa, exponent = np.frexp(np.where(finite, norms, 0.0) / _THETA13)
+    s = np.maximum(exponent - (mantissa == 0.5), 0)
+    x = np.ldexp(np.where(finite[:, None, None], stack, 0.0),
+                 -s[:, None, None])
+    dx = dr = None if e is None else np.ldexp(e, -s[:, None, None])
+    b = _PADE13
+    eye = np.eye(n)
+    x2 = x @ x
+    x4 = x2 @ x2
+    x6 = x4 @ x2
+    w1 = b[13] * x6 + b[11] * x4 + b[9] * x2
+    w = x6 @ w1 + b[7] * x6 + b[5] * x4 + b[3] * x2 + b[1] * eye
+    u = x @ w
+    z1 = b[12] * x6 + b[10] * x4 + b[8] * x2
+    v = x6 @ z1 + b[6] * x6 + b[4] * x4 + b[2] * x2 + eye
+    q = v - u
+    r = np.linalg.solve(q, v + u)
+    if dx is not None:
+        dx2 = x @ dx + dx @ x
+        dx4 = x2 @ dx2 + dx2 @ x2
+        dx6 = x4 @ dx2 + dx4 @ x2
+        dw = (x6 @ (b[13] * dx6 + b[11] * dx4 + b[9] * dx2) + dx6 @ w1
+              + b[7] * dx6 + b[5] * dx4 + b[3] * dx2)
+        du = x @ dw + dx @ w
+        dv = (x6 @ (b[12] * dx6 + b[10] * dx4 + b[8] * dx2) + dx6 @ z1
+              + b[6] * dx6 + b[4] * dx4 + b[2] * dx2)
+        # (V - U) r = V + U, differentiated; the directions are columns
+        rhs = (dv + du) - (dv - du) @ r
+        dirs, m = rhs.shape[:2]
+        dr = np.linalg.solve(q, rhs.transpose(1, 2, 0, 3).reshape(
+            m, n, dirs * n)).reshape(m, n, dirs, n).transpose(2, 0, 1, 3)
+    for k in range(int(s.max())):
+        active = s > k
+        ra = r[active]
+        if dr is not None:
+            da = dr[:, active]
+            dr[:, active] = ra @ da + da @ ra
+        r[active] = ra @ ra
+    return r, dr
+
+
+def det(a):
+    """Determinant of a matrix or of every matrix in a stack: ad - bc for
+    2x2, LAPACK otherwise."""
+    if a.shape[-1] != 2:
+        return np.linalg.det(a)
+    return a[..., 0, 0] * a[..., 1, 1] - a[..., 0, 1] * a[..., 1, 0]
+
+
+def inverse(a):
+    """Inverse of a matrix or of every matrix in a stack, which the caller
+    has checked by `det`: the adjugate over det for 2x2, LAPACK otherwise."""
+    if a.shape[-1] != 2:
+        return np.linalg.inv(a)
+    d = det(a)
+    out = np.empty(a.shape)
+    out[..., 0, 0], out[..., 1, 1] = a[..., 1, 1] / d, a[..., 0, 0] / d
+    out[..., 0, 1], out[..., 1, 0] = a[..., 0, 1] / -d, a[..., 1, 0] / -d
+    return out
 
 
 def _domain(bad, message):

@@ -17,25 +17,26 @@ import numpy as np
 
 from .errors import GroupMismatchError, SingularMatrixError
 from .expr import Dual, ExprAST
+from .expr import dual
 from .expr.dual import DET_THRESHOLD, expm
 
 
-def ensure_invertible(g):
+def ensure_invertible(g, what="matrix"):
     """Return g (one matrix or a stack) as floats, raising if any |det g|
-    falls below the threshold."""
+    falls below the threshold; `what` names g in the message."""
     g = np.asarray(g, dtype=float)
-    dets = np.abs(np.linalg.det(g))
+    dets = np.abs(dual.det(g))
     bad = dets <= DET_THRESHOLD
     if np.any(bad):
         first = np.ravel(dets)[np.argmax(np.ravel(bad))]
         raise SingularMatrixError(
-            f"matrix with |det| = {first:.3e} treated as singular")
+            f"{what} with |det| = {first:.3e} treated as singular")
     return g
 
 
 def inverse(g):
     """Inverse of a matrix or of every matrix in a stack."""
-    return np.linalg.inv(ensure_invertible(g))
+    return dual.inverse(ensure_invertible(g))
 
 
 def adjoint(g, X):

@@ -685,6 +685,35 @@ def _set(*keys, value):
      _set("a0", value=None), "a0 must be a list, not null"),
     ("abelian.json", ["verify"], _set("sample_plan", value=None),
      "sample_plan must be an object, not null"),
+    # sizes are positive integers, named before any check that uses them
+    ("abelian.json", ["verify"], _set("group", "n", value=-1),
+     Case("group.n = -1", "group.n must be a positive integer, not -1")),
+    ("abelian.json", ["verify"], _set("charts", 0, "dim", value=0),
+     Case("charts[0].dim = 0",
+          "charts[0].dim must be a positive integer, not 0")),
+    ("morphism_squaring.json", ["push", fixture_path("monopole_k1.json")],
+     _set("source_n", value=0),
+     Case("source_n = 0", "source_n must be a positive integer, not 0")),
+    ("morphism_squaring.json", ["push", fixture_path("monopole_k1.json")],
+     _set("target_n", value=-2),
+     Case("target_n = -2", "target_n must be a positive integer, not -2")),
+    ("sphere_levi_civita.json", ["convert-christoffel"],
+     _set("fiber_dim", value=0),
+     Case("fiber_dim = 0", "fiber_dim must be a positive integer, not 0")),
+    ("tower_unipotent.json", ["tower"],
+     _set("levels", 1, "group", "n", value=0),
+     Case("levels[1].group.n = 0",
+          "levels[1].group.n must be a positive integer, not 0")),
+    # a reference to an undeclared chart names its field
+    ("path_abelian.json", ["transport", fixture_path("abelian.json")],
+     _set("segments", 0, "chart", value="U9"),
+     Case("path chart U9", "segments[0].chart: unknown chart 'U9'")),
+    ("morphism_gauge.json", ["push", fixture_path("monopole_k1.json")],
+     _set("h", "U9", value="[[1, 0], [0, 1]]"),
+     Case("morphism h U9", "h['U9']: unknown chart 'U9'")),
+    ("sphere_levi_civita.json", ["convert-christoffel"],
+     lambda doc: doc["gamma"].update(U9=doc["gamma"].pop("U_N")),
+     Case("gamma U9", "gamma['U9']: unknown chart 'U9'")),
 ], ids=case_id)
 def test_inconsistent_document_is_a_usage_error(tmp_path, capsys, name, argv,
                                                 edit, needle):
@@ -721,19 +750,34 @@ def _huge_overlap(doc):
     doc["overlaps"][0]["domain"][0][1] = 1.7e19
 
 
-def test_overflow_warnings_stay_off_stderr(tmp_path, capsys):
-    # the overflowing overlap gives inf transitions and a singular matrix:
-    # one error line, no numpy RuntimeWarning ahead of it
+def test_huge_overlap_keeps_rotations_exact(tmp_path):
+    # mexp of x1 J at x1 up to 1.7e19 is a rotation: the cocycle and
+    # compatibility checks pass to rounding
     path = _variant(tmp_path, "abelian.json", _huge_overlap)
+    code, report = run(tmp_path, "verify", path)
+    assert code == 0
+    assert max(check["max_residual"] for check in report["checks"]) <= 1e-15
+
+
+def _huge_scaling(doc):
+    _huge_overlap(doc)
+    doc["transitions"] = {"U1,U2": "mexp(x1*[[1,0],[0,1]])",
+                          "U2,U1": "mexp(-x1*[[1,0],[0,1]])"}
+
+
+def test_overflow_warnings_stay_off_stderr(tmp_path, capsys):
+    # e^x1 I overflows on the huge overlap: the checks it reaches fail, with
+    # no numpy RuntimeWarning and nothing on stderr
+    path = _variant(tmp_path, "abelian.json", _huge_scaling)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         code, report = run(tmp_path, "verify", path)
-    assert code == 2
-    assert report is None
     assert [str(w.message) for w in caught] == []
-    lines = capsys.readouterr().err.splitlines()
-    assert len(lines) == 1
-    assert lines[0].startswith("error: matrix with |det| = ")
+    assert capsys.readouterr().err == ""
+    assert code == 1
+    failed = [check["name"] for check in report["checks"]
+              if not check["passed"]]
+    assert "cocycle:U1,U2" in failed
 
 
 def _write(tmp_path, name, doc):

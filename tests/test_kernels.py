@@ -1,6 +1,7 @@
-"""The stacked matrix exponential `expm` and its Frechet derivative:
-accuracy against high-precision references, exact structure, row
-independence, broadcasting and non-finite rows."""
+"""The stacked matrix kernels: the exponential `expm` and its Frechet
+derivative (accuracy against high-precision references, exact structure,
+row independence, broadcasting and non-finite rows), and `det` and
+`inverse`."""
 
 import os
 import subprocess
@@ -13,7 +14,7 @@ import pytest
 from scipy.linalg import expm_frechet
 
 from localforms.expr import Dual
-from localforms.expr.dual import expm
+from localforms.expr.dual import det, expm, inverse
 
 from conftest import ROOT
 
@@ -285,3 +286,89 @@ def test_cli_import_loads_no_scipy():
                          capture_output=True, text=True,
                          env=dict(os.environ, PYTHONPATH=str(ROOT / "src"))).stdout
     assert out.strip() == "[]"
+
+
+def _exp2_mpmath(a):
+    """exp of one 2x2 matrix at 60 digits from its eigenvalues mu +- delta:
+    e^mu (cosh(delta) I + sinh(delta)/delta (A - mu I)), exact for any
+    entries, where mpmath.expm would need hundreds of squarings."""
+    with mpmath.workdps(60):
+        p, b, c, q = (mpmath.mpf(float(v)) for v in np.ravel(a))
+        mu, h = (p + q) / 2, (p - q) / 2
+        delta = mpmath.sqrt(mpmath.mpc(h * h + b * c))
+        g = mpmath.sinh(delta) / delta if delta else mpmath.mpf(1)
+        ch, scale = mpmath.cosh(delta), mpmath.exp(mu)
+        rows = [[ch + g * h, g * b], [g * c, ch - g * h]]
+        return np.array([[float(mpmath.re(scale * v)) for v in row]
+                         for row in rows])
+
+
+def test_closed_form_reference_matches_mpmath_expm():
+    rng = np.random.default_rng(13)
+    for norm in NORMS:
+        a = _with_norm(rng, 2, norm)
+        with mpmath.workdps(40):
+            want = np.array(mpmath.expm(mpmath.matrix(a.tolist())).tolist(),
+                            dtype=float)
+        assert _norm1(_exp2_mpmath(a) - want) <= 1e-15 * _norm1(want)
+
+
+_J = np.array([[0.0, -1.0], [1.0, 0.0]])
+HARD_2X2 = {
+    # eigenvalue gaps e^-k, on the diagonal and from the off-diagonal product
+    **{f"gap-diag-{k}": [[0.0, 1.0], [0.0, np.exp(-k)]]
+       for k in (1, 10, 36, 100, 700)},
+    **{f"gap-offdiag-{k}": [[0.0, 1.0], [np.exp(-k), 0.0]]
+       for k in (2, 20, 72, 200, 700)},
+    "diagonal-1e200": [[-1e200, 0.0], [0.0, 0.0]],
+    "nearly-defective": [[1e-8, 1e8], [0.0, -1e-8]],
+    "non-normal-imaginary": [[0.5, 1e6], [-1e-12, 0.5]],
+    "non-normal-real": [[-3.0, 1e4], [1e-4, -3.0]],
+    "rotation-1e5": 1e5 * _J,
+    "rotation-1.7e19": 1.7e19 * _J,
+    # h^2 and a01 a10 overflow unscaled
+    "rotation-1e160": 1e160 * _J,
+    "triangular-1e160": [[0.0, 1e160], [0.0, -2e160]],
+    "nilpotent-1e160": [[1e160, 1e160], [-1e160, -1e160]],
+}
+
+
+@pytest.mark.parametrize("a", HARD_2X2.values(), ids=HARD_2X2.keys())
+def test_2x2_matches_mpmath_at_60_digits(a):
+    a = np.array(a)
+    want = _exp2_mpmath(a)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = expm(a)
+    assert _norm1(got - want) <= 1e-13 * _norm1(want)
+
+
+@pytest.mark.parametrize("entry", [1e308, 1e300])
+def test_2x2_overflow_is_not_finite(entry):
+    # the true exponential overflows; scaling by the 1-norm alone once lost
+    # the small entries and returned a finite matrix
+    a = np.array([[0.3, 0.1], [entry, 0.2]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = expm(a)
+    assert not np.all(np.isfinite(got))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_det_and_inverse_match_lapack(n):
+    rng = np.random.default_rng(70 + n)
+    stack = rng.standard_normal((5, n, n)) + 3.0 * np.eye(n)
+    assert np.allclose(det(stack), np.linalg.det(stack), rtol=1e-14, atol=0)
+    assert np.allclose(inverse(stack), np.linalg.inv(stack), rtol=1e-13,
+                       atol=1e-15)
+    assert np.allclose(inverse(stack[0]), np.linalg.inv(stack[0]),
+                       rtol=1e-13, atol=1e-15)
+
+
+def test_2x2_det_and_inverse_are_the_adjugate():
+    a = np.array([[[3.0, 5.0], [7.0, 11.0]], [[2.0, -1.0], [4.0, 0.5]]])
+    assert np.array_equal(det(a), [3.0 * 11.0 - 5.0 * 7.0, 2.0 * 0.5 + 4.0])
+    assert np.array_equal(inverse(a)[0], np.array([[11.0, -5.0],
+                                                   [-7.0, 3.0]]) / -2.0)
+    assert np.array_equal(inverse(a)[1], np.array([[0.5, 1.0],
+                                                   [-4.0, 2.0]]) / 5.0)

@@ -5,6 +5,8 @@ import json
 
 import pytest
 
+from localforms.report import canonical_json
+
 from conftest import TOOLS, load_tool
 
 
@@ -49,6 +51,18 @@ def test_float_change_beyond_atol_is_still_measured(tool):
     changed = _edit(("checks", 0, "max_residual"), 0.5)
     [(key, delta)] = tool.float_only(_result(REPORT), _result(changed))
     assert key == "max_residual" and delta > 1e-13
+
+
+def test_float_that_became_zero_compares_as_a_number(tool):
+    # the report writes a float 0.0 as 0, which JSON reads as an integer
+    assert canonical_json(0.0) == "0"
+    changed = _edit(("checks", 0, "max_residual"), 0)
+    assert tool.float_only(_result(REPORT), _result(changed)) == [
+        ("max_residual", 5.0e-15)]
+    assert tool.float_only(_result(changed), _result(REPORT)) == [
+        ("max_residual", 5.0e-15)]
+    beyond = _edit(("checks", 0, "max_residual"), 1)
+    assert tool.float_only(_result(changed), _result(beyond)) is None
 
 
 @pytest.mark.parametrize("changed", [

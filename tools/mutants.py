@@ -75,9 +75,43 @@ MUTANTS = [
      "abs(value) <= float_info.max", "True",
      "document numbers are finite"),
     ("schema-boolean-integer", SRC + "bundle_io.py",
-     "elif type(value) is _LEAF_TYPES[schema]:",
-     "elif isinstance(value, _LEAF_TYPES[schema]):",
+     "elif type(value) is _LEAF_TYPES[schema] and (",
+     "elif isinstance(value, _LEAF_TYPES[schema]) and (",
      "a boolean is not an integer, a number or a string"),
+    ("schema-size-zero", SRC + "bundle_io.py",
+     "schema is not SIZE or value >= 1", "schema is not SIZE or value >= 0",
+     "group sizes and dimensions are positive"),
+    # the matrix kernels: the 2x2 closed forms, then the Pade-13 Frechet pass
+    ("expm2-cos-for-cosh", SRC + "expr/dual.py",
+     "np.where(real, np.cosh(w), np.cos(w))",
+     "np.where(real, np.cos(w), np.cos(w))",
+     "a real delta takes cosh, not cos"),
+    ("expm2-g-h-sign", SRC + "expr/dual.py",
+     "[c + gh, g * a01, g * a10, c - gh]",
+     "[c - gh, g * a01, g * a10, c + gh]",
+     "exp(A) = c I + g (A - mu I) adds g h on the first diagonal entry"),
+    ("det-plus", SRC + "expr/dual.py",
+     "a[..., 0, 0] * a[..., 1, 1] - a[..., 0, 1] * a[..., 1, 0]",
+     "a[..., 0, 0] * a[..., 1, 1] + a[..., 0, 1] * a[..., 1, 0]",
+     "a 2x2 determinant is ad - bc"),
+    ("adjugate-off-diagonal-sign", SRC + "expr/dual.py",
+     "a[..., 0, 1] / -d,", "a[..., 0, 1] / d,",
+     "the adjugate negates the off-diagonal entries"),
+    ("frechet-no-dx6-w1", SRC + "expr/dual.py",
+     " + dx6 @ w1\n", "\n",
+     "d(x6 w1) has the term dx6 w1"),
+    ("frechet-unscaled-tangent", SRC + "expr/dual.py",
+     "else np.ldexp(e, -s[:, None, None])", "else e",
+     "a direction is scaled with its matrix"),
+    ("frechet-one-sided-squaring", SRC + "expr/dual.py",
+     "ra @ da + da @ ra", "2 * ra @ da",
+     "d(r^2) = r dr + dr r"),
+    ("frechet-rhs-no-r", SRC + "expr/dual.py",
+     "(dv - du) @ r", "(dv - du)",
+     "(V - U) r = V + U, differentiated, keeps r"),
+    ("frechet-zero-direction-computed", SRC + "expr/dual.py",
+     "np.flatnonzero(e.any(axis=(1, 2, 3)))", "np.arange(len(e))",
+     "a zero direction has an exact-zero derivative"),
 ]
 
 

@@ -22,8 +22,9 @@ case differs, else 0.
 
 With `--floats ATOL` a case whose exit code and stderr are equal, and whose
 stdout reports parse to JSON with the same keys, lists, strings (non-finite
-floats are the strings "nan" and "inf") and integers, differs in floats
-only.  It is printed with the number of floats that changed, their keys and
+floats are the strings "nan" and "inf"), booleans and integers, differs in
+floats only; a number that is a float on either side is compared as a
+number, since the report writes a float 0.0 as the integer 0.  It is printed with the number of floats that changed, their keys and
 the largest change, and fails only if that change exceeds ATOL; any other
 difference still fails.
 """
@@ -141,12 +142,18 @@ def run_tree(tree, cases):
 
 
 def float_changes(parent, change, key=None):
-    """[(key, |change|)] for each float that differs between two parsed JSON
-    values, keyed by its innermost object key, or None when they differ in
-    anything but float values: keys, list lengths, strings, integers or
-    types."""
-    if isinstance(parent, float) and isinstance(change, float):
-        return [] if parent == change else [(key, abs(parent - change))]
+    """[(key, |change|)] for each number that differs between two parsed
+    JSON values where one of the two is a float, keyed by its innermost
+    object key, or None when they differ in anything else: keys, list
+    lengths, strings, booleans, types or two integers.  A float and an
+    integer compare as numbers, as the report writes 0.0 as 0."""
+    numbers = (int, float)  # not bool, a subclass of int
+    if type(parent) in numbers and type(change) in numbers:
+        if parent == change:
+            return []
+        if type(parent) is int and type(change) is int:
+            return None
+        return [(key, abs(parent - change))]
     if type(parent) is not type(change):
         return None
     if isinstance(parent, dict):

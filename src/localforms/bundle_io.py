@@ -81,7 +81,7 @@ def _walk(value, schema, path=()):
                 schema is not SIZE or value >= 1):
             return value
         elif schema is SIZE and type(value) is not int:
-            schema = INTEGER  # not an integer at all
+            schema = INTEGER  # a non-integer fails as at any integer field
         raise _type_error(path, schema, value)
     if kind is list or kind is tuple:
         if type(value) is not list:

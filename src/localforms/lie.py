@@ -16,8 +16,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import GroupMismatchError, SingularMatrixError
-from .expr import Dual, ExprAST
-from .expr import dual
+from .expr import Dual, ExprAST, dual
 from .expr.dual import DET_THRESHOLD, expm
 
 

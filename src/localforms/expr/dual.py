@@ -291,10 +291,10 @@ def _expm2(a):
 
 
 def _pade(stack, norms, finite, e=None):
-    """(exp, None) of an (m, n, n) stack of 1-norms `norms` (a non-finite
-    one's matrix is left as I), or (exp, Frechet derivatives) along each
-    direction of e (k, m, n, n), from the same Pade powers, one more solve
-    and squarings that carry (r, dr) to (r^2, r dr + dr r)."""
+    """(exp, None) of an (m, n, n) stack with 1-norms `norms` (a matrix
+    whose norm is not finite is left as I), or (exp, Frechet derivatives)
+    along each direction of e (k, m, n, n): the same Pade powers, one more
+    solve, and squarings that carry (r, dr) to (r^2, r dr + dr r)."""
     n = stack.shape[-1]
     mantissa, exponent = np.frexp(np.where(finite, norms, 0.0) / _THETA13)
     s = np.maximum(exponent - (mantissa == 0.5), 0)

@@ -30,10 +30,11 @@ from .tower import TowerSpec
 # two-entry list, a dict of named fields (Opt for one that may be left out,
 # which reads as its default) or Map(values) for an object of any keys.
 # ARRAY is a list whose entries numpy checks when it stacks them; SIZE is an
-# integer of at least 1.
+# integer from 1 to MAX_SIZE.
 NUMBER, INTEGER, SIZE, STRING, ARRAY = (
     "a finite number", "an integer", "a positive integer", "a string",
     "a list")
+MAX_SIZE = 4096
 _LEAF_TYPES = {INTEGER: int, SIZE: int, STRING: str, ARRAY: list}
 _JSON_TYPES = {dict: "an object", list: "a list", bool: "a boolean",
                str: "a string", type(None): "null"}
@@ -78,10 +79,12 @@ def _walk(value, schema, path=()):
             if type(value) in (int, float) and abs(value) <= float_info.max:
                 return float(value)
         elif type(value) is _LEAF_TYPES[schema] and (
-                schema is not SIZE or value >= 1):
+                schema is not SIZE or 1 <= value <= MAX_SIZE):
             return value
         elif schema is SIZE and type(value) is not int:
             schema = INTEGER  # a non-integer fails as at any integer field
+        elif schema is SIZE and value > MAX_SIZE:
+            schema = f"{SIZE} of at most {MAX_SIZE}"
         raise _type_error(path, schema, value)
     if kind is list or kind is tuple:
         if type(value) is not list:

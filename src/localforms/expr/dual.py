@@ -18,18 +18,20 @@ never by finite differences.
 numpy passes: the closed form c I + g (A - mu I) at 2x2 (Moler & Van Loan,
 SIAM Rev. 45(1), 2003), exact up to rounding in exp, cosh and sin, and
 Pade-13 scaling and squaring otherwise (Higham, SIAM J. Matrix Anal. Appl.
-26(4), 2005).  With tangents, a direction that commutes with the matrix
-takes exp(a) e; only one that does not runs the Pade pass's Frechet
-derivative (Al-Mohy & Higham, SIAM J. Matrix Anal. Appl. 30(4), 2009,
-Algorithm 6.4), whose own exp(a) serves only its squarings at 2x2.  `mexp`
-makes that one call.  `det` and `inverse` are ad - bc and the adjugate at
-2x2, LAPACK otherwise, the package's only ones.
+26(4), 2005).  Its Frechet derivative takes one path per size: at 2x2 the
+exact derivative of the closed form (Higham, Functions of Matrices, SIAM
+2008, ch. 10), otherwise the Pade pass's own (Al-Mohy & Higham, SIAM J.
+Matrix Anal. Appl. 30(4), 2009, Algorithm 6.4).  `mexp` makes that one
+call.  `det` and `inverse` are ad - bc and the adjugate at 2x2, LAPACK
+otherwise, the package's only ones.
 
 A domain violation at any sample raises DomainError carrying the batch index
 of the first offending sample.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -189,8 +191,11 @@ _PADE13 = tuple(b / 64764752532480000.0 for b in (
     1187353796428800.0, 129060195264000.0, 10559470521600.0, 670442572800.0,
     33522128640.0, 1323241920.0, 40840800.0, 960960.0, 16380.0, 182.0, 1.0))
 _THETA13 = 5.371920351148152
-_UNIT_ROUNDOFF = 2.0 ** -53
 _TINY = np.finfo(float).tiny
+_LN2 = np.log(2.0)
+# S'(z) = sum_{j>=1} j z^(j-1) / (2j+1)! for S(z) = sinh(sqrt z) / sqrt z,
+# highest power first; 11 terms reach the unit roundoff at |z| = 1
+_DS = tuple(j / math.factorial(2 * j + 1) for j in range(11, 0, -1))
 
 
 def expm(a, e=None):
@@ -205,14 +210,11 @@ def expm(a, e=None):
     With e, the result is (exp(a), L) where L[i] = Dexp_a(e[i]) has the
     broadcast shape of e and a: a's batch axes line up with e's trailing
     ones (where e's are longer, a and its value are broadcast), and each
-    leading slice e[i] is one direction.  The value is the same bits as
-    without e.  A direction that is zero over the whole stack gets an
-    exact-zero derivative and no work; a non-finite matrix gives NaN in its
-    rows of every other direction.  Where e commutes with a, L = exp(a) e,
-    one product with the value: each row of each direction with
-    |a e - e a|_1 <= 4 n u |a|_1 |e|_1 (u the unit roundoff) takes it, off
-    by at most |[a, e]| e^|a| / 2, and only failing rows take the Pade
-    pass, so a row depends only on its own matrix and direction."""
+    leading slice e[i] is one direction.  L is exact up to rounding: the
+    closed form's own derivative at 2x2, the Pade pass's otherwise, and the
+    value is the same bits as without e.  A direction that is zero over the
+    whole stack gets an exact-zero derivative and no work; a non-finite
+    matrix gives NaN in its rows of every other direction."""
     a = np.asarray(a, dtype=float)
     n = a.shape[-1]
     if e is not None:
@@ -223,7 +225,7 @@ def expm(a, e=None):
         return np.zeros(a.shape) if e is None else (np.zeros(a.shape),
                                                     np.zeros(shape))
     stack = a.reshape((-1, n, n))
-    slow = ()
+    e_live = None
     with np.errstate(all="ignore"):
         norms = _norm1(stack)
         finite = np.isfinite(norms)
@@ -231,25 +233,14 @@ def expm(a, e=None):
             e = np.broadcast_to(e, shape).reshape((-1,) + stack.shape)
             live = np.flatnonzero(e.any(axis=(1, 2, 3)))
             e_live = e[live]
-            if live.size:
-                comm = _norm1(stack @ e_live - e_live @ stack)
-                size = _norm1(e_live)
-                # a non-finite matrix gives NaN either way
-                fast = ~finite | (comm <= 4 * n * _UNIT_ROUNDOFF * norms * size)
-                slow = np.flatnonzero(~fast.all(axis=1))
-        if n != 2 or len(slow):
-            r, dr = _pade(stack, norms, finite,
-                          e_live[slow] if len(slow) else None)
-        if n == 2:
-            r = _expm2(stack)
+        r, dr = (_expm2(stack, e_live) if n == 2
+                 else _pade(stack, norms, finite, e_live))
         r[~finite] = np.nan
         if e is None:
             return r.reshape(a.shape)
+        dr[:, ~finite] = np.nan
         deriv = np.zeros(e.shape)
-        deriv[live] = r @ e_live
-        if len(slow):
-            deriv[live[slow]] = np.where(fast[slow, :, None, None],
-                                         deriv[live[slow]], dr)
+        deriv[live] = dr
     return r.reshape(a.shape), deriv.reshape(shape)
 
 
@@ -262,32 +253,73 @@ def _norm1(x):
     return np.maximum(x[..., 0, 0] + x[..., 1, 0], x[..., 0, 1] + x[..., 1, 1])
 
 
-def _expm2(a):
-    """exp of every matrix of an (m, 2, 2) stack: with mu = tr/2 and
-    h = (a00 - a11)/2, B = A - mu I squares to delta^2 I, delta^2 = h^2 +
-    a01 a10, so exp(A) = c I + g B, c = e^mu cosh(delta) and g = e^mu
-    sinh(delta)/delta (cos and sin of w = |delta| if delta is imaginary)."""
+def _expm2(a, e=None):
+    """(exp, None) of every matrix of an (m, 2, 2) stack, or (exp, Frechet
+    derivatives) along each direction of e (k, m, 2, 2).  With mu = tr/2,
+    h = (a00 - a11)/2 and B = A - mu I, B^2 = z I with z = h^2 + a01 a10, so
+    exp(A) = c I + g B, c = e^mu C(z) and g = e^mu S(z), C = cosh(sqrt z)
+    and S = sinh(sqrt z)/sqrt z (cos and sin of w = |sqrt z| if z < 0).
+    Along E, with dmu = tr E/2 and dz = (e00 - e11) h + e01 a10 + a01 e10,
+    C' = S/2 gives L = dmu exp(A) + dz (g/2 I + e^mu S'(z) B) + g (E - dmu I),
+    where S'(z) = (C - S)/(2z), or its series below |z| = 1."""
     a00, a01, a10, a11 = a.reshape(-1, 4).T
     mu, h = (a00 + a11) * 0.5, (a00 - a11) * 0.5
-    # delta^2 on entries scaled by a power of two near the largest, so that
-    # it cannot overflow; w at least the smallest normal double, where
-    # sin(w)/w = sinh(w)/w = 1 exactly, as at w = 0
-    k = np.frexp(np.maximum(np.maximum(np.abs(h), np.abs(a01)),
-                            np.abs(a10)))[1]
-    d2 = np.ldexp(h, -k) ** 2 + np.ldexp(a01, -k) * np.ldexp(a10, -k)
-    w = np.maximum(np.ldexp(np.sqrt(np.abs(d2)), k), _TINY)
+    # z = 2^2kz d2; where h^2 + a01 a10 overflows, its two terms scaled from
+    # their exponents, so that neither overflows nor underflows beside the
+    # other; w at least the smallest normal double, where sin(w)/w =
+    # sinh(w)/w = 1 exactly, as at w = 0
+    d2, kz = h * h + a01 * a10, 0
+    if not np.isfinite(d2).all():
+        (fh, f01, f10), (xh, x01, x10) = np.frexp([h, a01, a10])
+        kz = np.maximum(xh, (x01 + x10 + 1) // 2)
+        d2 = (np.ldexp(fh, xh - kz) ** 2
+              + np.ldexp(f01 * f10, x01 + x10 - 2 * kz))
+    w = np.maximum(np.ldexp(np.sqrt(np.abs(d2)), kz), _TINY)
     real = d2 >= 0.0
-    scale = np.exp(mu)
-    c = scale * np.where(real, np.cosh(w), np.cos(w))
-    g = scale * (np.where(real, np.sinh(w), np.sin(w)) / w)
-    # beyond w = 1, e^(mu +- w) apart, so that no finite result overflows
+    # beyond w = 1, e^(mu +- w) apart, so that no finite result overflows;
+    # the eigenvalue smaller in magnitude as det over the larger (Vieta)
+    # where det is finite, since mu -+ w rounds it away where the two differ
+    # by more than 2^53
+    lam = np.array([mu, mu])
     big = np.flatnonzero(real & (w > 1.0))
     if big.size:
-        up, down = np.exp(mu[big] + w[big]), np.exp(mu[big] - w[big])
+        mb, wb = mu[big], np.copysign(w[big], mu[big])
+        small = (a00 * a11 - a01 * a10)[big] / (mb + wb)
+        small = np.where(np.isfinite(small), small, mb - wb)
+        lam[:, big] = np.maximum(mb + wb, small), np.minimum(mb + wb, small)
+    # e^lam as 2^p e^(lam - p ln 2), ldexp last, where it leaves the normal
+    # range, so that it cannot overflow or underflow ahead of an entry
+    p = 0
+    far = np.abs(lam[0]) > 708.0
+    if far.any():
+        p = np.clip(np.where(far, np.ceil(lam[0] / _LN2), 0.0), -2200, 2200)
+        lam = lam - p * _LN2
+        p = p.astype(np.int32)[:, None]
+    scale = np.exp(lam)
+    c = scale[0] * np.where(real, np.cosh(w), np.cos(w))
+    g = scale[0] * (np.where(real, np.sinh(w), np.sin(w)) / w)
+    if big.size:
+        up, down = scale[:, big]
         c[big], g[big] = (up + down) * 0.5, (up - down) / (2.0 * w[big])
     gh = g * h
-    return np.stack([c + gh, g * a01, g * a10, c - gh],
-                    axis=-1).reshape(a.shape)
+    v = np.stack([c + gh, g * a01, g * a10, c - gh], axis=-1)
+    r = np.ldexp(v, p).reshape(a.shape)
+    if e is None:
+        return r, None
+    e = e.reshape(e.shape[:2] + (4,))
+    dmu = (e[..., 0] + e[..., 3]) * 0.5
+    dz = (e[..., 0] - e[..., 3]) * h + e[..., 1] * a10 + a01 * e[..., 2]
+    # e^mu S'(z) dz B = q dz 2^-k B, times 2^(k - 2kz) from |z| = 1 on, where
+    # q = (c - g) / (2^(1 - 2kz) z), and times 2^k below, where q = e^mu S'(z)
+    q = np.where(w < 1.0, scale[0] * np.polyval(_DS, np.ldexp(d2, 2 * kz)),
+                 (c - g) / (2.0 * d2))
+    k = np.frexp(np.abs([h, a01, a10]).max(axis=0))[1]
+    b = np.ldexp(np.array([h, a01, a10, -h]), -k).T
+    tail = np.ldexp((q * dz)[..., None] * b,
+                    p + (k - np.where(w < 1.0, 0, 2 * kz))[:, None])
+    dr = dmu[..., None] * v + g[:, None] * e
+    dr[..., ::3] += ((dz * 0.5 - dmu) * g)[..., None]  # the diagonal
+    return r, (np.ldexp(dr, p) + tail).reshape(e.shape[:2] + (2, 2))
 
 
 def _pade(stack, norms, finite, e=None):

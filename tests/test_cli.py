@@ -470,6 +470,13 @@ def _set(*keys, value):
     return edit
 
 
+def _phi_identity(source_n):
+    """A morphism edit: source_n as given, and phi a constant 2x2 matrix."""
+    def edit(doc):
+        doc.update(source_n=source_n, phi="[[1, 0], [0, 1]]")
+    return edit
+
+
 @pytest.mark.parametrize("name, argv, edit, needle", [
     ("abelian.json", ["verify"], _degenerate_domain,
      "overlap U1->U2: degenerate interval [1.0, 1.0]"),
@@ -714,6 +721,36 @@ def _set(*keys, value):
     ("sphere_levi_civita.json", ["convert-christoffel"],
      lambda doc: doc["gamma"].update(U9=doc["gamma"].pop("U_N")),
      Case("gamma U9", "gamma['U9']: unknown chart 'U9'")),
+    # sizes are at most bundle_io.MAX_SIZE, named before numpy allocates
+    ("morphism_identity.json",
+     ["relate", fixture_path("abelian.json"), fixture_path("abelian.json")],
+     _phi_identity(2 ** 62),
+     Case("source_n = 2**62", "source_n must be a positive integer of at "
+          "most 4096, not 4611686018427387904")),
+    ("morphism_identity.json",
+     ["relate", fixture_path("abelian.json"), fixture_path("abelian.json")],
+     _phi_identity(4097),
+     Case("source_n = 4097",
+          "source_n must be a positive integer of at most 4096, not 4097")),
+    ("morphism_squaring.json", ["push", fixture_path("monopole_k1.json")],
+     _set("target_n", value=10 ** 30),
+     Case("target_n = 10**30", "target_n must be a positive integer of at "
+          "most 4096, not 1000000000000000000000000000000")),
+    ("abelian.json", ["verify"], _set("group", "n", value=2 ** 62),
+     Case("group.n = 2**62", "group.n must be a positive integer of at most "
+          "4096, not 4611686018427387904")),
+    ("abelian.json", ["verify"], _set("charts", 0, "dim", value=5000),
+     Case("charts[0].dim = 5000",
+          "charts[0].dim must be a positive integer of at most 4096, "
+          "not 5000")),
+    ("sphere_levi_civita.json", ["convert-christoffel"],
+     _set("fiber_dim", value=2 ** 40),
+     Case("fiber_dim = 2**40", "fiber_dim must be a positive integer of at "
+          "most 4096, not 1099511627776")),
+    ("tower_unipotent.json", ["tower"],
+     _set("levels", 1, "group", "n", value=2 ** 62),
+     Case("levels[1].group.n = 2**62", "levels[1].group.n must be a positive "
+          "integer of at most 4096, not 4611686018427387904")),
 ], ids=case_id)
 def test_inconsistent_document_is_a_usage_error(tmp_path, capsys, name, argv,
                                                 edit, needle):

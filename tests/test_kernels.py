@@ -13,10 +13,11 @@ import numpy as np
 import pytest
 from scipy.linalg import expm_frechet
 
+from localforms.cli import main
 from localforms.expr import Dual
 from localforms.expr.dual import det, expm, inverse
 
-from conftest import ROOT
+from conftest import ROOT, fixture_path
 
 NORMS = (0.01, 0.3, 2.0, 7.0, 20.0, 50.0)  # 1-norms; above 5.37 s > 0
 
@@ -76,7 +77,7 @@ def _commuting(rng, n, norm, scale):
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 5])
-def test_commuting_directions_take_the_value_times_e(n):
+def test_commuting_directions_match_frechet(n):
     rng = np.random.default_rng(60 + n)
     pairs = [_commuting(rng, n, norm, scale)
              for norm, scale in zip(NORMS, (1.0, -0.5, 3.0, 0.1, 2.0, -1.0))]
@@ -85,7 +86,6 @@ def test_commuting_directions_take_the_value_times_e(n):
                   np.stack([-2.0 * d for _, d in pairs])])
     value, got = expm(stack, e)
     assert np.array_equal(value, expm(stack))
-    assert np.array_equal(got, value @ e)
     for i, a in enumerate(stack):
         for k in range(2):
             want = expm_frechet(a, e[k, i], compute_expm=False)
@@ -113,27 +113,6 @@ def test_mixed_stacks_match_their_solo_calls():
             assert np.array_equal(got[k, i], solo[1])
             want = expm_frechet(stack[i], e[k, i], compute_expm=False)
             assert _norm1(got[k, i] - want) <= 1e-13 * _norm1(want)
-        assert np.array_equal(got[0, i], value[i] @ e[0, i])
-    assert np.array_equal(got[1, 1::2][:2], value[1:5:2] @ e[1, 1:5:2])
-
-
-@pytest.mark.parametrize("ratio, fast", [(0.95, True), (1.05, False)])
-def test_commutation_bound_picks_the_path(ratio, fast, monkeypatch):
-    # e diagonal with powers of two, so a e - e a is computed exactly: its
-    # 1-norm is |t|, against the bound 4 n u |a|_1 |e|_1
-    import localforms.expr.dual as dual
-    e = np.diag([1.0, 2.0, 4.0])
-    a = np.diag([0.3, -0.7, 1.1])
-    bound = 4 * 3 * dual._UNIT_ROUNDOFF * _norm1(a) * _norm1(e)
-    a[0, 1] = ratio * bound
-    assert _norm1(a @ e - e @ a) == a[0, 1]
-    value, got = expm(a, e[None])
-    want = expm_frechet(a, e, compute_expm=False)
-    assert _norm1(got[0] - want) <= 1e-13 * _norm1(want)
-    monkeypatch.setattr(dual, "_UNIT_ROUNDOFF", -1.0)  # no row passes
-    pade = expm(a, e[None])[1]
-    assert np.array_equal(got, value @ e[None] if fast else pade)
-    assert not np.array_equal(value @ e[None], pade)
 
 
 def test_zero_direction_is_exactly_zero():
@@ -330,6 +309,14 @@ HARD_2X2 = {
     "rotation-1e160": 1e160 * _J,
     "triangular-1e160": [[0.0, 1e160], [0.0, -2e160]],
     "nilpotent-1e160": [[1e160, 1e160], [-1e160, -1e160]],
+    # mu + w rounds the smaller eigenvalue 1 away
+    "small-eigenvalue-1e20": [[-1e20, 0.0], [0.0, 1.0]],
+    # e^mu underflows ahead of the huge entry
+    "underflow-1e300": [[-800.0, 1e300], [0.0, -800.0]],
+    "underflow-1e150-real-w": [[-800.0, 1e150], [0.0, -810.0]],
+    # terms of h^2 + a01 a10 hundreds of orders of magnitude below a01
+    "triangular-1e200": [[0.0, 1e200], [0.0, 1.0]],
+    "product-1": [[0.0, 1e300], [1e-300, 0.0]],
 }
 
 
@@ -341,6 +328,111 @@ def test_2x2_matches_mpmath_at_60_digits(a):
         warnings.simplefilter("error")
         got = expm(a)
     assert _norm1(got - want) <= 1e-13 * _norm1(want)
+
+
+def _frechet_mpmath(a, e):
+    """Dexp_a(e) at 60 digits: the top-right block of exp([[a, e], [0, a]])
+    (Higham, Functions of Matrices, SIAM 2008, ch. 3).  mpmath.expm raises
+    its working precision by two bits per squaring, so huge entries stay
+    exact."""
+    a, e = np.asarray(a, dtype=float), np.asarray(e, dtype=float)
+    n = len(a)
+    with mpmath.workdps(60):
+        block = mpmath.zeros(2 * n)
+        for i in range(n):
+            for j in range(n):
+                block[i, j] = block[n + i, n + j] = mpmath.mpf(a[i, j])
+                block[i, n + j] = mpmath.mpf(e[i, j])
+        x = mpmath.expm(block)
+        return np.array([[float(x[i, n + j]) for j in range(n)]
+                         for i in range(n)])
+
+
+def test_block_reference_matches_frechet():
+    rng = np.random.default_rng(15)
+    for norm in NORMS[:4]:
+        a, e = _with_norm(rng, 2, norm), rng.standard_normal((2, 2))
+        want = expm_frechet(a, e, compute_expm=False)
+        assert _norm1(_frechet_mpmath(a, e) - want) <= 1e-14 * _norm1(want)
+
+
+def _near_commuting(ratio):
+    """A 3x3 matrix a and e = diag(1, 2, 4) whose commutator has the 1-norm
+    ratio * 4 n u |a|_1 |e|_1 exactly (u the unit roundoff): a pair that
+    commutes to within rounding, or just beyond it."""
+    a = np.diag([0.3, -0.7, 1.1])
+    a[0, 1] = ratio * 4 * 3 * 2.0 ** -53 * _norm1(a) * 4.0
+    return a, np.diag([1.0, 2.0, 4.0])
+
+
+_E = [[0.3, -1.2], [0.7, 0.5]]
+_M = np.array([[0.3, 1.0], [2.0, -0.5]])
+HARD_FRECHET = {
+    # z = h^2 + a01 a10 on both sides of +-1, where the series hands over
+    **{f"z={z!r}": ([[0.3, 1.0], [z, 0.3]], _E)
+       for z in (1.0 - 2.0 ** -30, 1.0, 1.0 + 2.0 ** -30,
+                 -1.0 + 2.0 ** -30, -1.0, -1.0 - 2.0 ** -30)},
+    "z=0-scalar": ([[0.5, 0.0], [0.0, 0.5]], _E),
+    "z=0-nilpotent": ([[2.0, -4.0], [1.0, -2.0]], _E),
+    "z=0-triangular": ([[-1.5, 3.0], [0.0, -1.5]], _E),
+    "large-real-w": ([[30.0, 1.0], [1.0, -30.0]], _E),
+    "large-real-w-shifted": ([[-200.0, 7.0], [3.0, 150.0]], _E),
+    # directions that commute with the matrix, exactly or nearly
+    "commuting": (_M, 2.0 * _M),
+    "nearly-commuting-1e-15": (_M, 2.0 * _M + [[0.0, 1e-15], [0.0, 0.0]]),
+    "nearly-commuting-1e-8": (_M, 2.0 * _M + [[0.0, 1e-8], [0.0, 0.0]]),
+    "nearly-commuting-rotation": (3.0 * _J, -_J + [[1e-12, 0.0], [0.0, 0.0]]),
+    **{f"near-bound-3x3-{ratio}": _near_commuting(ratio)
+       for ratio in (0.95, 1.05)},
+    "rotation-1e160": (1e160 * _J, _E),
+    "triangular-1e160": ([[0.0, 1e160], [0.0, -2e160]], _E),
+    "small-eigenvalue-1e20": ([[-1e20, 0.0], [0.0, 1.0]], _E),
+    "underflow-1e300": ([[-800.0, 1e300], [0.0, -800.0]], _E),
+    "underflow-1e150-real-w": ([[-800.0, 1e150], [0.0, -810.0]], _E),
+    "triangular-1e200": ([[0.0, 1e200], [0.0, 1.0]], [[0.0, 1.0], [0.0, 0.5]]),
+    "product-1": ([[0.0, 1e300], [1e-300, 0.0]], [[0.0, 1.0], [0.0, 0.0]]),
+}
+
+
+@pytest.mark.parametrize("a, e", HARD_FRECHET.values(),
+                         ids=HARD_FRECHET.keys())
+def test_derivative_matches_mpmath_at_60_digits(a, e):
+    a, e = np.array(a), np.array(e)
+    want = _frechet_mpmath(a, e)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        value, got = expm(a, e[None])
+    assert np.array_equal(value, expm(a))
+    assert _norm1(got[0] - want) <= 1e-13 * _norm1(want)
+
+
+def test_2x2_jets_never_reach_the_pade_pass(monkeypatch, tmp_path):
+    import localforms.expr.dual as dual
+
+    def refuse(*args):
+        raise AssertionError("the Pade pass ran")
+
+    monkeypatch.setattr(dual, "_pade", refuse)
+    rng = np.random.default_rng(16)
+    hard = [a for a, _ in HARD_FRECHET.values() if len(a) == 2]
+    stack = np.concatenate([rng.standard_normal((6, 2, 2)), hard])
+    stack[1, 0, 1] = np.nan
+    e = np.stack([rng.standard_normal(stack.shape), 2.0 * stack,
+                  np.zeros(stack.shape)])
+    value, got = expm(stack, e)
+    assert np.all(np.isnan(got[:2, 1])) and np.all(got[2] == 0.0)
+    # each row, whichever branch of the closed form it takes, is its own
+    for i in range(len(stack)):
+        solo = expm(stack[i], e[:, i])
+        assert np.array_equal(value[i], solo[0], equal_nan=True)
+        assert np.array_equal(got[:, i], solo[1], equal_nan=True)
+    # every bundle fixture has a 2x2 group: its checks run without Pade
+    for argv in (["verify", fixture_path("monopole_k1.json")],
+                 ["push", fixture_path("monopole_k1.json"),
+                  fixture_path("morphism_gauge.json")]):
+        assert main(argv + ["--out", str(tmp_path / "report.json")]) == 0
+    with pytest.raises(AssertionError, match="Pade"):
+        expm(np.zeros((1, 3, 3)), np.ones((1, 1, 3, 3)))
 
 
 @pytest.mark.parametrize("entry", [1e308, 1e300])

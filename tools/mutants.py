@@ -79,9 +79,11 @@ MUTANTS = [
      "elif isinstance(value, _LEAF_TYPES[schema]) and (",
      "a boolean is not an integer, a number or a string"),
     ("schema-size-zero", SRC + "bundle_io.py",
-     "schema is not SIZE or value >= 1", "schema is not SIZE or value >= 0",
+     "schema is not SIZE or 1 <= value <= MAX_SIZE",
+     "schema is not SIZE or 0 <= value <= MAX_SIZE",
      "group sizes and dimensions are positive"),
-    # the matrix kernels: the 2x2 closed forms, then the Pade-13 Frechet pass
+    # the matrix kernels: the 2x2 closed forms and their Frechet derivative,
+    # then the Pade-13 Frechet pass
     ("expm2-cos-for-cosh", SRC + "expr/dual.py",
      "np.where(real, np.cosh(w), np.cos(w))",
      "np.where(real, np.cos(w), np.cos(w))",
@@ -90,6 +92,16 @@ MUTANTS = [
      "[c + gh, g * a01, g * a10, c - gh]",
      "[c - gh, g * a01, g * a10, c + gh]",
      "exp(A) = c I + g (A - mu I) adds g h on the first diagonal entry"),
+    ("expm2-frechet-no-dmu-exp", SRC + "expr/dual.py",
+     "dmu[..., None] * v + ", "",
+     "L = dmu exp(A) + ... has the term dmu exp(A)"),
+    ("expm2-frechet-g-for-half-g", SRC + "expr/dual.py",
+     "(dz * 0.5 - dmu) * g", "(dz - dmu) * g",
+     "C'(z) = S(z)/2, so dz takes g/2 on the diagonal"),
+    ("expm2-frechet-series-first-coefficient", SRC + "expr/dual.py",
+     "j / math.factorial(2 * j + 1) for j",
+     "(j + (j == 1)) / math.factorial(2 * j + 1) for j",
+     "S'(0) = 1/6"),
     ("det-plus", SRC + "expr/dual.py",
      "a[..., 0, 0] * a[..., 1, 1] - a[..., 0, 1] * a[..., 1, 0]",
      "a[..., 0, 0] * a[..., 1, 1] + a[..., 0, 1] * a[..., 1, 0]",

@@ -57,11 +57,11 @@ def _where(path):
     return text[1:] if text.startswith(".") else text or "the document"
 
 
-def _chart(atlas, chart_id, path):
-    """The atlas's chart `chart_id`, referenced at the walker path `path`."""
-    if chart_id not in atlas.charts:
+def _chart(charts, chart_id, path):
+    """The chart `chart_id` of `charts`, named at the walker path `path`."""
+    if chart_id not in charts:
         raise ValidationError(f"{_where(path)}: unknown chart '{chart_id}'")
-    return atlas.charts[chart_id]
+    return charts[chart_id]
 
 
 def _type_error(path, expected, value):
@@ -199,7 +199,7 @@ def _parse_key(key, owner, form, kind=str) -> tuple:
     return a, b
 
 
-def _parse_group(group, where) -> GroupSpec:
+def _parse_group(group, path) -> GroupSpec:
     """The group, its generators (if any) stacked by numpy in one (k, n, n)
     array of JSON numbers: a string, or a list of booleans only, stacks to
     an array that is neither integer nor float (numpy reads a boolean among
@@ -212,8 +212,8 @@ def _parse_group(group, where) -> GroupSpec:
             pass
         if (generators is None or generators.dtype.kind not in "iuf"
                 or generators.shape[1:] != (n, n)):
-            raise ValidationError(f"{where}group.generators must be {n}x{n} "
-                                  f"matrices of numbers")
+            raise ValidationError(f"{_where(path + ('group', 'generators'))} "
+                                  f"must be {n}x{n} matrices of numbers")
         generators = generators.astype(float)
     return GroupSpec(group["name"], n, generators)
 
@@ -230,14 +230,10 @@ def _parse_atlas(doc, params) -> Atlas:
             raise ValidationError(f"duplicate chart '{chart.id}'")
         charts[chart.id] = chart
     overlaps = []
-    for entry in doc["overlaps"]:
+    for k, entry in enumerate(doc["overlaps"]):
         src, dst = entry["from"], entry["to"]
-        for chart_id in (src, dst):
-            if chart_id not in charts:
-                raise ValidationError(
-                    f"overlap {src}->{dst} references undeclared chart "
-                    f"'{chart_id}'")
-        src_chart, dst_chart = charts[src], charts[dst]
+        src_chart = _chart(charts, src, ("overlaps", k, "from"))
+        dst_chart = _chart(charts, dst, ("overlaps", k, "to"))
         change = entry["coord_change"]
         if len(change) != dst_chart.dim:
             raise ValidationError(
@@ -258,42 +254,39 @@ def _parse_atlas(doc, params) -> Atlas:
     return Atlas(charts, tuple(overlaps))
 
 
-def _parse_transitions(texts, atlas, n, params):
+def _parse_transitions(texts, atlas, n, params, path):
     transitions = {}
     for key, text in texts.items():
         a, b = _parse_key(key, "transition", "alpha,beta")
-        if a not in atlas.charts or b not in atlas.charts:
-            raise ValidationError(
-                f"transition '{key}' references an undeclared chart")
+        coords = _chart(atlas.charts, a, path + ((key,),)).coords
+        _chart(atlas.charts, b, path + ((key,),))
         transitions[(a, b)] = ExprGroupMap(a, _parse_expr(
-            text, atlas.chart(a).coords, params, (n, n),
-            f"transition '{key}'"))
+            text, coords, params, (n, n), f"transition '{key}'"))
     return transitions
 
 
-def _parse_forms(doc, atlas, n, params):
+def _parse_forms(doc, atlas, n, params, path):
     """Forms with one coefficient per entry; LocalConnectionData.validate
     compares their count with the chart's dimension."""
     forms = {}
     for chart_id, texts in doc.items():
-        if chart_id not in atlas.charts:
-            raise ValidationError(
-                f"form declared for undeclared chart '{chart_id}'")
-        coeffs = tuple(_parse_expr(text, atlas.chart(chart_id).coords, params,
-                                   (n, n), f"form coefficient on '{chart_id}'")
+        coords = _chart(atlas.charts, chart_id, path + ((chart_id,),)).coords
+        coeffs = tuple(_parse_expr(text, coords, params, (n, n),
+                                   f"form coefficient on '{chart_id}'")
                        for text in texts)
         forms[chart_id] = ExprForm(chart_id, len(coeffs), n, coeffs)
     return forms
 
 
-def _parse_connection(doc, atlas, plan, params, where=""
+def _parse_connection(doc, atlas, plan, params, path=()
                       ) -> LocalConnectionData:
-    """The group, transitions and forms of one bundle, validated; `where`
-    is the path of the bundle's fields in the document."""
-    group = _parse_group(doc["group"], where)
+    """The group, transitions and forms of one bundle, validated; `path` is
+    the walker path of the bundle's fields in the document."""
+    group = _parse_group(doc["group"], path)
     transitions = _parse_transitions(doc["transitions"], atlas, group.n,
-                                     params)
-    forms = _parse_forms(doc["forms"], atlas, group.n, params)
+                                     params, path + ("transitions",))
+    forms = _parse_forms(doc["forms"], atlas, group.n, params,
+                         path + ("forms",))
     return LocalConnectionData(atlas, group, transitions, forms, plan,
                                params).validate()
 
@@ -325,27 +318,27 @@ def _parse_phi(text, n, m, params, owner) -> GroupMorphismSpec:
 
 
 @_document_loader
-def load_morphism(path, atlas=None, params=None) -> MorphismData:
-    """Load a morphism description: phi (expression in the matrix parameter
-    g), optional per-chart h maps, and group dimensions.  Its own params
-    win over the bundle's `params`."""
+def load_morphism(path, atlas, params) -> MorphismData:
+    """Load a morphism over the source bundle's `atlas`: phi (expression in
+    the matrix parameter g), per-chart h maps, group dimensions and target
+    transitions, None if it declares none.  Its own params win over the
+    bundle's `params`."""
     doc = _load_json(path, MORPHISM)
-    merged = {**(params or {}), **doc["params"]}
+    merged = {**params, **doc["params"]}
     n, m = doc["source_n"], doc["target_n"]
     phi = _parse_phi(doc["phi"], n, m, merged, "phi")
     target_group = GroupSpec(doc["target_group_name"], m)
     h = {}
     for chart_id, text in doc["h"].items():
-        if atlas is None:
-            raise ValidationError("h maps given without a bundle atlas")
-        coords = _chart(atlas, chart_id, ("h", (chart_id,))).coords
+        coords = _chart(atlas.charts, chart_id, ("h", (chart_id,))).coords
         h[chart_id] = ExprGroupMap(chart_id, _parse_expr(
             text, coords, merged, (m, m), f"h on '{chart_id}'"))
     morphism = MorphismData(phi, h, target_group)
     target_transitions = None
-    if doc["target_transitions"] and atlas is not None:
+    if doc["target_transitions"]:
         target_transitions = _parse_transitions(
-            doc["target_transitions"], atlas, m, merged)
+            doc["target_transitions"], atlas, m, merged,
+            ("target_transitions",))
     return morphism, target_transitions
 
 
@@ -357,7 +350,7 @@ def load_christoffel(path) -> Tuple[ChristoffelData, dict]:
     atlas = _parse_atlas(doc, params)
     gamma = {}
     for chart_id, table in doc["gamma"].items():
-        coords = _chart(atlas, chart_id, ("gamma", (chart_id,))).coords
+        coords = _chart(atlas.charts, chart_id, ("gamma", (chart_id,))).coords
         owner = f"Christoffel symbol on '{chart_id}'"
         gamma[chart_id] = tuple(
             tuple(tuple(_parse_expr(entry, coords, params, None, owner)
@@ -365,8 +358,8 @@ def load_christoffel(path) -> Tuple[ChristoffelData, dict]:
             for block in table)
     plan = _parse_plan(doc["sample_plan"])
     data = ChristoffelData(atlas, n, gamma, plan, params).validate()
-    transitions = _parse_transitions(doc["transitions"], atlas, n, params)
-    return data, transitions
+    return data, _parse_transitions(doc["transitions"], atlas, n, params,
+                                    ("transitions",))
 
 
 @_document_loader
@@ -377,7 +370,7 @@ def load_tower(path) -> TowerSpec:
     params = doc["params"]
     atlas = _parse_atlas(doc, params)
     plan = _parse_plan(doc["sample_plan"])
-    levels = [_parse_connection(entry, atlas, plan, params, f"levels[{i}].")
+    levels = [_parse_connection(entry, atlas, plan, params, ("levels", i))
               for i, entry in enumerate(doc["levels"])]
     connectors = {}
     for key, entry in doc["connectors"].items():
@@ -398,7 +391,7 @@ def load_path(path, atlas, params=None, *, n=None):
     doc = _load_json(path, PATH)
     segments = []
     for k, entry in enumerate(doc["segments"]):
-        chart = _chart(atlas, entry["chart"], ("segments", k, "chart"))
+        chart = _chart(atlas.charts, entry["chart"], ("segments", k, "chart"))
         owner = f"segment in '{entry['chart']}': curve"
         curve = tuple(_parse_expr(text, ["t"], params, None, owner)
                       for text in entry["curve"])

@@ -58,6 +58,10 @@ def start_matrix(a0, n) -> np.ndarray:
 def parallel_transport(data: LocalConnectionData,
                        path: Sequence[PathSegment],
                        a0, steps=DEFAULT_STEPS) -> np.ndarray:
+    """The group part a0 transported along the path, `steps` RK4 steps per
+    segment.  Every junction, in one chart or between two, goes through
+    chart_change, and the previous segment's end must land within
+    JUNCTION_TOLERANCE of the next one's start."""
     if steps < 1:
         raise ValidationError(
             f"transport needs at least one step, got {steps}")
@@ -66,19 +70,12 @@ def parallel_transport(data: LocalConnectionData,
     for segment in path:
         (x_start, x_end), _ = segment.at([segment.t0, segment.t1])
         if prev is not None:
-            prev_chart, x_prev = prev
-            if prev_chart == segment.chart:
-                if np.linalg.norm(x_prev - x_start) > JUNCTION_TOLERANCE:
-                    raise PathDiscontinuityError(
-                        f"segments disagree at junction in chart '{prev_chart}'")
-            else:
-                q = chart_change(data, PointRep(prev_chart, x_prev, a),
-                                 segment.chart)
-                if np.linalg.norm(q.x - x_start) > JUNCTION_TOLERANCE:
-                    raise PathDiscontinuityError(
-                        f"segments disagree at junction "
-                        f"'{prev_chart}'->'{segment.chart}'")
-                a = q.a
+            q = chart_change(data, PointRep(*prev, a), segment.chart)
+            if np.linalg.norm(q.x - x_start) > JUNCTION_TOLERANCE:
+                raise PathDiscontinuityError(
+                    f"segments disagree at junction "
+                    f"'{prev[0]}'->'{segment.chart}'")
+            a = q.a
         a = _integrate_segment(data, segment, a, steps)
         prev = (segment.chart, x_end)
     return a

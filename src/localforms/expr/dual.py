@@ -307,16 +307,24 @@ def _expm2(a, e=None):
     if e is None:
         return r, None
     e = e.reshape(e.shape[:2] + (4,))
-    dmu = (e[..., 0] + e[..., 3]) * 0.5
+    k = np.frexp(np.abs([h, a01, a10]).max(axis=0))[1]
     dz = (e[..., 0] - e[..., 3]) * h + e[..., 1] * a10 + a01 * e[..., 2]
+    if not np.isfinite(dz).all():
+        # L is linear in E: a direction whose dz overflows is scaled by 2^-s
+        # (each term of dz then below 2^1001), and the last ldexp undoes it
+        ke = np.frexp(np.abs(e).max(axis=-1))[1]
+        s = np.where(np.isfinite(dz), 0, np.maximum(ke + k - 1000, 0))
+        p = p + s[..., None]
+        e = np.ldexp(e, -s[..., None])
+        dz = (e[..., 0] - e[..., 3]) * h + e[..., 1] * a10 + a01 * e[..., 2]
+    dmu = (e[..., 0] + e[..., 3]) * 0.5
     # e^mu S'(z) dz B = q dz 2^-k B, times 2^(k - 2kz) from |z| = 1 on, where
     # q = (c - g) / (2^(1 - 2kz) z), and times 2^k below, where q = e^mu S'(z)
     q = np.where(w < 1.0, scale[0] * np.polyval(_DS, np.ldexp(d2, 2 * kz)),
                  (c - g) / (2.0 * d2))
-    k = np.frexp(np.abs([h, a01, a10]).max(axis=0))[1]
     b = np.ldexp(np.array([h, a01, a10, -h]), -k).T
     tail = np.ldexp((q * dz)[..., None] * b,
-                    p + (k - np.where(w < 1.0, 0, 2 * kz))[:, None])
+                    p + np.where(w < 1.0, k, k - 2 * kz)[:, None])
     dr = dmu[..., None] * v + g[:, None] * e
     dr[..., ::3] += ((dz * 0.5 - dmu) * g)[..., None]  # the diagonal
     return r, (np.ldexp(dr, p) + tail).reshape(e.shape[:2] + (2, 2))

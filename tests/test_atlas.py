@@ -111,7 +111,8 @@ def test_load_bundle_minimal(tmp_path):
 def test_load_bundle_rejects_undeclared_chart_in_overlap(tmp_path):
     doc = _minimal_doc()
     doc["overlaps"][0]["to"] = "U3"
-    with pytest.raises(ValidationError, match="undeclared chart"):
+    with pytest.raises(ValidationError,
+                       match=r"overlaps\[0\]\.to: unknown chart 'U3'$"):
         load_bundle(_write(tmp_path, doc))
 
 

@@ -391,6 +391,10 @@ HARD_FRECHET = {
     "underflow-1e150-real-w": ([[-800.0, 1e150], [0.0, -810.0]], _E),
     "triangular-1e200": ([[0.0, 1e200], [0.0, 1.0]], [[0.0, 1.0], [0.0, 0.5]]),
     "product-1": ([[0.0, 1e300], [1e-300, 0.0]], [[0.0, 1.0], [0.0, 0.0]]),
+    # dz = e01 a10 + a01 e10 overflows, while L stays finite
+    "rotation-1e200-direction-1e200": (1e200 * _J, [[0.0, 1e200], [0.0, 0.0]]),
+    "rotation-1e200-direction-1e200-transposed": (
+        1e200 * _J, [[0.0, 0.0], [1e200, 0.0]]),
 }
 
 

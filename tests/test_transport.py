@@ -108,7 +108,8 @@ def test_discontinuous_path_rejected():
         PathSegment("U1", (parse("0.2 + t", ["t"]),), 0.0, 1.0),
         PathSegment("U1", (parse("1.4 + t", ["t"]),), 0.0, 0.5),
     ]
-    with pytest.raises(PathDiscontinuityError):
+    with pytest.raises(PathDiscontinuityError,
+                       match="^segments disagree at junction 'U1'->'U1'$"):
         parallel_transport(data, segments, np.eye(2), steps=50)
 
 
@@ -118,7 +119,8 @@ def test_discontinuous_chart_switch_rejected():
         PathSegment("U1", (parse("0.2 + 1.3*t", ["t"]),), 0.0, 1.0),
         PathSegment("U2", (parse("1.7 + t", ["t"]),), 0.0, 0.5),
     ]
-    with pytest.raises(PathDiscontinuityError):
+    with pytest.raises(PathDiscontinuityError,
+                       match="^segments disagree at junction 'U1'->'U2'$"):
         parallel_transport(data, segments, np.eye(2), steps=50)
 
 

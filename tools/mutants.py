@@ -64,6 +64,10 @@ MUTANTS = [
     ("junction-no-transition", SRC + "connection/transport.py",
      "a = q.a", "a = a",
      "transport changes chart through the transition"),
+    ("junction-no-continuity-check", SRC + "connection/transport.py",
+     "if np.linalg.norm(q.x - x_start) > JUNCTION_TOLERANCE:",
+     "if False:",
+     "consecutive path segments meet at their junction"),
     ("tower-no-transition-projection", SRC + "tower.py",
      "for i in range(1, self.depth):\n            for key, pts in overlaps",
      "for i in range(1, 1):\n            for key, pts in overlaps",
@@ -71,6 +75,9 @@ MUTANTS = [
     ("schema-unknown-key", SRC + "bundle_io.py",
      "if key not in schema:", "if key not in schema and False:",
      "a document has no unknown keys"),
+    ("chart-reference-unchecked", SRC + "bundle_io.py",
+     "if chart_id not in charts:", "if chart_id not in charts and False:",
+     "every chart a document names is declared"),
     ("schema-non-finite-number", SRC + "bundle_io.py",
      "abs(value) <= float_info.max", "True",
      "document numbers are finite"),
@@ -102,6 +109,9 @@ MUTANTS = [
      "j / math.factorial(2 * j + 1) for j",
      "(j + (j == 1)) / math.factorial(2 * j + 1) for j",
      "S'(0) = 1/6"),
+    ("expm2-frechet-scaling-not-undone", SRC + "expr/dual.py",
+     "        p = p + s[..., None]\n", "",
+     "L is linear in E, so a direction scaled by 2^-s scales L by 2^-s"),
     ("det-plus", SRC + "expr/dual.py",
      "a[..., 0, 0] * a[..., 1, 1] - a[..., 0, 1] * a[..., 1, 0]",
      "a[..., 0, 0] * a[..., 1, 1] + a[..., 0, 1] * a[..., 1, 0]",

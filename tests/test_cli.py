@@ -730,30 +730,6 @@ def _phi_identity(source_n):
     ("sphere_levi_civita.json", ["convert-christoffel"],
      lambda doc: doc["gamma"].update(U9=doc["gamma"].pop("U_N")),
      Case("gamma U9", "gamma['U9']: unknown chart 'U9'")),
-    ("abelian.json", ["verify"], _set("overlaps", 0, "from", value="U9"),
-     Case("overlap from U9", "overlaps[0].from: unknown chart 'U9'")),
-    ("monopole_k1.json", ["verify"], _set("overlaps", 1, "to", value="U9"),
-     Case("overlap to U9", "overlaps[1].to: unknown chart 'U9'")),
-    ("monopole_k1.json", ["verify"],
-     _rename("transitions", old="U_N,U_S", new="U_N,U9"),
-     Case("transition U_N,U9", "transitions['U_N,U9']: unknown chart 'U9'")),
-    ("monopole_k1.json", ["verify"], _rename("forms", old="U_N", new="U9"),
-     Case("form U9", "forms['U9']: unknown chart 'U9'")),
-    ("tower_unipotent.json", ["tower"],
-     _rename("levels", 2, "transitions", old="U2,U1", new="U9,U1"),
-     Case("level transition U9,U1",
-          "levels[2].transitions['U9,U1']: unknown chart 'U9'")),
-    ("tower_unipotent.json", ["tower"],
-     _rename("levels", 1, "forms", old="U2", new="U9"),
-     Case("level form U9", "levels[1].forms['U9']: unknown chart 'U9'")),
-    ("morphism_gauge.json", ["push", fixture_path("monopole_k1.json")],
-     _rename("target_transitions", old="U_S,U_N", new="U_S,U9"),
-     Case("target transition U_S,U9",
-          "target_transitions['U_S,U9']: unknown chart 'U9'")),
-    ("sphere_levi_civita.json", ["convert-christoffel"],
-     _rename("transitions", old="U_N,U_S", new="U9,U_S"),
-     Case("Christoffel transition U9,U_S",
-          "transitions['U9,U_S']: unknown chart 'U9'")),
     # sizes are at most bundle_io.MAX_SIZE, named before numpy allocates
     ("morphism_identity.json",
      ["relate", fixture_path("abelian.json"), fixture_path("abelian.json")],
@@ -784,6 +760,31 @@ def _phi_identity(source_n):
      _set("levels", 1, "group", "n", value=2 ** 62),
      Case("levels[1].group.n = 2**62", "levels[1].group.n must be a positive "
           "integer of at most 4096, not 4611686018427387904")),
+    # every other chart reference names its field as well
+    ("abelian.json", ["verify"], _set("overlaps", 0, "from", value="U9"),
+     Case("overlap from U9", "overlaps[0].from: unknown chart 'U9'")),
+    ("monopole_k1.json", ["verify"], _set("overlaps", 1, "to", value="U9"),
+     Case("overlap to U9", "overlaps[1].to: unknown chart 'U9'")),
+    ("monopole_k1.json", ["verify"],
+     _rename("transitions", old="U_N,U_S", new="U_N,U9"),
+     Case("transition U_N,U9", "transitions['U_N,U9']: unknown chart 'U9'")),
+    ("monopole_k1.json", ["verify"], _rename("forms", old="U_N", new="U9"),
+     Case("form U9", "forms['U9']: unknown chart 'U9'")),
+    ("tower_unipotent.json", ["tower"],
+     _rename("levels", 2, "transitions", old="U2,U1", new="U9,U1"),
+     Case("level transition U9,U1",
+          "levels[2].transitions['U9,U1']: unknown chart 'U9'")),
+    ("tower_unipotent.json", ["tower"],
+     _rename("levels", 1, "forms", old="U2", new="U9"),
+     Case("level form U9", "levels[1].forms['U9']: unknown chart 'U9'")),
+    ("morphism_gauge.json", ["push", fixture_path("monopole_k1.json")],
+     _rename("target_transitions", old="U_S,U_N", new="U_S,U9"),
+     Case("target transition U_S,U9",
+          "target_transitions['U_S,U9']: unknown chart 'U9'")),
+    ("sphere_levi_civita.json", ["convert-christoffel"],
+     _rename("transitions", old="U_N,U_S", new="U9,U_S"),
+     Case("Christoffel transition U9,U_S",
+          "transitions['U9,U_S']: unknown chart 'U9'")),
 ], ids=case_id)
 def test_inconsistent_document_is_a_usage_error(tmp_path, capsys, name, argv,
                                                 edit, needle):

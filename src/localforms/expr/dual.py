@@ -308,26 +308,32 @@ def _expm2(a, e=None):
         return r, None
     e = e.reshape(e.shape[:2] + (4,))
     k = np.frexp(np.abs([h, a01, a10]).max(axis=0))[1]
-    dz = (e[..., 0] - e[..., 3]) * h + e[..., 1] * a10 + a01 * e[..., 2]
-    if not np.isfinite(dz).all():
-        # L is linear in E: a direction whose dz overflows is scaled by 2^-s
-        # (each term of dz then below 2^1001), and the last ldexp undoes it
-        ke = np.frexp(np.abs(e).max(axis=-1))[1]
-        s = np.where(np.isfinite(dz), 0, np.maximum(ke + k - 1000, 0))
-        p = p + s[..., None]
-        e = np.ldexp(e, -s[..., None])
-        dz = (e[..., 0] - e[..., 3]) * h + e[..., 1] * a10 + a01 * e[..., 2]
-    dmu = (e[..., 0] + e[..., 3]) * 0.5
     # e^mu S'(z) dz B = q dz 2^-k B, times 2^(k - 2kz) from |z| = 1 on, where
     # q = (c - g) / (2^(1 - 2kz) z), and times 2^k below, where q = e^mu S'(z)
     q = np.where(w < 1.0, scale[0] * np.polyval(_DS, np.ldexp(d2, 2 * kz)),
                  (c - g) / (2.0 * d2))
     b = np.ldexp(np.array([h, a01, a10, -h]), -k).T
-    tail = np.ldexp((q * dz)[..., None] * b,
-                    p + np.where(w < 1.0, k, k - 2 * kz)[:, None])
-    dr = dmu[..., None] * v + g[:, None] * e
-    dr[..., ::3] += ((dz * 0.5 - dmu) * g)[..., None]  # the diagonal
-    return r, (np.ldexp(dr, p) + tail).reshape(e.shape[:2] + (2, 2))
+    kb = np.where(w < 1.0, k, k - 2 * kz)[:, None]
+
+    def frechet(e, p):
+        dz = (e[..., 0] - e[..., 3]) * h + e[..., 1] * a10 + a01 * e[..., 2]
+        dmu = (e[..., 0] + e[..., 3]) * 0.5
+        dr = dmu[..., None] * v + g[:, None] * e
+        dr[..., ::3] += ((dz * 0.5 - dmu) * g)[..., None]  # the diagonal
+        return np.ldexp(dr, p) + np.ldexp((q * dz)[..., None] * b, p + kb)
+
+    dr = frechet(e, p)
+    if not np.isfinite(dr).all():
+        # L is linear in E: a direction whose dz, dmu or terms overflow is
+        # scaled by 2^-s (each term then below 2^1020, as |g| <= 2|v|), and
+        # the last ldexp undoes it; a row whose L overflows stays non-finite
+        ke = np.frexp(np.abs(e).max(axis=-1))[1]
+        kv = np.frexp(np.abs(v).max(axis=-1))[1]
+        s = np.where(np.isfinite(dr).all(axis=-1), 0, np.maximum(
+            ke + np.maximum(k, 0) + np.maximum(kv, 0) - 1016, 0))
+        p = p + s[..., None]
+        dr = frechet(np.ldexp(e, -s[..., None]), p)
+    return r, dr.reshape(e.shape[:2] + (2, 2))
 
 
 def _pade(stack, norms, finite, e=None):

@@ -395,6 +395,13 @@ HARD_FRECHET = {
     "rotation-1e200-direction-1e200": (1e200 * _J, [[0.0, 1e200], [0.0, 0.0]]),
     "rotation-1e200-direction-1e200-transposed": (
         1e200 * _J, [[0.0, 0.0], [1e200, 0.0]]),
+    # dmu = tr E / 2, or dmu exp(A) + g E, overflows while L stays finite
+    "zero-direction-1e308": (np.zeros((2, 2)), 1e308 * np.eye(2)),
+    "zero-direction-diagonal-1.5e308": (np.zeros((2, 2)),
+                                        np.diag([1.5e308, 1e307])),
+    "minus-identity-direction-1e308": (-np.eye(2), 1e308 * np.eye(2)),
+    "nilpotent-direction-1e308": ([[0.0, 1.0], [0.0, 0.0]],
+                                  1e308 * np.eye(2)),
 }
 
 
@@ -407,7 +414,10 @@ def test_derivative_matches_mpmath_at_60_digits(a, e):
         warnings.simplefilter("error")
         value, got = expm(a, e[None])
     assert np.array_equal(value, expm(a))
-    assert _norm1(got[0] - want) <= 1e-13 * _norm1(want)
+    # both sides scaled by a power of two, so that the norms cannot overflow
+    k = -np.frexp(np.abs(want).max())[1]
+    assert _norm1(np.ldexp(got[0] - want, k)) <= 1e-13 * _norm1(
+        np.ldexp(want, k))
 
 
 def test_2x2_jets_never_reach_the_pade_pass(monkeypatch, tmp_path):

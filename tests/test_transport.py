@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from localforms.bundle_io import load_path
 from localforms.cli import main
 from localforms.connection import PathSegment, PointRep, parallel_transport
 from localforms.connection.points import chart_change
+from localforms.connection.transport import CHUNK
 from localforms.errors import PathDiscontinuityError, ValidationError
 from localforms.expr import parse
 from localforms.lie import exp_matrix
@@ -183,7 +185,8 @@ def _equivalence_cases():
 
 @pytest.mark.parametrize("case", ["sphere", "sphere-two-charts",
                                   "abelian-two-charts"])
-@pytest.mark.parametrize("steps", [1, 2, 3, 7, 2001])
+@pytest.mark.parametrize("steps", [1, 2, 3, 7, 2001, CHUNK - 1, CHUNK + 1,
+                                   2 * CHUNK + 3])
 def test_transport_matches_step_by_step_rk4(case, steps):
     data, path, a0 = _equivalence_cases()[case]
     result = parallel_transport(data, path, a0, steps=steps)
@@ -204,6 +207,22 @@ def test_long_monopole_transport_stays_on_the_group():
     result = parallel_transport(data, segments, a0, steps=100_000)
     assert np.linalg.norm(result - rotation(-np.pi)) < 1e-9
     assert np.linalg.norm(result.T @ result - np.eye(2)) <= 1e-12
+
+
+def test_long_transport_memory_does_not_grow_with_steps():
+    """The steps are evaluated and folded a chunk at a time, so a transport
+    of 2e5 steps holds a few chunks' arrays, not the whole step stack (about
+    50 MB at 2 x 2)."""
+    data = load_fixture("monopole_k1.json")
+    segments, a0 = _path(data, "path_monopole_equator.json")
+    tracemalloc.start()
+    try:
+        result = parallel_transport(data, segments, a0, steps=200_000)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert np.linalg.norm(result - rotation(-np.pi)) < 1e-9
+    assert peak < 8e6
 
 
 @pytest.mark.parametrize("steps", [0, -3])

@@ -68,6 +68,12 @@ MUTANTS = [
      "if np.linalg.norm(q.x - x_start) > JUNCTION_TOLERANCE:",
      "if False:",
      "consecutive path segments meet at their junction"),
+    ("transport-chunk-ticks-restart", SRC + "connection/transport.py",
+     "        tick = ticks[-1]\n", "",
+     "each chunk of RK4 steps goes on from the previous chunk's last node"),
+    ("transport-fold-early-late", SRC + "connection/transport.py",
+     "_mul(late, early)", "_mul(early, late)",
+     "transport multiplies the step maps in path order, later on the left"),
     ("tower-no-transition-projection", SRC + "tower.py",
      "for i in range(1, self.depth):\n            for key, pts in overlaps",
      "for i in range(1, 1):\n            for key, pts in overlaps",

@@ -13,7 +13,9 @@ and at `--grid 15`, and every command (set-up included) of
 mutated twin (17x16 truncation literals) and on two copies with one
 connector swapped for a shifted diagonal block, (16,15) in one and (16,2)
 in the other, which fail `validate`, so the first violation's
-`tower_invariant_error` is compared too; the generated inputs are
+`tower_invariant_error` is compared too, and `transport --steps 10000`,
+longer than one chunk of the integrator, on the k = 3 monopole's equator
+and on the two-chart abelian path; the generated inputs are
 written once into the temporary directory.  Both trees
 run the same case list through `localforms.cli.main`, each in one child
 process that imports the package from that tree's `src/`.  Every case whose
@@ -50,6 +52,10 @@ DEEP_TOWER = 16
 # connectors of the deep tower swapped for a wrong morphism, one per case:
 # a consecutive and a non-consecutive pair, so `validate` fails on each
 SHIFTED = ((DEEP_TOWER, DEEP_TOWER - 1), (DEEP_TOWER, 2))
+# transports of more steps than one chunk of the integrator (4096)
+LONG_STEPS = 10_000
+LONG_TRANSPORTS = {"monopole_k3": ("monopole_k3", "path_monopole_equator"),
+                   "abelian-two-charts": ("abelian", "path_abelian_two_charts")}
 GOLDEN_PLANS = {"stored": [], "grid4-random5": ["--grid", "4", "--random", "5"],
                 "grid15": ["--grid", "15"]}
 # one BLAS/OpenMP thread, as in the benchmark's children
@@ -97,6 +103,10 @@ def build_cases(workdir):
         name = f"tower_d{DEEP_TOWER}_shifted_{j}_{i}"
         path = inputs._write(Path(workdir) / f"{name}.json", doc)
         cases.append((f"deep:{name}", ["tower", path]))
+    for name, files in LONG_TRANSPORTS.items():
+        cases.append((f"long:transport-{name}", [
+            "transport", *(str(ROOT / "fixtures" / f"{f}.json") for f in files),
+            "--steps", str(LONG_STEPS)]))
     return cases
 
 

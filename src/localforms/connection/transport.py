@@ -3,12 +3,12 @@
 Integrates the horizontal ODE a'(t) = -omega_{gamma(t)}(gamma'(t)) . a(t)
 with classical fixed-step RK4 per segment (deterministic by construction).
 The right-hand side does not depend on a, so each RK4 step is a linear map
-a -> (I + D_s) a.  A segment is walked in chunks of CHUNK steps: the curve,
-its velocity and the form are evaluated once per chunk at all of its
-2 * m + 1 RK4 nodes, the chunk's D_s are built as one (n, n, m) stack with
-the sample axis last and multiplied in order, pairwise, with no loop over
-steps, and a <- a + D a.  Memory is bounded by the chunk, not by the step
-count.  Chart switches at segment junctions go through chart_change.
+a -> (I + D_s) a.  A segment is walked in chunks of CHUNK steps.  For a
+chunk of m steps the curve, its velocity and the form are evaluated once at
+all 2 * m + 1 RK4 nodes, the chunk's D_s are built as one (n, n, m) stack
+with the sample axis last and multiplied in order, pairwise, with no loop
+over steps, and a <- a + D a.  Memory is bounded by the chunk, not by the
+step count.  Chart switches at segment junctions go through chart_change.
 """
 
 from __future__ import annotations

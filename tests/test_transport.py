@@ -211,8 +211,8 @@ def test_long_monopole_transport_stays_on_the_group():
 
 def test_long_transport_memory_does_not_grow_with_steps():
     """The steps are evaluated and folded a chunk at a time, so a transport
-    of 2e5 steps holds a few chunks' arrays, not the whole step stack (about
-    50 MB at 2 x 2)."""
+    of 2e5 steps holds a few chunks' arrays, not the whole step stack, which
+    takes about 60 MB at this step count."""
     data = load_fixture("monopole_k1.json")
     segments, a0 = _path(data, "path_monopole_equator.json")
     tracemalloc.start()

@@ -163,8 +163,8 @@ def _intersect_boxes(box1, box2):
 class Atlas:
     """Charts and overlaps of one document, with the memo of what is
     computed on their sample sets: each sample set and overlap push once per
-    (plan, region); a map's jet or value, a form's value and its
-    image under a morphism once per map and read-only argument arrays, by
+    (plan, region); a map's jet or value, and the image of a form's value
+    under a morphism, once per map and read-only argument arrays, by
     identity (a value where the jet is kept is its primal).  All read-only;
     it lives and dies with the atlas."""
 
@@ -198,14 +198,10 @@ class Atlas:
         """f.value(x) of a group map f."""
         return self._memoized(("value",), lambda: f.value(x), f, x)
 
-    def form(self, form, x, v):
-        """form(x, v) of a local form."""
-        return self._memoized(("form",), lambda: form(x, v), form, x, v)
-
     def induced(self, phi, form, x, v):
         """phi.induced(form(x, v)) of a group morphism and a local form."""
-        return self._memoized(("induced",), lambda: phi.induced(
-            self.form(form, x, v)), phi, form, x, v)
+        return self._memoized(("induced",), lambda: phi.induced(form(x, v)),
+                              phi, form, x, v)
 
     def points(self, plan: SamplePlan, region) -> np.ndarray:
         """The sample points of a chart (given by its id) or of an
@@ -266,10 +262,3 @@ class Atlas:
         if ov is None:
             raise ValidationError(f"no declared overlap {src}->{dst}")
         return ov
-
-    def same_charts(self, other: "Atlas") -> bool:
-        if set(self.charts) != set(other.charts):
-            return False
-        return all(self.charts[c].box == other.charts[c].box
-                   for c in self.charts)
-

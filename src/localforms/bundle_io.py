@@ -180,8 +180,8 @@ def _document_loader(load):
 
 def _parse_expr(text, coords, params, shape, owner, matrix_params=None):
     """The one reader of a document expression: parse the text over the
-    coordinates and the params, which it binds to their values, and require
-    the field's shape, None for a scalar or (rows, cols) for a matrix."""
+    coordinates and the params (numbers of the tree), and require the
+    field's shape, None for a scalar or (rows, cols) for a matrix."""
     ast = parse(text, coords, params, matrix_params)
     if ast.shape != shape:
         raise ValidationError(
@@ -357,7 +357,7 @@ def load_christoffel(path) -> Tuple[ChristoffelData, dict]:
                         for entry in row) for row in block)
             for block in table)
     plan = _parse_plan(doc["sample_plan"])
-    data = ChristoffelData(atlas, n, gamma, plan, params).validate()
+    data = ChristoffelData(atlas, n, gamma, plan).validate()
     return data, _parse_transitions(doc["transitions"], atlas, n, params,
                                     ("transitions",))
 
@@ -367,6 +367,8 @@ def load_tower(path) -> TowerSpec:
     """Load a tower description: shared atlas, per-level bundle data and the
     connecting morphisms keyed 'j,i'."""
     doc = _load_json(path, TOWER)
+    if not doc["levels"]:
+        raise ValidationError("levels must list at least one level")
     params = doc["params"]
     atlas = _parse_atlas(doc, params)
     plan = _parse_plan(doc["sample_plan"])

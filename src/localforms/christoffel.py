@@ -10,7 +10,7 @@ absorbed into the chart definition itself.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Mapping, Tuple
 
 from .atlas import Atlas, SamplePlan
@@ -30,7 +30,6 @@ class ChristoffelData:
     fiber_dim: int
     gamma: Mapping[str, GammaTable]
     sample_plan: SamplePlan = SamplePlan()
-    params: Mapping[str, float] = field(default_factory=dict)
 
     def validate(self):
         n = self.fiber_dim
@@ -65,12 +64,11 @@ def christoffel_to_forms(data: ChristoffelData,
         coeffs = []
         for block in table:
             rows = tuple(tuple(entry.root for entry in row) for row in block)
-            coeffs.append(ExprAST(MatLit(rows), chart.coords,
-                                  table[0][0][0].params))
+            coeffs.append(ExprAST(MatLit(rows), chart.coords))
         forms[chart_id] = ExprForm(chart_id, chart.dim, n, tuple(coeffs))
     group = GroupSpec(f"GL({n})", n)
     return LocalConnectionData(data.atlas, group, dict(transitions), forms,
-                               data.sample_plan, data.params)
+                               data.sample_plan)
 
 
 def forms_to_christoffel(data: LocalConnectionData) -> ChristoffelData:
@@ -95,11 +93,10 @@ def forms_to_christoffel(data: LocalConnectionData) -> ChristoffelData:
                 raise ShapeError(
                     f"coefficient on '{chart_id}' is not a matrix literal")
             table.append(tuple(
-                tuple(ExprAST(entry, coeff.coords, coeff.params)
-                      for entry in row)
+                tuple(ExprAST(entry, coeff.coords) for entry in row)
                 for row in root.rows))
         gamma[chart_id] = tuple(table)
-    return ChristoffelData(data.atlas, n, gamma, data.sample_plan, data.params)
+    return ChristoffelData(data.atlas, n, gamma, data.sample_plan)
 
 
 def check_christoffel_compat(data: ChristoffelData,

@@ -87,12 +87,15 @@ def _matrix(rows, values=None):
 
 
 class _Parser:
-    def __init__(self, source):
+    constants = {}  # a param's name -> the tree of its value (see parse)
+
+    def __init__(self, source, constants=None):
         self.source = source
         self.ends = {}  # matrix-literal token position -> end of its text
         self.tokens = _tokenize(source, self.ends)
         self.index = 0
         self.literals = {}  # literal text -> its MatLit; nodes are immutable
+        self.constants = constants or {}
 
     def peek(self):
         return self.tokens[self.index]
@@ -173,7 +176,7 @@ class _Parser:
                     args.append(self.expression())
                 self.expect(")")
                 return Call(token.text, tuple(args))
-            return Name(token.text)
+            return self.constants.get(token.text) or Name(token.text)
         if token.text == "(":
             node = self.expression()
             self.expect(")")
@@ -240,26 +243,20 @@ class _Parser:
 
 @dataclass(frozen=True)
 class ExprAST:
-    """A validated expression over chart coordinates and the params of the
-    document that declared it, whose values it keeps: every walk binds them.
-    Its static shape is inferred when it is built, which checks every name
-    and every shape rule of the grammar once, and is kept."""
+    """A validated expression over chart coordinates and matrix parameters;
+    a document's params are numbers of its tree.  Its static shape is
+    inferred when it is built, which checks every name and every shape rule
+    of the grammar once, and is kept."""
 
     root: Node
     coords: Tuple[str, ...]
-    params: Mapping[str, float] = field(default_factory=dict)
     matrix_params: Mapping[str, Tuple[int, int]] = field(default_factory=dict)
     shape: Shape = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "shape",
-                           infer_shape(self.root, self._name_shapes()))
-
-    def _name_shapes(self):
-        shapes: Dict[str, object] = {name: None for name in self.coords}
-        shapes.update({name: None for name in self.params})
-        shapes.update(dict(self.matrix_params))
-        return shapes
+        shapes: Dict[str, Shape] = dict.fromkeys(self.coords)
+        shapes.update(self.matrix_params)
+        object.__setattr__(self, "shape", infer_shape(self.root, shapes))
 
     def to_source(self):
         return str(self.root)
@@ -279,12 +276,9 @@ class ExprAST:
                 for j, name in enumerate(self.coords)}
 
     def _walk(self, bindings, points=None):
-        """One evaluation of the tree over the whole batch, with the params
-        bound to their values.  Overflow gives inf and invalid operations
-        NaN, which the checks report as failing; a domain violation names
-        its sample point."""
-        bindings = {**bindings, **{name: Dual(np.float64(value))
-                                   for name, value in self.params.items()}}
+        """One evaluation of the tree over the whole batch.  Overflow gives
+        inf and invalid operations NaN, which the checks report as failing;
+        a domain violation names its sample point."""
         with np.errstate(all="ignore"):
             try:
                 return evaluate(self.root, bindings)
@@ -358,12 +352,16 @@ def _where(index, points):
 
 
 def parse(source, coords, params=None, matrix_params=None) -> ExprAST:
-    """Parse and validate an expression over the coordinates, the params
-    (a map of each name to its value, bound at every evaluation) and the
-    matrix parameters (a map of each name to its shape).
+    """Parse and validate an expression over the coordinates, the matrix
+    parameters (a map of each name to its shape) and the params (a map of
+    each name to its value, folded in as the tree of the value's text),
+    which a coordinate or matrix parameter of the same name hides.
 
     Raises ExpressionSyntaxError on malformed text and
     ValidationError/ShapeError on unknown names or dimension mismatches.
     """
-    return ExprAST(_Parser(source).parse(), tuple(coords), dict(params or {}),
-                   dict(matrix_params or {}))
+    coords, matrix_params = tuple(coords), dict(matrix_params or {})
+    constants = {name: Unary(Num(-value)) if math.copysign(1, value) < 0
+                 else Num(value) for name, value in (params or {}).items()
+                 if name not in coords and name not in matrix_params}
+    return ExprAST(_Parser(source, constants).parse(), coords, matrix_params)

@@ -19,7 +19,8 @@ import numpy as np
 from .atlas import directions
 from .connection import (DEFAULT_TOLERANCE, CallableForm, LocalConnectionData,
                          check_relation)
-from .errors import AtlasMismatchError, MorphismCocycleViolation
+from .errors import (AtlasMismatchError, GroupMismatchError,
+                     MorphismCocycleViolation)
 from .lie import (ComposedGroupMap, ConstGroupMap, GroupMap, GroupMorphismSpec,
                   GroupSpec, inverse)
 from .report import Report, max_residual
@@ -40,14 +41,25 @@ class MorphismData:
             return self.h[chart]
         return ConstGroupMap(np.eye(self.target_group.n))
 
+    def require_groups(self, source: LocalConnectionData,
+                       target: LocalConnectionData = None):
+        """Raise unless phi maps the source group (into the target group)."""
+        for side, size, data in (("source", self.phi.source_dim, source),
+                                 ("target", self.phi.target_dim, target)):
+            if data is not None and size != data.group.n:
+                raise GroupMismatchError(
+                    f"morphism {side}_n = {size} does not match the {side} "
+                    f"group's n = {data.group.n}")
+
 
 def check_related(omega: LocalConnectionData, theta: LocalConnectionData,
                   m: MorphismData, tolerance=DEFAULT_TOLERANCE) -> Report:
     """Relatedness criterion per chart:
     phibar(omega_a,x(v)) = Ad(h_a(x)^-1).theta_a,x(v) + (h_a^-1 dh_a)_x(v),
     or phibar(omega_a,x(v)) = theta_a,x(v) where no h_a is declared."""
-    if not omega.atlas.same_charts(theta.atlas):
+    if omega.atlas.charts != theta.atlas.charts:
         raise AtlasMismatchError("bundles do not share an atlas")
+    m.require_groups(omega, theta)
     report = Report(tolerance, omega.sample_plan)
     for chart_id in sorted(omega.atlas.charts):
         pts = omega.points(chart_id)
@@ -99,6 +111,7 @@ def pushforward_connection(omega: LocalConnectionData, m: MorphismData,
     theta_a = Ad(h_a) . phibar(omega_a) - dh_a . h_a^-1, or phibar(omega_a)
     where no h_a is declared.  The target transitions must pass the morphism
     cocycle condition, checked here unless the caller does (check=False)."""
+    m.require_groups(omega)
     if check:
         check_morphism_cocycle(m, omega, target_transitions, tolerance,
                                require=True)

@@ -37,12 +37,18 @@ class TowerSpec:
     connectors: Mapping[Tuple[int, int], GroupMorphismSpec]  # (j, i), j > i
 
     def __post_init__(self):
-        """Every consecutive connector (j, j-1) is declared and every level
-        declares the same transition keys."""
+        """Every consecutive connector (j, j-1) is declared, and every level
+        shares level 1's atlas object and sample plan and declares the same
+        transition keys."""
         for j in range(2, self.depth + 1):
             if (j, j - 1) not in self.connectors:
                 raise ValidationError(f"connector '{j},{j - 1}' is missing")
         for i, data in enumerate(self.levels[1:], start=2):
+            if (data.atlas is not self.levels[0].atlas
+                    or data.sample_plan != self.levels[0].sample_plan):
+                raise ValidationError(
+                    f"levels 1 and {i} do not share one atlas and sample "
+                    f"plan")
             if set(data.transitions) != set(self.levels[0].transitions):
                 raise ValidationError(
                     f"levels 1 and {i} declare different transitions")
@@ -71,9 +77,9 @@ class TowerSpec:
         return morphism
 
     def validate(self):
-        """Structural invariants: shared atlas, composition consistency of
-        the connectors on sampled group elements, and the limit-chart
-        condition on transitions; raises on the first violation.
+        """Structural invariants: composition consistency of the connectors
+        on sampled group elements, and the limit-chart condition on
+        transitions; raises on the first violation.
 
         For each level j >= 3, on one sample stack of its group, every
         declared (j, i) with i < j-1 must agree with (j-1, i) after (j, j-1).
@@ -82,32 +88,28 @@ class TowerSpec:
         equals (k, i) after (j, k) for every k between, with no check per
         triple; the links' residuals add along a chain.  Each declared
         connector is walked once, on everything the checks apply it to, and
-        each pair's transitions are compared on its upper level's overlap
-        sample sets, which the atlas's memo keeps with their values."""
-        top = self.level(self.depth)
-        for data in self.levels[:-1]:
-            if not data.atlas.same_charts(top.atlas):
-                raise TowerInvariantViolation("levels do not share an atlas")
+        every pair's transitions are compared on the sample sets of the
+        off-diagonal overlaps, taken once from the tower's one atlas and
+        plan."""
+        top = self.level(self.depth)  # its atlas and plan are every level's
         rng = np.random.default_rng(VALIDATE_SEED)
         g = {j: self.level(j).group.sample_group(rng, (VALIDATE_SAMPLES,))
              for j in range(3, self.depth + 1)}
-        overlaps = {j: {key: level.points(level.atlas.overlap(*key))
-                        for key in level.transitions if key[0] != key[1]}
-                    for j, level in enumerate(self.levels[1:], start=2)}
+        overlaps = {key: top.points(top.atlas.overlap(*key))
+                    for key in top.transitions if key[0] != key[1]}
         # each (j, i) a check applies, walked once, top-down, on the stack of
         # g_j, the mid-chain image (j+1, j)(g_{j+1}) and level j's transitions
         images = {}
         for j in range(self.depth, 1, -1):
-            upper = self.level(j)
             for i in range(1, j):
                 args = {"g": g[j]} if (j, i) in self.connectors and j in g \
                     else {}
                 if (j + 1, i) in self.connectors:
                     args["mid"] = images[(j + 1, j)]["g"]
                 if i == j - 1:
-                    args.update((key, upper.atlas.value(
-                        upper.transitions[key], pts))
-                        for key, pts in overlaps[j].items())
+                    args.update((key, top.atlas.value(
+                        self.level(j).transitions[key], pts))
+                        for key, pts in overlaps.items())
                 if args:
                     out = self.connector(j, i).apply(
                         np.concatenate(list(args.values())))
@@ -123,10 +125,9 @@ class TowerSpec:
                         f"connectors ({j},{i}) vs ({j - 1},{i}).({j},{j - 1})"
                         f" differ")
         for i in range(1, self.depth):
-            for key, pts in overlaps[i + 1].items():
+            for key, pts in overlaps.items():
                 _first_violation(
-                    self.level(i + 1).atlas.value(
-                        self.level(i).transitions[key], pts)
+                    top.atlas.value(self.level(i).transitions[key], pts)
                     - images[(i + 1, i)][key],
                     VALIDATE_TOLERANCE,
                     f"transition {key} at level {i} deviates from the "
@@ -150,25 +151,21 @@ def check_tower_related(tower: TowerSpec,
     direction, phibar^(ji)(omega^j) must equal omega^i: the relation check
     with no gauge, since a unit one (I X I) turns an inf residual into NaN.
 
-    Each chart's sample set comes from the atlas's memo, and each level's
-    form is evaluated once per chart and sample set, however many pairs it
-    takes part in, and kept in the same memo.  A pair walks phibar^(ji) once,
-    on every chart's values stacked, and cuts the residuals back per chart."""
-    report = Report(tolerance, tower.level(tower.depth).sample_plan)
+    The levels share one atlas and sample plan, so each chart is sampled
+    once and each level's form values on every chart are evaluated and
+    stacked once.  A pair walks phibar^(ji) once, on the upper level's
+    stack, and cuts the residuals back per chart."""
+    top = tower.level(tower.depth)
+    charts = [(c, top.points(c)) for c in sorted(top.atlas.charts)]
+    ends = list(accumulate(pts.size for _, pts in charts))
+    stacks = [np.concatenate([level.forms[c](pts, directions(
+        pts.shape[-1])).reshape((-1, level.group.n, level.group.n))
+        for c, pts in charts]) for level in tower.levels]
+    report = Report(tolerance, top.sample_plan)
     for j in range(2, tower.depth + 1):
-        upper = tower.level(j)
-        charts = [(c, upper.points(c)) for c in sorted(upper.atlas.charts)]
-
-        def stacked(level):
-            return np.concatenate([upper.atlas.form(
-                level.forms[c], pts, directions(pts.shape[-1])).reshape(
-                (-1, level.group.n, level.group.n)) for c, pts in charts])
-
-        omega = stacked(upper)
-        ends = list(accumulate(pts.size for _, pts in charts))
         for i in range(1, j):
             residuals = np.linalg.norm(tower.connector(j, i).induced(
-                omega) - stacked(tower.level(i)), axis=(-2, -1))
+                stacks[j - 1]) - stacks[i - 1], axis=(-2, -1))
             for (c, pts), end in zip(charts, ends):
                 report.add(f"tower-related:{j}->{i}:{c}", residuals[
                     end - pts.size:end].max(initial=0.0), pts.size)

@@ -884,6 +884,12 @@ _SINGULAR_PHI = {"source_n": 2, "target_n": 2, "phi": "inv(g - g)"}
      "(off by 1.414e+00)"),
 ], ids=["transport-junction", "assoc", "relate", "push", "non-unital"])
 def test_error_messages_print_plain_numbers(tmp_path, capsys, argv, line):
+    _assert_usage_error(tmp_path, capsys, argv, line)
+
+
+def _assert_usage_error(tmp_path, capsys, argv, line):
+    """Run argv, a dict standing for a document written to a file, and
+    require exit 2 with `line` ({last} is the last file) as all of stderr."""
     files = [_write(tmp_path, f"input{k}.json", a) if isinstance(a, dict)
              else fixture_path(a) if a.endswith(".json") else a
              for k, a in enumerate(argv)]
@@ -905,3 +911,60 @@ def test_overflowing_tower_residual_is_inf_not_nan(tmp_path):
                  if c["name"].endswith("->1:U1")}
     assert len(residuals) == 3
     assert set(residuals.values()) == {"inf"}
+
+
+# ----- morphism sizes, empty towers, params beside variables -----------
+
+_SQUARING = json.load(open(fixture_path("morphism_squaring.json")))
+_EMBED_2_IN_3 = ("[[1,0],[0,1],[0,0]] * g * transpose([[1,0],[0,1],[0,0]])"
+                 " + [[0,0,0],[0,0,0],[0,0,1]]")
+_TRUNCATE_3_TO_2 = "[[1,0,0],[0,1,0]] * g * transpose([[1,0,0],[0,1,0]])"
+
+
+@pytest.mark.parametrize("argv, line", [
+    (["relate", "monopole_k1.json", "monopole_k1.json",
+      {"source_n": 2, "target_n": 3, "phi": _EMBED_2_IN_3}],
+     "error: morphism target_n = 3 does not match the target group's n = 2"),
+    (["relate", "monopole_k1.json", "monopole_k1.json",
+      {"source_n": 3, "target_n": 2, "phi": _TRUNCATE_3_TO_2}],
+     "error: morphism source_n = 3 does not match the source group's n = 2"),
+    (["push", "monopole_k1.json",
+      _SQUARING | {"source_n": 3, "phi": _TRUNCATE_3_TO_2}],
+     "error: morphism source_n = 3 does not match the source group's n = 2"),
+    (["assoc", "monopole_k1.json",
+      {"source_n": 3, "target_n": 2, "phi": _TRUNCATE_3_TO_2}],
+     "error: morphism source_n = 3 does not match the source group's n = 2"),
+    (["tower", json.load(open(fixture_path("tower_unipotent.json")))
+      | {"levels": [], "connectors": {}}],
+     "error: '{last}': levels must list at least one level"),
+    (["tower", json.load(open(fixture_path("tower_unipotent.json")))
+      | {"levels": []}],
+     "error: '{last}': levels must list at least one level"),
+], ids=["relate-target_n", "relate-source_n", "push-source_n",
+        "assoc-source_n", "tower-no-levels", "tower-no-levels-connectors"])
+def test_mismatched_sizes_and_empty_towers_are_usage_errors(
+        tmp_path, capsys, argv, line):
+    _assert_usage_error(tmp_path, capsys, argv, line)
+
+
+_BUNDLE_RUNS = {
+    "verify": ["verify", "{}"],
+    "relate": ["relate", "{}", "{}", fixture_path("morphism_squaring.json")],
+    "assoc": ["assoc", "{}", fixture_path("morphism_squaring.json")],
+    "push": ["push", "{}", fixture_path("morphism_squaring.json")],
+}
+
+
+@pytest.mark.parametrize("name, command", [
+    (name, command) for name in ("x1", "x2") for command in _BUNDLE_RUNS]
+    + [("g", command) for command in ("relate", "assoc", "push")])
+def test_a_param_never_hides_a_variable(tmp_path, name, command):
+    # a coordinate, or the morphism's g, hides a param of the same name
+    path = _variant(tmp_path, "monopole_k1.json",
+                    lambda doc: doc["params"].update({name: 9.81}))
+    argv = _BUNDLE_RUNS[command]
+    want = run(tmp_path, *[fixture_path("monopole_k1.json") if arg == "{}"
+                           else arg for arg in argv])
+    assert want[0] in (0, 1)
+    assert run(tmp_path, *[path if arg == "{}" else arg
+                           for arg in argv]) == want

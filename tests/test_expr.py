@@ -1,9 +1,11 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from localforms.errors import (DomainError, ExpressionSyntaxError, ShapeError,
                                ValidationError)
-from localforms.expr import ExprAST, MatLit, Num, parse
+from localforms.expr import Dual, ExprAST, MatLit, Num, parse
 from localforms.expr.evaluate import evaluate
 
 
@@ -64,6 +66,31 @@ def test_parameters_must_be_bound():
     assert parse("k * x1", ["x1"], {"k": 3.0}).eval([2.0]) == 6.0
     with pytest.raises(ValidationError, match="unknown identifier 'k'"):
         parse("k * x1", ["x1"])
+
+
+@pytest.mark.parametrize("value, text", [
+    (3.0, "3"), (0.5, "0.5"), (0.0, "0"), (-2.5, "-2.5"), (-0.0, "-0"),
+    (1e300, "1e300")])
+def test_params_are_constants_of_the_tree(value, text):
+    # a param becomes the tree its value's own text parses to, so printing
+    # the tree and parsing it back needs no params
+    ast = parse("k * x1 * [[k, 1]] * transpose([[x1, k]])", ["x1"],
+                {"k": value})
+    assert ast.root == parse(f"{text} * x1 * [[{text}, 1]] * "
+                             f"transpose([[x1, {text}]])", ["x1"]).root
+    assert parse(ast.to_source(), ["x1"]).root == ast.root
+    assert "params" not in {f.name for f in dataclasses.fields(ExprAST)}
+    got = parse("k", [], {"k": value}).eval([])
+    assert got == value and np.signbit(got) == np.signbit(value)
+
+
+def test_a_variable_hides_a_param_of_its_name():
+    assert parse("x1 * k", ["x1"], {"x1": 0.5, "k": 2.0}).eval([3.0]) == 6.0
+    assert parse("t", ["t"], {"t": 0.5}).eval([3.0]) == 3.0
+    phi = parse("g * k", [], {"g": 9.81, "k": 2.0}, {"g": (2, 2)})
+    assert phi.shape == (2, 2)
+    assert np.array_equal(phi.eval_bound({"g": Dual.matrix(np.eye(2))})
+                          .primal, 2 * np.eye(2))
 
 
 def test_unknown_identifier():

@@ -4,7 +4,8 @@ import json
 import numpy as np
 import pytest
 
-from localforms.atlas import directions, sample
+import localforms.tower
+from localforms.atlas import Atlas, directions, sample
 from localforms.bundle_io import load_tower
 from localforms.connection import (CallableForm, PointRep, TangentRep,
                                    check_compatibility)
@@ -16,7 +17,7 @@ from localforms.report import Report, max_residual
 from localforms.tower import (check_tower_related, limit_consistency_residual,
                               limit_eval, project_connection)
 
-from conftest import fixture_path
+from conftest import fixture_path, load_tool
 
 
 def _tower(grid=6, random=6):
@@ -202,16 +203,33 @@ def test_tower_related_matches_per_pair_reference(name):
     assert len(calls) == tower.depth * 2
 
 
-def test_tower_related_with_a_sample_plan_per_level():
-    tower = load_tower(fixture_path("tower_unipotent_mutated.json"))
-    levels = tuple(
-        dataclasses.replace(level, sample_plan=dataclasses.replace(
-            level.sample_plan, grid=2 + k % 2, n_random=3 + k, seed=k))
-        for k, level in enumerate(tower.levels))
-    tower = dataclasses.replace(tower, levels=levels)
+class _CountingNumpy:
+    """numpy as the tower module sees it, counting its concatenations."""
+
+    def __init__(self):
+        self.stacks = 0
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def concatenate(self, *args, **kwargs):
+        self.stacks += 1
+        return np.concatenate(*args, **kwargs)
+
+
+@pytest.mark.parametrize("depth", [4, 8])
+def test_tower_related_stacks_each_level_once(tmp_path, monkeypatch, depth):
+    path = tmp_path / "tower.json"
+    path.write_text(json.dumps(load_tool("make_fixtures").tower(depth)))
+    tower = load_tower(str(path))
     want = _entries(_related_per_pair(tower, 1e-8))
+    counting = _CountingNumpy()
+    monkeypatch.setattr(localforms.tower, "np", counting)
+    # the levels share one plan, so each level's form values are stacked
+    # once, however many pairs the level takes part in
     assert _entries(check_tower_related(tower, 1e-8)) == want
-    assert len({count for _, _, count, _ in want}) > 1
+    assert counting.stacks == depth
+    assert len(want) == depth * (depth - 1)
 
 
 # ----- structure checks of the dataclass --------------------------------
@@ -246,10 +264,6 @@ def _validate_by_triples(tower, tolerance=1e-9, n_samples=20, seed=7):
     """TowerSpec.validate checking every (j, i) against (k, i).(j, k) for
     each k between, one sample stack per triple; returns the first
     violation's message or None."""
-    top = tower.level(tower.depth)
-    for data in tower.levels[:-1]:
-        if not data.atlas.same_charts(top.atlas):
-            return "levels do not share an atlas"
     rng = np.random.default_rng(seed)
 
     def violation(diff, message):
@@ -340,10 +354,6 @@ def _validate_per_pair(tower):
     """TowerSpec.validate with one connector walk per use: each pair check,
     mid-chain image and projected transition applies its connector afresh;
     returns the first violation's message or None."""
-    top = tower.level(tower.depth)
-    for data in tower.levels[:-1]:
-        if not data.atlas.same_charts(top.atlas):
-            return "levels do not share an atlas"
     rng = np.random.default_rng(7)
 
     def violation(diff, message):
@@ -515,21 +525,20 @@ def test_validate_samples_each_overlap_once(monkeypatch):
                                    for key in off_diagonal)
 
 
-def test_validate_with_a_sample_plan_per_level():
-    # a pair's sample set is its upper level's: an inner level's transitions
-    # are evaluated on its own set and again on the set of the level above
+@pytest.mark.parametrize("change", ["plan", "atlas"])
+def test_tower_levels_without_one_plan_and_atlas_are_rejected(change):
     tower = _tower(grid=3, random=3)
-    levels = tuple(
-        dataclasses.replace(level, sample_plan=dataclasses.replace(
-            level.sample_plan, grid=2 + k % 2, n_random=3 + k, seed=k))
-        for k, level in enumerate(tower.levels))
-    tower, calls = _counting_transitions(
-        dataclasses.replace(tower, levels=levels))
-    tower.validate()
-    keys = len(tower.level(1).transitions)
-    assert [calls.count((i, ("U1", "U2"))) for i in range(1, 5)] \
-        == [1, 2, 2, 1]
-    assert len(calls) == keys * 6
+    level2 = tower.level(2)
+    if change == "plan":
+        level2 = dataclasses.replace(level2, sample_plan=dataclasses.replace(
+            level2.sample_plan, seed=level2.sample_plan.seed + 1))
+    else:  # the same charts and overlaps in another atlas object
+        level2 = dataclasses.replace(level2, atlas=Atlas(
+            level2.atlas.charts, level2.atlas.overlaps))
+    levels = tower.levels[:1] + (level2,) + tower.levels[2:]
+    with pytest.raises(ValidationError, match="levels 1 and 2 do not share "
+                       "one atlas and sample plan"):
+        dataclasses.replace(tower, levels=levels)
 
 
 def test_loading_infers_each_connector_shape_once(monkeypatch):

@@ -226,10 +226,10 @@ def strictly_upper_basis(n):
     return basis
 
 
-def tower():
+def tower(depth=4):
     doc = line_charts()
     levels = []
-    for i in range(1, 5):
+    for i in range(1, depth + 1):
         n = i + 1
         nil = nilpotent(n)
         levels.append({
@@ -241,7 +241,7 @@ def tower():
                       "U2": [f"(sin(x1)+1)*{nil}"]},
         })
     connectors = {f"{j},{i}": {"phi": truncation(j, i)}
-                  for j in range(2, 5) for i in range(1, j)}
+                  for j in range(2, depth + 1) for i in range(1, j)}
     doc.update({
         "levels": levels,
         "connectors": connectors,

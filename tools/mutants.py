@@ -78,6 +78,15 @@ MUTANTS = [
      "for i in range(1, self.depth):\n            for key, pts in overlaps",
      "for i in range(1, 1):\n            for key, pts in overlaps",
      "connectors project each level's transitions onto the next"),
+    ("tower-unshared-levels", SRC + "tower.py",
+     "if (data.atlas is not self.levels[0].atlas\n"
+     "                    or data.sample_plan != self.levels[0].sample_plan):",
+     "if False:",
+     "a tower's levels share one atlas and one sample plan"),
+    ("param-over-variable", SRC + "expr/parser.py",
+     "\n                 if name not in coords and name not in matrix_params}",
+     "}",
+     "a coordinate or the matrix parameter g hides a param of its name"),
     ("schema-unknown-key", SRC + "bundle_io.py",
      "if key not in schema:", "if key not in schema and False:",
      "a document has no unknown keys"),

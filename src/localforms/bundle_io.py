@@ -3,7 +3,7 @@ data, towers and transport paths.
 
 Each document kind has one schema below, and one walker reads a document by
 it, naming the field's path in every error.  The loaders read the typed
-values and make only the semantic checks.  Expressions use the grammar of
+values and make every semantic check, once.  Expressions use the grammar of
 docs/grammar.md over the chart's coordinates (t for path curves) and params.
 """
 
@@ -266,29 +266,46 @@ def _parse_transitions(texts, atlas, n, params, path):
 
 
 def _parse_forms(doc, atlas, n, params, path):
-    """Forms with one coefficient per entry; LocalConnectionData.validate
-    compares their count with the chart's dimension."""
+    """Forms with one coefficient per entry; _parse_connection compares
+    their count with the chart's dimension."""
     forms = {}
     for chart_id, texts in doc.items():
         coords = _chart(atlas.charts, chart_id, path + ((chart_id,),)).coords
         coeffs = tuple(_parse_expr(text, coords, params, (n, n),
                                    f"form coefficient on '{chart_id}'")
                        for text in texts)
-        forms[chart_id] = ExprForm(chart_id, len(coeffs), n, coeffs)
+        forms[chart_id] = ExprForm(coeffs)
     return forms
 
 
 def _parse_connection(doc, atlas, plan, params, path=()
                       ) -> LocalConnectionData:
-    """The group, transitions and forms of one bundle, validated; `path` is
-    the walker path of the bundle's fields in the document."""
+    """The group, transitions and forms of one bundle, checked once all are
+    read; `path` is the walker path of the bundle's fields in the document."""
     group = _parse_group(doc["group"], path)
     transitions = _parse_transitions(doc["transitions"], atlas, group.n,
                                      params, path + ("transitions",))
     forms = _parse_forms(doc["forms"], atlas, group.n, params,
                          path + ("forms",))
-    return LocalConnectionData(atlas, group, transitions, forms, plan,
-                               params).validate()
+    for chart_id in atlas.charts:
+        if chart_id not in forms:
+            raise ValidationError(f"chart '{chart_id}' has no local form")
+    for chart_id, form in forms.items():
+        dim = atlas.charts[chart_id].dim
+        if len(form.coeffs) != dim:
+            raise ValidationError(f"form on '{chart_id}' has "
+                                  f"{len(form.coeffs)} coefficients, "
+                                  f"chart dim is {dim}")
+    for (a, b) in transitions:
+        if a != b and atlas.overlap(a, b) is None:
+            raise ValidationError(
+                f"transition ({a},{b}) declared without overlap {a}->{b}")
+    for ov in atlas.overlaps:
+        if (ov.src, ov.dst) not in transitions \
+                and (ov.dst, ov.src) not in transitions:
+            raise ValidationError(
+                f"overlap {ov.src}->{ov.dst} has no transition function")
+    return LocalConnectionData(atlas, group, transitions, forms, plan, params)
 
 
 @_document_loader
@@ -357,7 +374,20 @@ def load_christoffel(path) -> Tuple[ChristoffelData, dict]:
                         for entry in row) for row in block)
             for block in table)
     plan = _parse_plan(doc["sample_plan"])
-    data = ChristoffelData(atlas, n, gamma, plan).validate()
+    for chart_id in atlas.charts:
+        if chart_id not in gamma:
+            raise ValidationError(
+                f"chart '{chart_id}' has no Christoffel symbols")
+    for chart_id, table in gamma.items():
+        dim = atlas.charts[chart_id].dim
+        if len(table) != dim:
+            raise ValidationError(f"chart '{chart_id}': {len(table)} "
+                                  f"coefficient blocks, chart dim is {dim}")
+        for block in table:
+            if len(block) != n or any(len(row) != n for row in block):
+                raise ValidationError(f"chart '{chart_id}': coefficient "
+                                      f"block is not {n}x{n}")
+    data = ChristoffelData(atlas, n, gamma, plan)
     return data, _parse_transitions(doc["transitions"], atlas, n, params,
                                     ("transitions",))
 

@@ -16,7 +16,7 @@ from typing import Mapping, Tuple
 from .atlas import Atlas, SamplePlan
 from .connection import (DEFAULT_TOLERANCE, ExprForm, LocalConnectionData,
                          check_compatibility)
-from .errors import GroupMismatchError, ShapeError, ValidationError
+from .errors import GroupMismatchError, ShapeError
 from .expr import ExprAST, MatLit
 from .lie import GroupMap, GroupSpec
 from .report import Report
@@ -30,25 +30,6 @@ class ChristoffelData:
     fiber_dim: int
     gamma: Mapping[str, GammaTable]
     sample_plan: SamplePlan = SamplePlan()
-
-    def validate(self):
-        n = self.fiber_dim
-        for chart_id in self.atlas.charts:
-            if chart_id not in self.gamma:
-                raise ValidationError(
-                    f"chart '{chart_id}' has no Christoffel symbols")
-        for chart_id, table in self.gamma.items():
-            chart = self.atlas.chart(chart_id)
-            if len(table) != chart.dim:
-                raise ValidationError(
-                    f"chart '{chart_id}': {len(table)} coefficient blocks, "
-                    f"chart dim is {chart.dim}")
-            for block in table:
-                if len(block) != n or any(len(row) != n for row in block):
-                    raise ValidationError(
-                        f"chart '{chart_id}': coefficient block is not "
-                        f"{n}x{n}")
-        return self
 
 
 def christoffel_to_forms(data: ChristoffelData,
@@ -65,7 +46,7 @@ def christoffel_to_forms(data: ChristoffelData,
         for block in table:
             rows = tuple(tuple(entry.root for entry in row) for row in block)
             coeffs.append(ExprAST(MatLit(rows), chart.coords))
-        forms[chart_id] = ExprForm(chart_id, chart.dim, n, tuple(coeffs))
+        forms[chart_id] = ExprForm(tuple(coeffs))
     group = GroupSpec(f"GL({n})", n)
     return LocalConnectionData(data.atlas, group, dict(transitions), forms,
                                data.sample_plan)
@@ -82,12 +63,12 @@ def forms_to_christoffel(data: LocalConnectionData) -> ChristoffelData:
         if not isinstance(form, ExprForm):
             raise ShapeError(
                 f"form on '{chart_id}' is not expression-backed")
-        if form.n != n:
-            raise GroupMismatchError(
-                f"form on '{chart_id}' is {form.n}x{form.n}, "
-                f"fiber dimension is {n}")
         table = []
         for coeff in form.coeffs:
+            if coeff.shape != (n, n):
+                raise GroupMismatchError(
+                    f"form on '{chart_id}' is {coeff.shape[0]}x"
+                    f"{coeff.shape[1]}, fiber dimension is {n}")
             root = coeff.root
             if not isinstance(root, MatLit):
                 raise ShapeError(

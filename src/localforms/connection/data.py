@@ -38,35 +38,6 @@ class LocalConnectionData:
     sample_plan: SamplePlan = SamplePlan()
     params: Mapping[str, float] = field(default_factory=dict)
 
-    def validate(self):
-        """Check structural invariants; raise ValidationError on the first
-        violation."""
-        for chart_id in self.atlas.charts:
-            if chart_id not in self.forms:
-                raise ValidationError(f"chart '{chart_id}' has no local form")
-        for chart_id, form in self.forms.items():
-            self.atlas.chart(chart_id)
-            if form.n != self.group.n:
-                raise ValidationError(
-                    f"form on '{chart_id}' is {form.n}x{form.n}, "
-                    f"group is {self.group.n}x{self.group.n}")
-            if form.dim != self.atlas.chart(chart_id).dim:
-                raise ValidationError(
-                    f"form on '{chart_id}' has {form.dim} coefficients, "
-                    f"chart dim is {self.atlas.chart(chart_id).dim}")
-        for (a, b) in self.transitions:
-            self.atlas.chart(a)
-            self.atlas.chart(b)
-            if a != b and self.atlas.overlap(a, b) is None:
-                raise ValidationError(
-                    f"transition ({a},{b}) declared without overlap {a}->{b}")
-        for ov in self.atlas.overlaps:
-            if (ov.src, ov.dst) not in self.transitions \
-                    and (ov.dst, ov.src) not in self.transitions:
-                raise ValidationError(
-                    f"overlap {ov.src}->{ov.dst} has no transition function")
-        return self
-
     def points(self, region):
         """The sample points of a chart id or an overlap under this data's
         plan, from the atlas's memo (read-only)."""

@@ -22,33 +22,20 @@ from ..lie import GroupMap, batch_shape, inverse
 
 
 class LocalForm:
-    """Base interface: evaluation omega_x(v) plus chart metadata."""
-
-    chart: str
-    dim: int
-    n: int
+    """Base interface: evaluation omega_x(v)."""
 
     def __call__(self, x, v):
         raise NotImplementedError
 
-    def coefficient(self, x, i):
-        """Coefficient matrix of dx_i at x."""
-        e = np.zeros(self.dim)
-        e[i] = 1.0
-        return self(x, e)
-
 
 @dataclass(frozen=True)
 class ExprForm(LocalForm):
-    chart: str
-    dim: int
-    n: int
     coeffs: Tuple[ExprAST, ...]
 
     def __call__(self, x, v):
         x = np.asarray(x, dtype=float)
         v = np.asarray(v, dtype=float)
-        out = np.zeros(batch_shape(x, v) + (self.n, self.n))
+        out = np.zeros(batch_shape(x, v) + self.coeffs[0].shape)
         for j, ast in enumerate(self.coeffs):
             vj = v[..., j, None, None]
             nonzero = vj != 0.0
@@ -65,18 +52,14 @@ class ExprForm(LocalForm):
 
 @dataclass(frozen=True)
 class CallableForm(LocalForm):
-    chart: str
-    dim: int
-    n: int
     fn: Callable[[np.ndarray, np.ndarray], np.ndarray]
 
     def __call__(self, x, v):
         return self.fn(np.asarray(x, dtype=float), np.asarray(v, dtype=float))
 
 
-def zero_form(chart, dim, n) -> LocalForm:
-    return CallableForm(chart, dim, n,
-                        lambda x, v: np.zeros(batch_shape(x, v) + (n, n)))
+def zero_form(n) -> LocalForm:
+    return CallableForm(lambda x, v: np.zeros(batch_shape(x, v) + (n, n)))
 
 
 def gauge(g, dg, omega):
@@ -97,4 +80,4 @@ def gauge_transform(form: LocalForm, g: GroupMap) -> LocalForm:
     def fn(x, v):
         return gauge(*g.jet(x, v), form(x, v))
 
-    return CallableForm(form.chart, form.dim, form.n, fn)
+    return CallableForm(fn)

@@ -162,17 +162,7 @@ def log_diff_left(f: GroupMap, x, v):
 @functools.cache
 def _identity(n):
     """The (n, n) identity, one read-only array per n."""
-    return _read_only(np.eye(n), (n, n))
-
-
-def _read_only(array, shape):
-    """`array` read-only in `shape`: a view when it has that shape (so a
-    caller's array is not frozen), else broadcast, as a constant image is."""
-    if np.shape(array) != shape:
-        return np.broadcast_to(array, shape)
-    view = array.view()
-    view.flags.writeable = False
-    return view
+    return np.broadcast_to(np.eye(n), (n, n))
 
 
 @dataclass(frozen=True)
@@ -182,7 +172,7 @@ class GroupMorphismSpec:
     induces by differentiation at the identity.
 
     Every method takes one matrix or a stack of them and evaluates the whole
-    stack in one walk; results are read-only (see `_read_only`)."""
+    stack in one walk; results are read-only `np.broadcast_to` views."""
 
     source_dim: int
     target_dim: int
@@ -201,7 +191,7 @@ class GroupMorphismSpec:
         g = np.asarray(g, dtype=float)
         self._check_source(g, "morphism argument")
         image = self._eval(Dual.matrix(g)).primal
-        return _read_only(image, g.shape[:-2] + image.shape[-2:])
+        return np.broadcast_to(image, g.shape[:-2] + image.shape[-2:])
 
     def jet(self, g, E):
         """The image of g and the derivative at g along the matrix E (shape
@@ -212,8 +202,8 @@ class GroupMorphismSpec:
         value = image.primal
         tangent = 0.0 if image.tangent is None else image.tangent
         batch = np.broadcast_shapes(g.shape[:-2], np.shape(E)[:-2])
-        return (_read_only(value, g.shape[:-2] + value.shape[-2:]),
-                _read_only(tangent, batch + value.shape[-2:]))
+        return (np.broadcast_to(value, g.shape[:-2] + value.shape[-2:]),
+                np.broadcast_to(tangent, batch + value.shape[-2:]))
 
     def induced(self, X):
         """Induced algebra morphism: d/dt phi(exp(tX)) at t = 0."""

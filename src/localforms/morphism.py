@@ -116,14 +116,14 @@ def pushforward_connection(omega: LocalConnectionData, m: MorphismData,
         check_morphism_cocycle(m, omega, target_transitions, tolerance,
                                require=True)
     forms = {chart_id: _pushforward_form(form, m.phi, m.h.get(chart_id),
-                                         m.target_group.n, omega.atlas)
+                                         omega.atlas)
              for chart_id, form in omega.forms.items()}
     return LocalConnectionData(omega.atlas, m.target_group,
                                dict(target_transitions), forms,
                                omega.sample_plan, omega.params)
 
 
-def _pushforward_form(form, phi, h, n, atlas):
+def _pushforward_form(form, phi, h, atlas):
     """The gauge law solved for theta, h phibar(omega) h^-1 - dh h^-1, or
     phibar(omega) when h is None; h's jet and phibar(omega) are memoized."""
 
@@ -134,7 +134,7 @@ def _pushforward_form(form, phi, h, n, atlas):
         h_inv = inverse(hx)
         return hx @ atlas.induced(phi, form, x, v) @ h_inv - dh @ h_inv
 
-    return CallableForm(form.chart, form.dim, n, fn)
+    return CallableForm(fn)
 
 
 def associated_connection(omega: LocalConnectionData, phi: GroupMorphismSpec,

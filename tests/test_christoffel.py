@@ -9,7 +9,8 @@ from localforms.christoffel import (check_christoffel_compat,
                                     christoffel_to_forms,
                                     forms_to_christoffel)
 from localforms.connection import zero_form
-from localforms.errors import ShapeError
+from localforms.errors import GroupMismatchError, ShapeError
+from localforms.lie import GroupSpec
 
 from conftest import fixture_path, load_fixture, load_tool
 
@@ -81,9 +82,17 @@ def test_forms_to_christoffel_requires_expression_forms():
     converted = forms_to_christoffel(bundle)
     assert set(converted.gamma) == {"U_N", "U_S"}
     composite = dataclasses.replace(bundle, forms={
-        chart: zero_form(chart, 2, 2) for chart in bundle.atlas.charts})
+        chart: zero_form(2) for chart in bundle.atlas.charts})
     with pytest.raises(ShapeError):
         forms_to_christoffel(composite)
+
+
+def test_forms_to_christoffel_requires_forms_of_the_fiber_size():
+    bundle = load_fixture("sphere_frame.json", grid=3, random=3)
+    wider = dataclasses.replace(bundle, group=GroupSpec("GL(3)", 3))
+    with pytest.raises(GroupMismatchError,
+                       match="^form on 'U_N' is 2x2, fiber dimension is 3$"):
+        forms_to_christoffel(wider)
 
 
 def test_frame_bundle_fixture_agrees_with_symbols():

@@ -313,6 +313,7 @@ _VERIFY = ["verify", fixture_path("flat.json")]
     _TRANSPORT + ["--steps", "-3"],
     _VERIFY + ["--grid", "-2"],
     _VERIFY + ["--random", "-1"],
+    _VERIFY + ["--grid", "0", "--random", "0"],
 ])
 def test_invalid_numeric_argument_is_a_usage_error(tmp_path, capsys, argv):
     code = main(argv + ["--out", str(tmp_path / "report.json")])
@@ -785,6 +786,50 @@ def _phi_identity(source_n):
      _rename("transitions", old="U_N,U_S", new="U9,U_S"),
      Case("Christoffel transition U9,U_S",
           "transitions['U9,U_S']: unknown chart 'U9'")),
+    # the bundle rules checked once the forms and transitions are read
+    ("abelian.json", ["verify"], lambda doc: doc["forms"].pop("U2"),
+     Case("chart without form", "chart 'U2' has no local form")),
+    ("abelian.json", ["verify"],
+     lambda doc: doc["forms"]["U1"].append("[[0, 0], [0, 0]]"),
+     Case("form coefficient count",
+          "form on 'U1' has 2 coefficients, chart dim is 1")),
+    ("abelian.json", ["verify"], lambda doc: doc["overlaps"].pop(),
+     Case("transition without overlap",
+          "transition (U2,U1) declared without overlap U2->U1")),
+    ("abelian.json", ["verify"], _set("transitions", value={}),
+     Case("overlap without transition",
+          "overlap U1->U2 has no transition function")),
+    # the Christoffel rules checked once gamma is read
+    ("sphere_levi_civita.json", ["convert-christoffel"],
+     lambda doc: doc["gamma"]["U_N"].pop(),
+     Case("Christoffel block count",
+          "chart 'U_N': 1 coefficient blocks, chart dim is 2")),
+    ("sphere_levi_civita.json", ["convert-christoffel"],
+     lambda doc: doc["gamma"]["U_N"][0].pop(),
+     Case("Christoffel block size",
+          "chart 'U_N': coefficient block is not 2x2")),
+    # expressions against the grammar's shape rules, an empty atlas and a
+    # connector beyond the tower
+    ("abelian.json", ["verify"], _set("forms", "U1", value=["[[1]]^2"]),
+     Case("power of a matrix", "'^' applies to scalars only")),
+    ("abelian.json", ["verify"], _set("forms", "U1", value=["atan2(x1)"]),
+     Case("atan2 of one argument", "atan2 takes two scalar arguments")),
+    ("abelian.json", ["verify"],
+     _set("forms", "U1", value=["transpose(x1)"]),
+     Case("transpose of a scalar", "transpose takes one matrix argument")),
+    ("abelian.json", ["verify"],
+     _set("forms", "U1", value=["[[x1, [[1]]]]"]),
+     Case("matrix entry of a literal",
+          "matrix literal entries must be scalars")),
+    ("abelian.json", ["verify"],
+     _set("forms", "U1", value=["[[[[1, 2]]]]"]),
+     Case("nested literal", "matrix literal entries must be scalars")),
+    ("abelian.json", ["verify"],
+     lambda doc: doc.update(charts=[], overlaps=[]),
+     Case("no charts", "no charts declared")),
+    ("tower_unipotent.json", ["tower"],
+     _set("connectors", "9,1", value={"phi": "g"}),
+     Case("connector 9,1", "connector '9,1' is out of range")),
 ], ids=case_id)
 def test_inconsistent_document_is_a_usage_error(tmp_path, capsys, name, argv,
                                                 edit, needle):
@@ -968,3 +1013,36 @@ def test_a_param_never_hides_a_variable(tmp_path, name, command):
     assert want[0] in (0, 1)
     assert run(tmp_path, *[path if arg == "{}" else arg
                            for arg in argv]) == want
+
+
+# ----- a broken tower connector, the identity transition ---------------
+
+def test_a_broken_connector_is_reported_as_the_tower_invariant(tmp_path):
+    # connector 3,2 keeps the diagonal block on indices 1..3, not the
+    # truncation, so connector 3,1 is not (2,1).(3,2)
+    block = str([[1 if c == r + 1 else 0 for c in range(4)]
+                 for r in range(3)])
+    path = _variant(tmp_path, "tower_unipotent.json",
+                    _set("connectors", "3,2", "phi",
+                         value=f"{block} * g * transpose({block})"))
+    code, report = run(tmp_path, "tower", path)
+    assert code == 1
+    assert [(c["name"], c["passed"], c["max_residual"], c["sample_count"])
+            for c in report["checks"]] == [("tower-invariants", False, 1, 0)]
+    assert report["tower_invariant_error"].startswith(
+        "connectors (3,1) vs (2,1).(3,2) differ by ")
+
+
+@pytest.mark.parametrize("g_11, failing", [
+    ("[[1, 0], [0, 1]]", []),
+    ("[[1, 0], [0, 2]]", ["cocycle:identity:U1"]),
+], ids=["identity", "not-identity"])
+def test_a_transition_from_a_chart_to_itself_is_the_identity(tmp_path,
+                                                             g_11, failing):
+    path = _variant(tmp_path, "abelian.json",
+                    _set("transitions", "U1,U1", value=g_11))
+    code, report = run(tmp_path, "verify", path)
+    assert code == (1 if failing else 0)
+    checks = {c["name"]: c for c in report["checks"]}
+    assert checks["cocycle:identity:U1"]["sample_count"] > 0
+    assert [name for name, c in checks.items() if not c["passed"]] == failing

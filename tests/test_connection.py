@@ -261,7 +261,7 @@ def _three_chart_bundle(ac_mask=None, bc_mask=None, broken=False):
 
     transitions = {("U1", "U2"): g("U1", "U2"), ("U2", "U3"): g("U2", "U3"),
                    ("U1", "U3"): g("U1", "U3", " + 0.01" if broken else "")}
-    forms = {c: zero_form(c, 1, 2) for c in charts}
+    forms = {c: zero_form(2) for c in charts}
     return LocalConnectionData(Atlas(charts, overlaps),
                                GroupSpec("SO(2)", 2, (J,)), transitions,
                                forms, SamplePlan(grid=4, n_random=0))
@@ -299,7 +299,7 @@ def _shifted_three_chart_bundle():
     overlaps = (overlap("U1", "U2", 1.0, 2.0), overlap("U1", "U3", 1.5, 2.0),
                 overlap("U2", "U3", 1.5, 3.0))
     transitions = {(ov.src, ov.dst): g(ov.src, ov.dst) for ov in overlaps}
-    forms = {c: zero_form(c, 1, 2) for c in charts}
+    forms = {c: zero_form(2) for c in charts}
     return LocalConnectionData(Atlas(charts, overlaps),
                                GroupSpec("SO(2)", 2, (J,)), transitions,
                                forms, SamplePlan(grid=4, n_random=0))

@@ -130,7 +130,7 @@ def test_pushforward_uniqueness_two_code_paths():
             inner = m.phi.induced(_form(x, v)) - log_diff_left(_h, x, v)
             return adjoint(_h.value(x), inner)
 
-        manual_forms[chart_id] = CallableForm(chart_id, form.dim, 2, fn)
+        manual_forms[chart_id] = CallableForm(fn)
 
     for chart_id in source.atlas.charts:
         chart = source.atlas.chart(chart_id)
@@ -308,7 +308,7 @@ def test_no_h_gives_an_inf_residual_not_nan():
     source = load_fixture("abelian.json", grid=3, random=0)
     m = MorphismData(_identity_phi(), {}, GroupSpec("SO(2)", 2, (J,)))
     blown = dataclasses.replace(source, forms={
-        chart: CallableForm(chart, 1, 2, lambda x, v: np.full(
+        chart: CallableForm(lambda x, v: np.full(
             batch_shape(x, v) + (2, 2), np.inf))
         for chart in source.forms})
     report = check_related(source, blown, m)

@@ -181,14 +181,15 @@ def _counting(tower):
     """The tower with every form wrapped to count its evaluations."""
     calls = []
 
-    def wrap(form):
+    def wrap(chart, form):
         def fn(x, v):
-            calls.append(form.chart)
+            calls.append(chart)
             return form(x, v)
-        return CallableForm(form.chart, form.dim, form.n, fn)
+        return CallableForm(fn)
 
     levels = tuple(dataclasses.replace(level, forms={
-        c: wrap(f) for c, f in level.forms.items()}) for level in tower.levels)
+        c: wrap(c, f) for c, f in level.forms.items()})
+        for level in tower.levels)
     return dataclasses.replace(tower, levels=levels), calls
 
 

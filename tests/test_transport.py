@@ -1,10 +1,11 @@
+import dataclasses
 import json
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from localforms.bundle_io import load_path
+from localforms.bundle_io import load_bundle, load_path
 from localforms.cli import main
 from localforms.connection import PathSegment, PointRep, parallel_transport
 from localforms.connection.points import chart_change
@@ -54,6 +55,24 @@ def test_two_chart_transport_closed_form():
     theta = -(np.cos(0.2) - np.cos(1.5)) - 1.5 \
         - ((np.cos(1.5) - np.cos(2.0)) + 0.5)
     assert np.linalg.norm(result - rotation(theta)) < 1e-8
+
+
+def test_a_transition_declared_one_way_is_pulled_back(tmp_path):
+    # with g_21 alone declared, the switch U1 -> U2 takes g_21 at psi(x)
+    # in place of the inverse of g_12
+    doc = json.load(open(fixture_path("abelian.json")))
+    del doc["transitions"]["U1,U2"]
+    path = tmp_path / "abelian_one_way.json"
+    path.write_text(json.dumps(doc))
+    results = []
+    for data in (load_fixture("abelian.json"), load_bundle(str(path))):
+        segments, a0 = _path(data, "path_abelian_two_charts.json")
+        results.append(parallel_transport(data, segments, a0, steps=1200))
+    assert np.linalg.norm(results[0] - results[1]) < 1e-12
+    with pytest.raises(ValidationError,
+                       match="^no transition between 'U1' and 'U2'$"):
+        dataclasses.replace(data, transitions={}).reverse_transition(
+            "U1", "U2")
 
 
 def test_monopole_equator_against_dense_euler_oracle():

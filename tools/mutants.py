@@ -93,6 +93,13 @@ MUTANTS = [
     ("chart-reference-unchecked", SRC + "bundle_io.py",
      "if chart_id not in charts:", "if chart_id not in charts and False:",
      "every chart a document names is declared"),
+    ("form-coefficient-count-unchecked", SRC + "bundle_io.py",
+     "if len(form.coeffs) != dim:", "if False:",
+     "a local form has one coefficient per chart dimension"),
+    ("overlap-transition-unchecked", SRC + "bundle_io.py",
+     "and (ov.dst, ov.src) not in transitions:", "and False:",
+     "every overlap has a transition function in one direction or the "
+     "other"),
     ("schema-non-finite-number", SRC + "bundle_io.py",
      "abs(value) <= float_info.max", "True",
      "document numbers are finite"),

@@ -7,26 +7,10 @@ from dataclasses import dataclass, field
 from typing import Mapping, Tuple
 
 from ..atlas import Atlas, Overlap, SamplePlan
-from ..errors import ValidationError
-from ..lie import GroupMap, GroupSpec, InverseGroupMap
+from ..lie import GroupMap, GroupSpec
 from .forms import LocalForm
 
 DEFAULT_TOLERANCE = 1e-8
-
-
-@dataclass(frozen=True)
-class PulledBackGroupMap(GroupMap):
-    """A group-valued map declared on the destination chart of an overlap,
-    re-expressed in source-chart coordinates through the coordinate change."""
-
-    inner: GroupMap
-    overlap: Overlap
-
-    def value(self, x):
-        return self.inner.value(self.overlap.map_point(x))
-
-    def jet(self, x, v):
-        return self.inner.jet(*self.overlap.push(x, v))
 
 
 @dataclass(frozen=True)
@@ -47,12 +31,3 @@ class LocalConnectionData:
         """The overlap's memoized push of its sample points and of every
         unit direction: (psi(x), Dpsi(x) e), read-only."""
         return self.atlas.pushed(self.sample_plan, overlap)
-
-    def reverse_transition(self, a, b) -> GroupMap:
-        """g_ba expressed in a-coordinates."""
-        if (a, b) in self.transitions:
-            return InverseGroupMap(self.transitions[(a, b)])
-        if (b, a) in self.transitions:
-            ov = self.atlas.require_overlap(a, b)
-            return PulledBackGroupMap(self.transitions[(b, a)], ov)
-        raise ValidationError(f"no transition between '{a}' and '{b}'")

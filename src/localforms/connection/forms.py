@@ -22,10 +22,7 @@ from ..lie import GroupMap, batch_shape, inverse
 
 
 class LocalForm:
-    """Base interface: evaluation omega_x(v)."""
-
-    def __call__(self, x, v):
-        raise NotImplementedError
+    """Base interface: evaluation omega_x(v) by calling the form."""
 
 
 @dataclass(frozen=True)
@@ -45,9 +42,6 @@ class ExprForm(LocalForm):
             with np.errstate(invalid="ignore"):
                 out += np.where(nonzero, vj * ast.eval(x), 0.0)
         return out
-
-    def coefficient(self, x, i):
-        return np.asarray(self.coeffs[i].eval(x), dtype=float)
 
 
 @dataclass(frozen=True)

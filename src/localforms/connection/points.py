@@ -11,7 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..lie import ensure_invertible
+from ..errors import ValidationError
+from ..lie import InverseGroupMap, ensure_invertible
 from .data import LocalConnectionData
 from .forms import gauge
 
@@ -59,16 +60,26 @@ def horizontal_lift(data: LocalConnectionData, p: PointRep, v) -> TangentRep:
 
 def chart_change(data: LocalConnectionData, p: PointRep, target,
                  u: TangentRep = None):
-    """Re-express a point (and optionally a tangent) in another chart:
-    x -> psi(x), a -> g_ta(x) . a, with the tangent converted by the
-    pushforward of v and the product rule on g_ta(x(t)) . a(t)."""
+    """Re-express a point (and optionally a tangent) in another chart.
+
+    In chart b the point s_a(x) . a is s_b(psi(x)) . g_ba . a, where g_ba is
+    the inverse of g_ab(x) when (a, b) is declared, else the declared g_ba
+    at psi(x).  One push gives (psi(x), Dpsi v), with v = 0 when no tangent
+    is given, and one jet of the declared transition gives g_ba and its
+    derivative, so the tangent (v, w) becomes (Dpsi v, dg_ba . a + g_ba . w)
+    by the product rule."""
     if target == p.chart:
         return p if u is None else (p, u)
     overlap = data.atlas.require_overlap(p.chart, target)
-    if u is None:
-        y = overlap.map_point(p.x)
-        g = data.reverse_transition(p.chart, target).value(p.x)
-        return PointRep(target, y, g @ p.a)
-    y, v_new = overlap.push(p.x, u.v)
-    g, dg = data.reverse_transition(p.chart, target).jet(p.x, u.v)
-    return PointRep(target, y, g @ p.a), TangentRep(v_new, dg @ p.a + g @ u.w)
+    v = np.zeros_like(p.x) if u is None else u.v
+    y, v_new = overlap.push(p.x, v)
+    if (p.chart, target) in data.transitions:
+        g, dg = InverseGroupMap(data.transitions[(p.chart, target)]).jet(
+            p.x, v)
+    elif (target, p.chart) in data.transitions:
+        g, dg = data.transitions[(target, p.chart)].jet(y, v_new)
+    else:
+        raise ValidationError(
+            f"no transition between '{p.chart}' and '{target}'")
+    q = PointRep(target, y, g @ p.a)
+    return q if u is None else (q, TangentRep(v_new, dg @ p.a + g @ u.w))

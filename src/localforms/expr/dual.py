@@ -232,15 +232,16 @@ def expm(a, e=None):
         if e is not None:
             e = np.broadcast_to(e, shape).reshape((-1,) + stack.shape)
             live = np.flatnonzero(e.any(axis=(1, 2, 3)))
-            e_live = e[live]
+            e_live = e[live] if live.size else None
         r, dr = (_expm2(stack, e_live) if n == 2
                  else _pade(stack, norms, finite, e_live))
         r[~finite] = np.nan
         if e is None:
             return r.reshape(a.shape)
-        dr[:, ~finite] = np.nan
         deriv = np.zeros(e.shape)
-        deriv[live] = dr
+        if dr is not None:
+            dr[:, ~finite] = np.nan
+            deriv[live] = dr
     return r.reshape(a.shape), deriv.reshape(shape)
 
 

@@ -87,14 +87,13 @@ def _matrix(rows, values=None):
 
 
 class _Parser:
-    constants = {}  # a param's name -> the tree of its value (see parse)
-
     def __init__(self, source, constants=None):
         self.source = source
         self.ends = {}  # matrix-literal token position -> end of its text
         self.tokens = _tokenize(source, self.ends)
         self.index = 0
         self.literals = {}  # literal text -> its MatLit; nodes are immutable
+        # a param's name -> the tree of its value (see parse)
         self.constants = constants or {}
 
     def peek(self):
@@ -260,9 +259,6 @@ class ExprAST:
 
     def to_source(self):
         return str(self.root)
-
-    def __str__(self):
-        return self.to_source()
 
     def _bindings(self, points, seeds):
         """Coordinate bindings for points of shape batch + (d,) and seeds

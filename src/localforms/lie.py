@@ -84,12 +84,6 @@ class GroupMap:
     the derivative has shape broadcast + (n, n).
     """
 
-    def value(self, x):
-        raise NotImplementedError
-
-    def jet(self, x, v):
-        raise NotImplementedError
-
 
 def batch_shape(x, v=None):
     """Broadcast batch shape of points x and directions v."""

@@ -40,7 +40,7 @@ def test_forms_carry_the_symbols_verbatim():
     rng = np.random.default_rng(41)
     for _ in range(10):
         x = rng.uniform([0.1, 0.0], [1.9, 6.0])
-        coeff = bundle.forms["U_N"].coefficient(x, 1)
+        coeff = bundle.forms["U_N"].coeffs[1].eval(x)
         theta = x[0]
         want = np.array([[0.0, -np.sin(theta) * np.cos(theta)],
                          [np.cos(theta) / np.sin(theta), 0.0]])

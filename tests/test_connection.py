@@ -1,6 +1,10 @@
+import json
+
 import numpy as np
 import pytest
 
+from localforms.atlas import Overlap
+from localforms.bundle_io import load_bundle
 from localforms.connection import (PointRep, TangentRep, chart_change,
                                    check_cocycle, check_compatibility,
                                    check_overlaps, fundamental_tangent,
@@ -12,7 +16,7 @@ from localforms.lie import (ConstGroupMap, ExprGroupMap, InverseGroupMap,
                             ProductGroupMap, adjoint, exp_matrix, inverse,
                             log_diff_left)
 
-from conftest import load_fixture
+from conftest import fixture_path, load_fixture
 
 J = np.array([[0.0, -1.0], [1.0, 0.0]])
 
@@ -142,7 +146,7 @@ def test_chart_change_round_trip(monopole):
 def test_chart_change_walks_the_transition_once(monopole, monkeypatch):
     # one dual walk gives the transition's value for the point and its
     # derivative for the tangent
-    transition = monopole.reverse_transition("U_N", "U_S").inner.ast
+    transition = monopole.transitions[("U_N", "U_S")].ast
     walks = []
 
     def counted(name):
@@ -165,13 +169,73 @@ def test_chart_change_walks_the_transition_once(monopole, monkeypatch):
     # the numbers of mapping the point, then pushing the tangent, each with
     # its own transition value
     ov = monopole.atlas.require_overlap("U_N", "U_S")
-    g_rev = monopole.reverse_transition("U_N", "U_S")
+    g_rev = InverseGroupMap(monopole.transitions[("U_N", "U_S")])
     _, v = ov.push(x, u.v)
     w = g_rev.jet(x, u.v)[1] @ p.a + g_rev.value(x) @ u.w
     assert q.x.tobytes() == ov.map_point(x).tobytes()
     assert q.a.tobytes() == (g_rev.value(x) @ p.a).tobytes()
     assert u2.v.tobytes() == v.tobytes()
     assert u2.w.tobytes() == w.tobytes()
+
+
+def _one_way(tmp_path, name, edit):
+    """The bundle fixture `name` with `edit` applied to its document."""
+    doc = json.load(open(fixture_path(name)))
+    edit(doc)
+    path = tmp_path / name
+    path.write_text(json.dumps(doc))
+    return load_bundle(str(path))
+
+
+def test_a_one_way_switch_pushes_the_point_once(tmp_path, monkeypatch):
+    # with g_21 alone declared, U1 -> U2 evaluates g_21 at the pushed point
+    # of its own one push, with and without a tangent
+    data = _one_way(tmp_path, "abelian.json",
+                    lambda doc: doc["transitions"].pop("U1,U2"))
+    calls = []
+
+    def counted(name):
+        method = getattr(Overlap, name)
+
+        def call(self, *args):
+            calls.append(name)
+            return method(self, *args)
+        return call
+
+    for name in ("map_point", "push"):
+        monkeypatch.setattr(Overlap, name, counted(name))
+    p = PointRep("U1", [1.5], exp_matrix(0.7 * J))
+    q = chart_change(data, p, "U2")
+    assert calls == ["push"]
+    calls.clear()
+    q_with, u2 = chart_change(data, p, "U2", TangentRep([0.3], J))
+    assert calls == ["push"]
+    assert q_with.a.tobytes() == q.a.tobytes()
+    g, dg = data.transitions[("U2", "U1")].jet(np.array([1.5]),
+                                              np.array([0.3]))
+    assert u2.w.tobytes() == (dg @ p.a + g @ J).tobytes()
+
+
+def test_a_one_way_switch_takes_the_transition_at_the_pushed_point(
+        tmp_path):
+    # U2 -> U1 moves x1 to x1 - 1 and declares only g_12, so the group part
+    # becomes g_12(x1 - 1) . a, which is no rotation of g_12(x1) . a
+    def reverse_overlap(doc):
+        doc["overlaps"].append({"from": "U2", "to": "U1",
+                                "domain": [[2.0, 3.0]],
+                                "coord_change": ["x1 - 1"]})
+    data = _one_way(tmp_path, "three_charts.json", reverse_overlap)
+    g_12 = data.transitions[("U1", "U2")]
+    a = exp_matrix(0.3 * J)
+    for x in (2.1, 2.5, 2.9):
+        q, u2 = chart_change(data, PointRep("U2", [x], a), "U1",
+                             TangentRep([1.0], np.zeros((2, 2))))
+        assert q.x.tolist() == [x - 1]
+        want = g_12.value(np.array([x - 1])) @ a
+        assert np.linalg.norm(q.a - want) < 1e-14
+        assert np.linalg.norm(want - g_12.value(np.array([x])) @ a) > 0.5
+        # d/dx g_12(x - 1) = -J g_12(x - 1), as g_12(x) = mexp(-x J)
+        assert np.linalg.norm(u2.w + J @ want) < 1e-14
 
 
 def test_chart_change_requires_overlap_membership(monopole):

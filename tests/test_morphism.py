@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from localforms.atlas import sample
+from localforms.atlas import Overlap, sample
 from localforms.connection import CallableForm, check_compatibility
 from localforms.errors import AtlasMismatchError, MorphismCocycleViolation
 from localforms.expr import parse
@@ -11,7 +11,6 @@ from localforms.lie import (ComposedGroupMap, ExprGroupMap, GroupMap,
                             GroupMorphismSpec, GroupSpec, InverseGroupMap,
                             ProductGroupMap, adjoint, batch_shape, exp_matrix,
                             inverse, log_diff_left)
-from localforms.connection.data import PulledBackGroupMap
 from localforms.morphism import (MorphismData, associated_connection,
                                  check_morphism_cocycle, check_related,
                                  pushforward_connection)
@@ -48,13 +47,28 @@ def _random_h_family(rng, atlas):
     return family
 
 
+@dataclasses.dataclass(frozen=True)
+class _AtPushed(GroupMap):
+    """f . psi: a map on an overlap's destination chart, read in the
+    overlap's source-chart coordinates."""
+
+    inner: GroupMap
+    overlap: Overlap
+
+    def value(self, x):
+        return self.inner.value(self.overlap.map_point(x))
+
+    def jet(self, x, v):
+        return self.inner.jet(*self.overlap.push(x, v))
+
+
 def _completed_transitions(source, m):
     """Target transition family generated by the morphism data itself:
     h_a . phi(g_ab) . h_b(psi x)^-1 on each declared overlap."""
     out = {}
     for (a, b), g in source.transitions.items():
         ov = source.atlas.require_overlap(a, b)
-        pulled = PulledBackGroupMap(m.h_map(b), ov)
+        pulled = _AtPushed(m.h_map(b), ov)
         out[(a, b)] = ProductGroupMap(
             ProductGroupMap(m.h_map(a), ComposedGroupMap(m.phi, g)),
             InverseGroupMap(pulled))

@@ -166,6 +166,7 @@ class _DescentParser(_Parser):
         self.tokens = [_Token(*token) for token in
                        _reference_tokenize(source, _DESCENT_TOKEN_RE)]
         self.index = 0
+        self.constants = {}
 
 
 def _parsed(parser, source):

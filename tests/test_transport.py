@@ -71,8 +71,8 @@ def test_a_transition_declared_one_way_is_pulled_back(tmp_path):
     assert np.linalg.norm(results[0] - results[1]) < 1e-12
     with pytest.raises(ValidationError,
                        match="^no transition between 'U1' and 'U2'$"):
-        dataclasses.replace(data, transitions={}).reverse_transition(
-            "U1", "U2")
+        chart_change(dataclasses.replace(data, transitions={}),
+                     PointRep("U1", [1.5], np.eye(2)), "U2")
 
 
 def test_monopole_equator_against_dense_euler_oracle():

@@ -61,6 +61,10 @@ MUTANTS = [
      "self.max_residual < self.tolerance",
      "self.max_residual <= self.tolerance",
      "a check passes only below its tolerance"),
+    ("chart-switch-backward-at-x", SRC + "connection/points.py",
+     "jet(y, v_new)", "jet(p.x, v)",
+     "a transition declared only from the target chart is evaluated at "
+     "the pushed point psi(x)"),
     ("junction-no-transition", SRC + "connection/transport.py",
      "a = q.a", "a = a",
      "transport changes chart through the transition"),

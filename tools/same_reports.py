@@ -15,7 +15,15 @@ connector swapped for a shifted diagonal block, (16,15) in one and (16,2)
 in the other, which fail `validate`, so the first violation's
 `tower_invariant_error` is compared too, and `transport --steps 10000`,
 longer than one chunk of the integrator, on the k = 3 monopole's equator
-and on the two-chart abelian path; the generated inputs are
+and on the two-chart abelian path.  Two copies of `fixtures/abelian.json`,
+one without the transition `U1,U2` and one without `U2,U1`, each run
+`verify` and `transport` on the two-chart path, so that a chart switch
+takes each branch of the declared-transition rule.  A handful of invalid
+inputs exit 2: a morphism whose `source_n` does not match, under
+`relate`, `push` and `assoc`, a path junction outside its overlap and a
+path that names an unknown chart.  `fixtures/tower_unipotent.json` and
+its mutated twin run `tower` with only the consecutive connectors (j, j-1)
+kept, the CLI route to composed connectors.  The generated inputs are
 written once into the temporary directory.  Both trees
 run the same case list through `localforms.cli.main`, each in one child
 process that imports the package from that tree's `src/`.  Every case whose
@@ -56,6 +64,33 @@ SHIFTED = ((DEEP_TOWER, DEEP_TOWER - 1), (DEEP_TOWER, 2))
 LONG_STEPS = 10_000
 LONG_TRANSPORTS = {"monopole_k3": ("monopole_k3", "path_monopole_equator"),
                    "abelian-two-charts": ("abelian", "path_abelian_two_charts")}
+# the abelian bundle without one of its two transitions, so that a chart
+# switch takes each branch: the inverse of g_ab at x, or g_ba at psi(x)
+ONE_WAY = ("U1,U2", "U2,U1")
+TRUNCATE_3_TO_2 = "[[1,0,0],[0,1,0]] * g * transpose([[1,0,0],[0,1,0]])"
+# inputs that exit 2: (case name, argv), a dict standing for a document
+# written to a file and a name ending in .json for a fixture
+USAGE_ERRORS = (
+    ("relate-source_n", ["relate", "monopole_k1.json", "monopole_k1.json",
+                         {"source_n": 3, "target_n": 2,
+                          "phi": TRUNCATE_3_TO_2}]),
+    ("push-source_n", ["push", "monopole_k1.json",
+                       {"source_n": 3, "target_n": 2, "phi": TRUNCATE_3_TO_2,
+                        "target_transitions": {
+                            "U_N,U_S": "mexp(-2*k*x2*[[0,-1],[1,0]])",
+                            "U_S,U_N": "mexp(2*k*x2*[[0,-1],[1,0]])"}}]),
+    ("assoc-source_n", ["assoc", "monopole_k1.json",
+                        {"source_n": 3, "target_n": 2,
+                         "phi": TRUNCATE_3_TO_2}]),
+    # the junction lies in U_N's polar cap, outside the overlap band
+    ("transport-junction-outside-overlap", [
+        "transport", "monopole_k1.json", {"segments": [
+            {"chart": "U_N", "curve": ["0.2", "t"]},
+            {"chart": "U_S", "curve": ["3.141592653589793 - 0.2", "1 + t"]}]}]),
+    ("transport-unknown-chart", [
+        "transport", "abelian.json",
+        {"segments": [{"chart": "U9", "curve": ["0.2 + 1.3*t"]}]}]),
+)
 GOLDEN_PLANS = {"stored": [], "grid4-random5": ["--grid", "4", "--random", "5"],
                 "grid15": ["--grid", "15"]}
 # one BLAS/OpenMP thread, as in the benchmark's children
@@ -107,7 +142,39 @@ def build_cases(workdir):
         cases.append((f"long:transport-{name}", [
             "transport", *(str(ROOT / "fixtures" / f"{f}.json") for f in files),
             "--steps", str(LONG_STEPS)]))
+    for key in ONE_WAY:
+        doc = _fixture("abelian.json")
+        del doc["transitions"][key]
+        name = f"abelian_without_{key.replace(',', '_')}"
+        path = inputs._write(Path(workdir) / f"{name}.json", doc)
+        cases.append((f"one-way:verify-{name}", ["verify", path]))
+        cases.append((f"one-way:transport-{name}", [
+            "transport", path,
+            str(ROOT / "fixtures" / "path_abelian_two_charts.json")]))
+    for name, argv in USAGE_ERRORS:
+        cases.append((f"usage:{name}", [
+            inputs._write(Path(workdir) / f"{name}-{k}.json", arg)
+            if isinstance(arg, dict) else
+            str(ROOT / "fixtures" / arg) if arg.endswith(".json") else arg
+            for k, arg in enumerate(argv)]))
+    for name in ("tower_unipotent", "tower_unipotent_mutated"):
+        doc = _fixture(f"{name}.json")
+        doc["connectors"] = {key: phi for key, phi in doc["connectors"].items()
+                             if _consecutive(key)}
+        path = inputs._write(Path(workdir) / f"{name}_consecutive.json", doc)
+        cases.append((f"consecutive:{name}", ["tower", path]))
     return cases
+
+
+def _fixture(name):
+    with open(ROOT / "fixtures" / name, encoding="utf-8") as handle:
+        return json.load(handle)
+
+
+def _consecutive(key):
+    """Whether a connector key "j,i" names a consecutive pair, i = j - 1."""
+    j, i = map(int, key.split(","))
+    return i == j - 1
 
 
 def shifted_block(j, i):

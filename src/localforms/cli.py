@@ -1,7 +1,8 @@
 """Command-line front end.
 
-Exit codes: 0 all checks pass, 1 a check fails, 2 input/usage error.  A
-deterministic JSON report is written (to --out, else stdout) on exit 0 and 1.
+Exit codes: 0 all checks pass, 1 a check fails, 2 input/usage error (an
+--out that cannot be written included).  A deterministic JSON report is
+written (to --out, else stdout) on exit 0 and 1.
 """
 
 from __future__ import annotations
@@ -206,8 +207,13 @@ def main(argv=None):
         return 2
     text = report.to_json()
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(text)
+        try:
+            with open(args.out, "w", encoding="utf-8") as handle:
+                handle.write(text)
+        except OSError as exc:
+            print(f"error: '{args.out}': cannot write: "
+                  f"{exc.strerror or exc}", file=sys.stderr)
+            return 2
     else:
         sys.stdout.write(text)
     return 0 if report.passed else 1

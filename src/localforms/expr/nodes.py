@@ -75,22 +75,23 @@ class Call(Node):
 
 @dataclass(frozen=True)
 class MatLit(Node):
-    """A matrix literal.  When every entry is a number or a negated number,
-    `constant` holds its value as a read-only array, returned by every
-    evaluation; otherwise it is None.  A caller that has read the entries'
-    values passes them as `constant`; else they are derived from `rows`."""
+    """A matrix literal, its rows of one length.  When every entry is a
+    number or a negated number, `constant` holds its value as a read-only
+    array, returned by every evaluation; otherwise it is None.  A caller
+    that has read the entries' values passes them as `constant`."""
 
     rows: Tuple[Tuple[Node, ...], ...]
     constant: Optional[np.ndarray] = field(default=None, compare=False,
                                            repr=False)
 
     def __post_init__(self):
+        if len({len(row) for row in self.rows}) != 1:
+            raise ValidationError("ragged matrix literal")
         constant = self.constant
         if constant is None:
             values = [[_entry_value(entry) for entry in row]
                       for row in self.rows]
-            if (len({len(row) for row in values}) == 1
-                    and all(v is not None for row in values for v in row)):
+            if all(v is not None for row in values for v in row):
                 constant = np.array(values, dtype=float)
         if constant is not None:
             constant.flags.writeable = False
@@ -188,12 +189,9 @@ def infer_shape(node, name_shapes) -> Shape:
     if isinstance(node, MatLit):
         if node.constant is not None:
             return node.constant.shape
-        widths = {len(row) for row in node.rows}
-        if len(widths) != 1:
-            raise ValidationError("ragged matrix literal")
         for row in node.rows:
             for entry in row:
                 if infer_shape(entry, name_shapes) is not None:
                     raise ShapeError("matrix literal entries must be scalars")
-        return (len(node.rows), widths.pop())
+        return (len(node.rows), len(node.rows[0]))
     raise ValidationError(f"unknown node type {type(node).__name__}")

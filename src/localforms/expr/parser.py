@@ -32,7 +32,6 @@ _ROW = rf"\[\s*(?:-\s*)?(?:{_NUMBER})\s*(?:,\s*(?:-\s*)?(?:{_NUMBER})\s*)*\]"
 _TOKEN_RE = re.compile(
     rf"\s*(?:(?P<mat>\[)\s*{_ROW}(?:\s*,\s*{_ROW})*\s*\]|{_PLAIN})")
 _PLAIN_RE = re.compile(rf"\s*(?:{_PLAIN})")
-_ENTRY_RE = re.compile(rf"(?P<neg>-)?\s*(?P<num>{_NUMBER})")
 
 _FUNCTIONS = set(SCALAR_FUNCTIONS) | set(MATRIX_FUNCTIONS) | {"atan2"}
 
@@ -41,30 +40,27 @@ class _Token(NamedTuple):
     kind: str
     text: str
     pos: int
+    end: int  # where its match ends: after the closing ']' of a literal
 
 
-def _tokenize(source, ends=None):
+def _tokenize(source):
     """The tokens of `source` from one scan, ending with an 'end' token.  A
     match that does not start where the previous one ended leaves a gap, and
     the gap's first non-space character is the one no token can start with;
-    so is any non-space character left after the last match.  `ends`, when
-    given, maps the position of each matrix-literal token to where its match
-    ends."""
+    so is any non-space character left after the last match."""
     tokens = []
     end = 0
     for match in _TOKEN_RE.finditer(source):
         if match.start() != end:
             break
         kind = match.lastgroup
-        tokens.append(_Token(kind, match[kind], match.start(kind)))
         end = match.end()
-        if kind == "mat" and ends is not None:
-            ends[match.start(kind)] = end
+        tokens.append(_Token(kind, match[kind], match.start(kind), end))
     rest = source[end:].lstrip()
     if rest:
         at = len(source) - len(rest)
         raise ExpressionSyntaxError(f"unexpected character '{source[at]}'", at)
-    tokens.append(_Token("end", "", len(source)))
+    tokens.append(_Token("end", "", len(source), len(source)))
     return tokens
 
 
@@ -77,20 +73,10 @@ def _number(text, pos):
     return value
 
 
-def _matrix(rows, values=None):
-    """The literal of `rows`, which must all have the same length; `values`,
-    when given, are the entries' numbers, row by row."""
-    if len({len(row) for row in rows}) != 1:
-        raise ValidationError("ragged matrix literal")
-    return MatLit(tuple(rows),
-                  None if values is None else np.array(values, dtype=float))
-
-
 class _Parser:
     def __init__(self, source, constants=None):
         self.source = source
-        self.ends = {}  # matrix-literal token position -> end of its text
-        self.tokens = _tokenize(source, self.ends)
+        self.tokens = _tokenize(source)
         self.index = 0
         self.literals = {}  # literal text -> its MatLit; nodes are immutable
         # a param's name -> the tree of its value (see parse)
@@ -162,7 +148,12 @@ class _Parser:
         if token.kind == "num":
             return Num(_number(token.text, token.pos))
         if token.kind == "mat":
-            return self.literal(token.pos)
+            literal = self.literal(token)
+            if literal is not None:
+                return literal
+            # the descent reads it after its '[' and raises its error
+            self.split(self.index - 1)
+            return self.matrix()
         if token.kind == "ident":
             if self.peek().text == "(":
                 if token.text not in _FUNCTIONS:
@@ -181,26 +172,26 @@ class _Parser:
             self.expect(")")
             return node
         if token.text == "[":
-            return self.matrix(token.pos)
+            return self.matrix()
         raise ExpressionSyntaxError(
             f"unexpected '{token.text or 'end of input'}'", token.pos)
 
-    def matrix(self, start):
+    def matrix(self):
         rows = [self.row()]
         while self.peek().text == ",":
             self.advance()
             rows.append(self.row())
         self.expect("]")
-        return _matrix(rows)
+        return MatLit(tuple(rows))
 
-    def literal(self, start):
-        """The number-only matrix literal scanned as one token at `start`,
-        built from its text as the descent would build it: Num and
-        Unary(Num) entries, one node per distinct entry text, and its
-        constant from float() of each entry's text (float('-x') is
-        -float('x') exactly, -0 included).  A literal text met before in
-        this expression gives the node built then."""
-        text = self.source[start:self.ends[start]]
+    def literal(self, token):
+        """The number-only matrix literal scanned as one `token`, built from
+        its text as the descent would build it: Num and Unary(Num) entries,
+        one node per distinct entry text, and its constant from float() of
+        each entry's text (float('-x') is -float('x') exactly, -0
+        included); None if it is ragged or has an entry too large for a
+        float.  A literal text met before gives the node built then."""
+        text = self.source[token.pos:token.end]
         literal = self.literals.get(text)
         if literal is not None:
             return literal
@@ -208,29 +199,29 @@ class _Parser:
         # and entries on ','; an entry is digits, or '-' and digits
         rows = [row.split(",")
                 for row in "".join(text.split())[2:-2].split("],[")]
-        nodes, values = {}, {}  # entry text -> its node, its value
-        for entry in set().union(*rows):
-            value = values[entry] = float(entry)
-            nodes[entry] = (Unary(Num(-value)) if entry[0] == "-"
-                            else Num(value))
-        if not all(map(math.isfinite, values.values())):
-            # the first entry too large for a float, by text and position
-            for entry in _ENTRY_RE.finditer(text):
-                _number(entry["num"], start + entry.start("num"))
-        literal = self.literals[text] = _matrix(
-            [tuple(map(nodes.__getitem__, row)) for row in rows],
-            [list(map(values.__getitem__, row)) for row in rows])
+        values = {entry: float(entry) for entry in set().union(*rows)}
+        if (len(set(map(len, rows))) != 1
+                or not all(map(math.isfinite, values.values()))):
+            return None
+        nodes = {entry: Unary(Num(-value)) if entry[0] == "-" else Num(value)
+                 for entry, value in values.items()}
+        literal = self.literals[text] = MatLit(
+            tuple(tuple(map(nodes.__getitem__, row)) for row in rows),
+            np.array([list(map(values.__getitem__, row)) for row in rows]))
         return literal
 
+    def split(self, at):
+        """Put the plain tokens of the literal token at index `at` in its
+        place, so that the descent reads the literal entry by entry."""
+        token = self.tokens[at]
+        self.tokens[at:at + 1] = [
+            _Token(m.lastgroup, m[m.lastgroup], m.start(m.lastgroup), m.end())
+            for m in _PLAIN_RE.finditer(self.source, token.pos, token.end)]
+
     def row(self):
-        token = self.peek()
-        if token.kind == "mat":
-            # a literal where a row belongs: its first '[' opens the row,
-            # so the descent continues on its plain tokens
-            self.tokens[self.index:self.index + 1] = [
-                _Token(m.lastgroup, m[m.lastgroup], m.start(m.lastgroup))
-                for m in _PLAIN_RE.finditer(self.source, token.pos,
-                                            self.ends[token.pos])]
+        if self.peek().kind == "mat":
+            # a literal where a row belongs: its first '[' opens the row
+            self.split(self.index)
         self.expect("[")
         entries = [self.expression()]
         while self.peek().text == ",":

@@ -416,6 +416,18 @@ def test_unreadable_document_names_the_file_once(tmp_path, capsys, content,
     assert err.count(str(path)) == 1
 
 
+@pytest.mark.parametrize("out, needle", [
+    ("missing/report.json", "cannot write: No such file or directory"),
+    (".", "cannot write: Is a directory"),
+])
+def test_unwritable_out_is_a_usage_error(tmp_path, capsys, out, needle):
+    path = tmp_path / out
+    assert main(_VERIFY + FAST + ["--out", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: '{path}': {needle}\n"
+
+
 def _variant(tmp_path, name, edit):
     doc = json.loads(open(fixture_path(name)).read())
     edit(doc)

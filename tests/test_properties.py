@@ -118,9 +118,9 @@ def _reference_tokenize(source, pattern=_TOKEN_RE):
             raise ExpressionSyntaxError(
                 f"unexpected character '{source[at]}'", at)
         tokens.append((match.lastgroup, match.group(match.lastgroup),
-                       match.start(match.lastgroup)))
+                       match.start(match.lastgroup), match.end()))
         pos = match.end()
-    tokens.append(("end", "", len(source)))
+    tokens.append(("end", "", len(source), len(source)))
     return tokens
 
 
@@ -233,6 +233,11 @@ def test_literal_token_parses_random_text_as_descent(source):
     ("(1 [[1]]", (ExpressionSyntaxError, "expected ')', found '['", 3)),
     ("1 [[1]]", (ExpressionSyntaxError, "unexpected trailing '['", 2)),
     ("[[1], [2, 3]]", (ValidationError, "ragged matrix literal", None)),
+    ("[[1, - 1e400]]", (ExpressionSyntaxError, "number '1e400' is too large",
+                        7)),
+    # the descent reads the entry before it sees the rows' lengths
+    ("[[1e400], [2, 3]]", (ExpressionSyntaxError,
+                           "number '1e400' is too large", 2)),
 ])
 def test_literal_token_errors(source, outcome):
     kind, message, position = outcome

@@ -23,6 +23,9 @@ def write(name, doc):
     print("wrote", path)
 
 
+# perfbench/inputs.tower_doc builds the tower-deep workload from
+# line_charts, nilpotent, strictly_upper_basis and truncation, so changing
+# their output changes the benchmark's inputs.
 def line_charts():
     """Two 1-d charts with identity coordinate change on (1, 2)."""
     return {

@@ -91,6 +91,15 @@ MUTANTS = [
      "\n                 if name not in coords and name not in matrix_params}",
      "}",
      "a coordinate or the matrix parameter g hides a param of its name"),
+    ("literal-too-large-built", SRC + "expr/parser.py",
+     "\n                or not all(map(math.isfinite, values.values()))):",
+     "):",
+     "a number too large for a float is a syntax error, also in a literal"),
+    ("unwritable-out-exit-1", SRC + "cli.py",
+     'f"{exc.strerror or exc}", file=sys.stderr)\n            return 2',
+     'f"{exc.strerror or exc}", file=sys.stderr)\n            return 1',
+     "exit 1 means a check failed; a report that cannot be written is an "
+     "input error"),
     ("schema-unknown-key", SRC + "bundle_io.py",
      "if key not in schema:", "if key not in schema and False:",
      "a document has no unknown keys"),

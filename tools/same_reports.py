@@ -21,7 +21,15 @@ one without the transition `U1,U2` and one without `U2,U1`, each run
 takes each branch of the declared-transition rule.  A handful of invalid
 inputs exit 2: a morphism whose `source_n` does not match, under
 `relate`, `push` and `assoc`, a path junction outside its overlap and a
-path that names an unknown chart.  `fixtures/tower_unipotent.json` and
+path that names an unknown chart.  `REACH` adds inputs for code that no
+other case enters: four matrix-literal errors (an entry too large, a
+negated one, a ragged literal, a literal in a row position), another
+syntax error, a schema type error, a domain error that names its sample
+point, a path curve that uses every scalar function and '^', a
+transition that uses `inv`, a `--tolerance` flag, a `push` whose target
+transitions fail the morphism cocycle, and a declared identity
+transition that passes and one that fails; most are copies of a fixture
+with one value replaced.  `fixtures/tower_unipotent.json` and
 its mutated twin run `tower` with only the consecutive connectors (j, j-1)
 kept, the CLI route to composed connectors.  The generated inputs are
 written once into the temporary directory.  Both trees
@@ -91,6 +99,51 @@ USAGE_ERRORS = (
         "transport", "abelian.json",
         {"segments": [{"chart": "U9", "curve": ["0.2 + 1.3*t"]}]}]),
 )
+J = "[[0,-1],[1,0]]"
+# inputs that reach code no other case enters, from the CLI: (case name,
+# argv) as in USAGE_ERRORS, where a tuple (fixture, key path, value) stands
+# for a copy of the fixture with the value at that path replaced
+REACH = (
+    # matrix-literal errors, each raised by the parser's descent
+    ("literal-too-large", ["verify", (
+        "abelian.json", ("transitions", "U1,U2"),
+        "mexp(x1*[[0,-1],[1e400,0]])")]),
+    ("literal-negated-too-large", ["verify", (
+        "abelian.json", ("transitions", "U1,U2"),
+        "mexp(x1*[[0,- 1e400],[1,0]])")]),
+    ("literal-ragged", ["verify", (
+        "abelian.json", ("transitions", "U1,U2"), "mexp(x1*[[0,-1],[1]])")]),
+    ("literal-in-row-position", ["verify", (
+        "abelian.json", ("transitions", "U1,U2"),
+        "mexp(x1*[[[0,-1]],[1,0]])")]),
+    ("syntax-error", ["verify", (
+        "abelian.json", ("forms", "U1", 0), f"sin(x1*{J}")]),
+    ("schema-type-error", ["verify", (
+        "abelian.json", ("sample_plan", "grid"), "7")]),
+    # log(x1 - 1.5) on the overlap 1 < x1 < 2: the error names a sample point
+    ("domain-error-at-point", ["verify", (
+        "abelian.json", ("forms", "U1", 0), f"log(x1 - 1.5)*{J}")]),
+    # every scalar function of the grammar and '^' in a path curve, whose
+    # derivative the transport takes, and inv in a transition's jet
+    ("transport-curve-functions", ["transport", "abelian.json", {
+        "segments": [{"chart": "U1", "curve": [
+            "0.2 + 0.1*tan(t) + 0.1*exp(t) + 0.1*log(1 + t)"
+            " + 0.1*sqrt(1 + t) + 0.1*atan2(t, 2) + 0.1*t^3"]}]}]),
+    ("verify-inv-transition", ["verify", (
+        "abelian.json", ("transitions", "U2,U1"), f"inv(mexp(x1*{J}))")]),
+    ("verify-tolerance", ["verify", "flat.json", "--tolerance", "1e-6"]),
+    # target transitions of charge 1 where the squaring gives charge 2
+    ("push-failing-morphism-cocycle", [
+        "push", "monopole_k1.json",
+        ("morphism_squaring.json", ("target_transitions", "U_N,U_S"),
+         f"mexp(-k*x2*{J})")]),
+    # a declared identity transition g_aa, which must be I
+    ("verify-identity-transition", ["verify", (
+        "abelian.json", ("transitions", "U1,U1"),
+        f"mexp(x1*{J}) * mexp(-x1*{J})")]),
+    ("verify-identity-transition-fails", ["verify", (
+        "abelian.json", ("transitions", "U1,U1"), f"mexp(x1*{J})")]),
+)
 GOLDEN_PLANS = {"stored": [], "grid4-random5": ["--grid", "4", "--random", "5"],
                 "grid15": ["--grid", "15"]}
 # one BLAS/OpenMP thread, as in the benchmark's children
@@ -151,12 +204,15 @@ def build_cases(workdir):
         cases.append((f"one-way:transport-{name}", [
             "transport", path,
             str(ROOT / "fixtures" / "path_abelian_two_charts.json")]))
-    for name, argv in USAGE_ERRORS:
-        cases.append((f"usage:{name}", [
-            inputs._write(Path(workdir) / f"{name}-{k}.json", arg)
-            if isinstance(arg, dict) else
-            str(ROOT / "fixtures" / arg) if arg.endswith(".json") else arg
-            for k, arg in enumerate(argv)]))
+    for kind, table in (("usage", USAGE_ERRORS), ("reach", REACH)):
+        for name, argv in table:
+            argv = [_edited(*arg) if isinstance(arg, tuple) else arg
+                    for arg in argv]
+            cases.append((f"{kind}:{name}", [
+                inputs._write(Path(workdir) / f"{name}-{k}.json", arg)
+                if isinstance(arg, dict) else
+                str(ROOT / "fixtures" / arg) if arg.endswith(".json") else arg
+                for k, arg in enumerate(argv)]))
     for name in ("tower_unipotent", "tower_unipotent_mutated"):
         doc = _fixture(f"{name}.json")
         doc["connectors"] = {key: phi for key, phi in doc["connectors"].items()
@@ -169,6 +225,17 @@ def build_cases(workdir):
 def _fixture(name):
     with open(ROOT / "fixtures" / name, encoding="utf-8") as handle:
         return json.load(handle)
+
+
+def _edited(name, path, value):
+    """The fixture `name` with the value at the key path `path` set to
+    `value`."""
+    doc = _fixture(name)
+    target = doc
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    return doc
 
 
 def _consecutive(key):
@@ -188,9 +255,15 @@ def shifted_block(j, i):
 def run_cases():
     """Child side: read [(name, argv)] as JSON on stdin, run each through
     localforms.cli.main and write {name: [exit code, stdout, stderr]}."""
+    json.dump(case_results(json.load(sys.stdin)), sys.stdout)
+
+
+def case_results(cases):
+    """{name: [exit code, stdout, stderr]} of each case run through
+    localforms.cli.main in this process."""
     from localforms.cli import main
     results = {}
-    for name, argv in json.load(sys.stdin):
+    for name, argv in cases:
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             try:
@@ -200,16 +273,18 @@ def run_cases():
             except Exception as exc:  # a crash is a result to compare too
                 code = f"{type(exc).__name__}: {exc}"
         results[name] = [code, out.getvalue(), err.getvalue()]
-    json.dump(results, sys.stdout)
+    return results
 
 
-def run_tree(tree, cases):
-    """Results of every case in one child process importing `tree`/src."""
+def run_tree(tree, cases,
+             child="import same_reports; same_reports.run_cases()"):
+    """The JSON output of `child`, run on every case in one child process
+    importing `tree`/src: by default the results of every case."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [str(Path(tree) / "src"), str(ROOT / "tools")]))
     env.update({var: "1" for var in THREAD_VARS})
     proc = subprocess.run(
-        [sys.executable, "-c", "import same_reports; same_reports.run_cases()"],
+        [sys.executable, "-c", child],
         cwd=tree, env=env, input=json.dumps(cases), capture_output=True,
         text=True)
     if proc.returncode != 0:

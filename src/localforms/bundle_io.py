@@ -178,11 +178,13 @@ def _document_loader(load):
     return wrapper
 
 
-def _parse_expr(text, coords, params, shape, owner, matrix_params=None):
+def _parse_expr(text, coords, params, literals, shape, owner,
+                matrix_params=None):
     """The one reader of a document expression: parse the text over the
-    coordinates and the params (numbers of the tree), and require the
+    coordinates and the params (numbers of the tree), sharing the literal
+    table `literals` of the document's loader call, and require the
     field's shape, None for a scalar or (rows, cols) for a matrix."""
-    ast = parse(text, coords, params, matrix_params)
+    ast = parse(text, coords, params, matrix_params, literals=literals)
     if ast.shape != shape:
         raise ValidationError(
             f"{owner} must be scalar" if shape is None
@@ -222,7 +224,7 @@ def _parse_plan(plan) -> SamplePlan:
     return SamplePlan(plan["grid"], plan["random"], plan["seed"])
 
 
-def _parse_atlas(doc, params) -> Atlas:
+def _parse_atlas(doc, params, literals) -> Atlas:
     charts = {}
     for entry in doc["charts"]:
         chart = Chart(entry["id"], entry["dim"], entry["box"])
@@ -239,11 +241,12 @@ def _parse_atlas(doc, params) -> Atlas:
             raise ValidationError(
                 f"overlap {src}->{dst}: {len(change)} coordinate-change "
                 f"expressions, chart '{dst}' has dim {dst_chart.dim}")
-        asts = tuple(_parse_expr(text, src_chart.coords, params, None,
+        asts = tuple(_parse_expr(text, src_chart.coords, params, literals,
+                                 None,
                                  f"overlap {src}->{dst}: coordinate change")
                      for text in change)
         mask = None if entry["mask"] is None else _parse_expr(
-            entry["mask"], src_chart.coords, params, None,
+            entry["mask"], src_chart.coords, params, literals, None,
             f"overlap {src}->{dst}: mask")
         if len(entry["domain"]) != src_chart.dim:
             raise ValidationError(
@@ -254,38 +257,38 @@ def _parse_atlas(doc, params) -> Atlas:
     return Atlas(charts, tuple(overlaps))
 
 
-def _parse_transitions(texts, atlas, n, params, path):
+def _parse_transitions(texts, atlas, n, params, literals, path):
     transitions = {}
     for key, text in texts.items():
         a, b = _parse_key(key, "transition", "alpha,beta")
         coords = _chart(atlas.charts, a, path + ((key,),)).coords
         _chart(atlas.charts, b, path + ((key,),))
         transitions[(a, b)] = ExprGroupMap(a, _parse_expr(
-            text, coords, params, (n, n), f"transition '{key}'"))
+            text, coords, params, literals, (n, n), f"transition '{key}'"))
     return transitions
 
 
-def _parse_forms(doc, atlas, n, params, path):
+def _parse_forms(doc, atlas, n, params, literals, path):
     """Forms with one coefficient per entry; _parse_connection compares
     their count with the chart's dimension."""
     forms = {}
     for chart_id, texts in doc.items():
         coords = _chart(atlas.charts, chart_id, path + ((chart_id,),)).coords
-        coeffs = tuple(_parse_expr(text, coords, params, (n, n),
+        coeffs = tuple(_parse_expr(text, coords, params, literals, (n, n),
                                    f"form coefficient on '{chart_id}'")
                        for text in texts)
         forms[chart_id] = ExprForm(coeffs)
     return forms
 
 
-def _parse_connection(doc, atlas, plan, params, path=()
+def _parse_connection(doc, atlas, plan, params, literals, path=()
                       ) -> LocalConnectionData:
     """The group, transitions and forms of one bundle, checked once all are
     read; `path` is the walker path of the bundle's fields in the document."""
     group = _parse_group(doc["group"], path)
     transitions = _parse_transitions(doc["transitions"], atlas, group.n,
-                                     params, path + ("transitions",))
-    forms = _parse_forms(doc["forms"], atlas, group.n, params,
+                                     params, literals, path + ("transitions",))
+    forms = _parse_forms(doc["forms"], atlas, group.n, params, literals,
                          path + ("forms",))
     for chart_id in atlas.charts:
         if chart_id not in forms:
@@ -312,15 +315,17 @@ def _parse_connection(doc, atlas, plan, params, path=()
 def load_bundle(path) -> LocalConnectionData:
     """Load and validate a bundle description file."""
     doc = _load_json(path, BUNDLE)
-    return _parse_connection(doc, _parse_atlas(doc, doc["params"]),
-                             _parse_plan(doc["sample_plan"]), doc["params"])
+    params, literals = doc["params"], {}
+    return _parse_connection(doc, _parse_atlas(doc, params, literals),
+                             _parse_plan(doc["sample_plan"]), params, literals)
 
 
-def _parse_phi(text, n, m, params, owner) -> GroupMorphismSpec:
+def _parse_phi(text, n, m, params, literals, owner) -> GroupMorphismSpec:
     """A group morphism GL(n) -> GL(m): an expression in the (n, n) matrix
     parameter g whose value is (m, m) and which maps the identity to the
     identity."""
-    ast = _parse_expr(text, [], params, (m, m), owner, {"g": (n, n)})
+    ast = _parse_expr(text, [], params, literals, (m, m), owner,
+                      {"g": (n, n)})
     phi = GroupMorphismSpec(n, m, ast)
     try:
         unit = phi.apply(np.eye(n))
@@ -341,20 +346,20 @@ def load_morphism(path, atlas, params) -> MorphismData:
     transitions, None if it declares none.  Its own params win over the
     bundle's `params`."""
     doc = _load_json(path, MORPHISM)
-    merged = {**params, **doc["params"]}
+    merged, literals = {**params, **doc["params"]}, {}
     n, m = doc["source_n"], doc["target_n"]
-    phi = _parse_phi(doc["phi"], n, m, merged, "phi")
+    phi = _parse_phi(doc["phi"], n, m, merged, literals, "phi")
     target_group = GroupSpec(doc["target_group_name"], m)
     h = {}
     for chart_id, text in doc["h"].items():
         coords = _chart(atlas.charts, chart_id, ("h", (chart_id,))).coords
         h[chart_id] = ExprGroupMap(chart_id, _parse_expr(
-            text, coords, merged, (m, m), f"h on '{chart_id}'"))
+            text, coords, merged, literals, (m, m), f"h on '{chart_id}'"))
     morphism = MorphismData(phi, h, target_group)
     target_transitions = None
     if doc["target_transitions"]:
         target_transitions = _parse_transitions(
-            doc["target_transitions"], atlas, m, merged,
+            doc["target_transitions"], atlas, m, merged, literals,
             ("target_transitions",))
     return morphism, target_transitions
 
@@ -363,14 +368,15 @@ def load_morphism(path, atlas, params) -> MorphismData:
 def load_christoffel(path) -> Tuple[ChristoffelData, dict]:
     """Load Christoffel data plus the vector bundle's transition family."""
     doc = _load_json(path, CHRISTOFFEL)
-    params, n = doc["params"], doc["fiber_dim"]
-    atlas = _parse_atlas(doc, params)
+    params, literals, n = doc["params"], {}, doc["fiber_dim"]
+    atlas = _parse_atlas(doc, params, literals)
     gamma = {}
     for chart_id, table in doc["gamma"].items():
         coords = _chart(atlas.charts, chart_id, ("gamma", (chart_id,))).coords
         owner = f"Christoffel symbol on '{chart_id}'"
         gamma[chart_id] = tuple(
-            tuple(tuple(_parse_expr(entry, coords, params, None, owner)
+            tuple(tuple(_parse_expr(entry, coords, params, literals, None,
+                                    owner)
                         for entry in row) for row in block)
             for block in table)
     plan = _parse_plan(doc["sample_plan"])
@@ -389,7 +395,7 @@ def load_christoffel(path) -> Tuple[ChristoffelData, dict]:
                                       f"block is not {n}x{n}")
     data = ChristoffelData(atlas, n, gamma, plan)
     return data, _parse_transitions(doc["transitions"], atlas, n, params,
-                                    ("transitions",))
+                                    literals, ("transitions",))
 
 
 @_document_loader
@@ -399,10 +405,11 @@ def load_tower(path) -> TowerSpec:
     doc = _load_json(path, TOWER)
     if not doc["levels"]:
         raise ValidationError("levels must list at least one level")
-    params = doc["params"]
-    atlas = _parse_atlas(doc, params)
+    params, literals = doc["params"], {}
+    atlas = _parse_atlas(doc, params, literals)
     plan = _parse_plan(doc["sample_plan"])
-    levels = [_parse_connection(entry, atlas, plan, params, ("levels", i))
+    levels = [_parse_connection(entry, atlas, plan, params, literals,
+                                ("levels", i))
               for i, entry in enumerate(doc["levels"])]
     connectors = {}
     for key, entry in doc["connectors"].items():
@@ -411,7 +418,7 @@ def load_tower(path) -> TowerSpec:
             raise ValidationError(f"connector '{key}' is out of range")
         connectors[(j, i)] = _parse_phi(
             entry["phi"], levels[j - 1].group.n, levels[i - 1].group.n,
-            params, f"connector '{key}'")
+            params, literals, f"connector '{key}'")
     return TowerSpec(tuple(levels), connectors)
 
 
@@ -421,11 +428,11 @@ def load_path(path, atlas, params=None, *, n=None):
     starting group element, which must be a finite, invertible n x n matrix
     when n is given.  The curves see `params`, the bundle's."""
     doc = _load_json(path, PATH)
-    segments = []
+    segments, literals = [], {}
     for k, entry in enumerate(doc["segments"]):
         chart = _chart(atlas.charts, entry["chart"], ("segments", k, "chart"))
         owner = f"segment in '{entry['chart']}': curve"
-        curve = tuple(_parse_expr(text, ["t"], params, None, owner)
+        curve = tuple(_parse_expr(text, ["t"], params, literals, None, owner)
                       for text in entry["curve"])
         if len(curve) != chart.dim:
             raise ValidationError(

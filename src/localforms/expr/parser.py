@@ -24,14 +24,19 @@ _NUMBER = r"\d+(?:\.\d*)?(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?"
 _PLAIN = (rf"(?P<num>{_NUMBER})"
           r"|(?P<ident>[A-Za-z_][A-Za-z_0-9]*)"
           r"|(?P<punct>[-+*/^(),\[\]])")
-# a row of numbers and negated numbers, such as [1, -2.5, - 0]
-_ROW = rf"\[\s*(?:-\s*)?(?:{_NUMBER})\s*(?:,\s*(?:-\s*)?(?:{_NUMBER})\s*)*\]"
+# a row of the characters numbers, signs, blanks and commas are made of, such
+# as [1, -2.5, - 0]; `_Parser.literal` checks that its entries are numbers
+_ROW = r"\[[\d.eE+\-\s,]*\]"
 # A matrix literal made only of such rows is one token.  Its text is the
 # opening '[' alone, so a message that names the token reads as it would for
 # the plain '[' token; the match itself runs to the closing ']'.
 _TOKEN_RE = re.compile(
     rf"\s*(?:(?P<mat>\[)\s*{_ROW}(?:\s*,\s*{_ROW})*\s*\]|{_PLAIN})")
 _PLAIN_RE = re.compile(rf"\s*(?:{_PLAIN})")
+# the contents of each row of a literal token
+_ROWS_RE = re.compile(r"\[([^][]*)\]")
+# an entry of a number-only literal: a number or a negated number
+_ENTRY_RE = re.compile(rf"\s*(-?)\s*({_NUMBER})\s*")
 
 _FUNCTIONS = set(SCALAR_FUNCTIONS) | set(MATRIX_FUNCTIONS) | {"atan2"}
 
@@ -43,23 +48,50 @@ class _Token(NamedTuple):
     end: int  # where its match ends: after the closing ']' of a literal
 
 
-def _tokenize(source):
-    """The tokens of `source` from one scan, ending with an 'end' token.  A
-    match that does not start where the previous one ended leaves a gap, and
-    the gap's first non-space character is the one no token can start with;
-    so is any non-space character left after the last match."""
+def _scan(pattern, source, start, stop):
+    """The tokens of source[start:stop] by `pattern` from one scan, up to
+    the first gap (a match that does not start where the previous one
+    ended), and where the last of them ends."""
     tokens = []
-    end = 0
-    for match in _TOKEN_RE.finditer(source):
+    end = start
+    for match in pattern.finditer(source, start, stop):
         if match.start() != end:
             break
         kind = match.lastgroup
         end = match.end()
         tokens.append(_Token(kind, match[kind], match.start(kind), end))
-    rest = source[end:].lstrip()
+    return tokens, end
+
+
+def _require_blank(source, start, stop):
+    """Raise at the first non-space character of source[start:stop], left
+    after a scan's last token: the one no token can start with."""
+    rest = source[start:stop].lstrip()
     if rest:
-        at = len(source) - len(rest)
+        at = stop - len(rest)
         raise ExpressionSyntaxError(f"unexpected character '{source[at]}'", at)
+
+
+def _plain_tokens(source, token):
+    """The plain tokens of the literal token `token`, which the descent
+    reads entry by entry."""
+    tokens, end = _scan(_PLAIN_RE, source, token.pos, token.end)
+    _require_blank(source, end, token.end)
+    return tokens
+
+
+def _tokenize(source):
+    """The tokens of `source` from one scan, ending with an 'end' token.
+    The only character of a literal token that no plain token may take is
+    a '.' that no number takes, as in [[1..]]; a literal token holding one
+    raises there, before any character after the last token."""
+    tokens, end = _scan(_TOKEN_RE, source, 0, len(source))
+    if "." in source:
+        for token in tokens:
+            if token.kind == "mat" \
+                    and source.find(".", token.pos, token.end) >= 0:
+                _plain_tokens(source, token)
+    _require_blank(source, end, len(source))
     tokens.append(_Token("end", "", len(source), len(source)))
     return tokens
 
@@ -74,11 +106,13 @@ def _number(text, pos):
 
 
 class _Parser:
-    def __init__(self, source, constants=None):
+    def __init__(self, source, constants=None, literals=None):
         self.source = source
         self.tokens = _tokenize(source)
         self.index = 0
-        self.literals = {}  # literal text -> its MatLit; nodes are immutable
+        # literal text -> its MatLit, for this parse or shared by the parses
+        # of one document; nodes are immutable
+        self.literals = {} if literals is None else literals
         # a param's name -> the tree of its value (see parse)
         self.constants = constants or {}
 
@@ -188,35 +222,37 @@ class _Parser:
         """The number-only matrix literal scanned as one `token`, built from
         its text as the descent would build it: Num and Unary(Num) entries,
         one node per distinct entry text, and its constant from float() of
-        each entry's text (float('-x') is -float('x') exactly, -0
-        included); None if it is ragged or has an entry too large for a
-        float.  A literal text met before gives the node built then."""
+        each entry's number, negated for a leading '-' (-0 stays -0.0);
+        None if an entry is not a number or a negated number, or is too
+        large for a float, or the literal is ragged.  A literal text met
+        before gives the node built then."""
         text = self.source[token.pos:token.end]
         literal = self.literals.get(text)
         if literal is not None:
             return literal
-        # without blanks the text is [[a,-b],[c,d]]: rows split on '],['
-        # and entries on ','; an entry is digits, or '-' and digits
-        rows = [row.split(",")
-                for row in "".join(text.split())[2:-2].split("],[")]
-        values = {entry: float(entry) for entry in set().union(*rows)}
-        if (len(set(map(len, rows))) != 1
-                or not all(map(math.isfinite, values.values()))):
+        rows = [row.split(",") for row in _ROWS_RE.findall(text)]
+        if len(set(map(len, rows))) != 1:
             return None
-        nodes = {entry: Unary(Num(-value)) if entry[0] == "-" else Num(value)
-                 for entry, value in values.items()}
+        nodes, values = {}, {}
+        for entry in set().union(*rows):
+            match = _ENTRY_RE.fullmatch(entry)
+            if match is None:
+                return None
+            value = float(match[2])
+            if not math.isfinite(value):
+                return None
+            nodes[entry] = Unary(Num(value)) if match[1] else Num(value)
+            values[entry] = -value if match[1] else value
+        flat = [values[entry] for row in rows for entry in row]
         literal = self.literals[text] = MatLit(
             tuple(tuple(map(nodes.__getitem__, row)) for row in rows),
-            np.array([list(map(values.__getitem__, row)) for row in rows]))
+            np.array(flat).reshape(len(rows), -1))
         return literal
 
     def split(self, at):
         """Put the plain tokens of the literal token at index `at` in its
         place, so that the descent reads the literal entry by entry."""
-        token = self.tokens[at]
-        self.tokens[at:at + 1] = [
-            _Token(m.lastgroup, m[m.lastgroup], m.start(m.lastgroup), m.end())
-            for m in _PLAIN_RE.finditer(self.source, token.pos, token.end)]
+        self.tokens[at:at + 1] = _plain_tokens(self.source, self.tokens[at])
 
     def row(self):
         if self.peek().kind == "mat":
@@ -293,18 +329,22 @@ class ExprAST:
         up at the trailing end (np.eye(d)[:, None], shape (d, 1, d), gives
         every coordinate direction at every point of a stack).
         Returns (value, derivative), of shapes batch + value shape and
-        broadcast(dirs, batch) + value shape.
+        broadcast(dirs, batch) + value shape.  Seeds that are zero
+        everywhere bind no tangents: the walk takes values only, and the
+        derivative is zeros.
         """
         points = np.asarray(points, dtype=float)
         seeds = np.asarray(seeds, dtype=float)
         if seeds.shape[-1:] != (len(self.coords),):
             raise ValidationError("seed dimension mismatch")
-        result = self._walk(self._bindings(points, seeds), points)
+        result = self._walk(
+            self._bindings(points, seeds if seeds.any() else None), points)
         value_shape = _value_shape(result)
         batch = points.shape[:-1]
         tangent_shape = np.broadcast_shapes(seeds.shape[:-1], batch) \
             + value_shape
-        tangent = np.zeros(()) if result.tangent is None else result.tangent
+        tangent = (np.zeros(tangent_shape) if result.tangent is None
+                   else result.tangent)
         return (_broadcast(result.primal, batch + value_shape),
                 _broadcast(tangent, tangent_shape))
 
@@ -338,11 +378,15 @@ def _where(index, points):
     return f" at point {points[index].tolist()}"
 
 
-def parse(source, coords, params=None, matrix_params=None) -> ExprAST:
+def parse(source, coords, params=None, matrix_params=None, *,
+          literals=None) -> ExprAST:
     """Parse and validate an expression over the coordinates, the matrix
     parameters (a map of each name to its shape) and the params (a map of
     each name to its value, folded in as the tree of the value's text),
     which a coordinate or matrix parameter of the same name hides.
+    `literals`, a dict from number-only literal text to its MatLit, lets
+    the parses that share it share their literal nodes; without it, each
+    parse has its own.
 
     Raises ExpressionSyntaxError on malformed text and
     ValidationError/ShapeError on unknown names or dimension mismatches.
@@ -351,4 +395,5 @@ def parse(source, coords, params=None, matrix_params=None) -> ExprAST:
     constants = {name: Unary(Num(-value)) if math.copysign(1, value) < 0
                  else Num(value) for name, value in (params or {}).items()
                  if name not in coords and name not in matrix_params}
-    return ExprAST(_Parser(source, constants).parse(), coords, matrix_params)
+    return ExprAST(_Parser(source, constants, literals).parse(), coords,
+                   matrix_params)

@@ -11,7 +11,7 @@ from localforms.connection import (PointRep, TangentRep, chart_change,
                                    gauge_transform, global_form_eval,
                                    horizontal_lift)
 from localforms.errors import DomainError, ValidationError
-from localforms.expr import ExprAST, parse
+from localforms.expr import ExprAST, parse, parser
 from localforms.lie import (ConstGroupMap, ExprGroupMap, InverseGroupMap,
                             ProductGroupMap, adjoint, exp_matrix, inverse,
                             log_diff_left)
@@ -176,6 +176,35 @@ def test_chart_change_walks_the_transition_once(monopole, monkeypatch):
     assert q.a.tobytes() == (g_rev.value(x) @ p.a).tobytes()
     assert u2.v.tobytes() == v.tobytes()
     assert u2.w.tobytes() == w.tobytes()
+
+
+def test_a_chart_switch_without_a_tangent_walks_values_only(abelian,
+                                                           monkeypatch):
+    # with no tangent the push and the transition's jet take a zero seed,
+    # and a zero seed binds no tangent: every walk is a walk of values
+    tangents = []
+    evaluate = parser.evaluate
+
+    def walk(node, bindings):
+        tangents.extend(b.tangent is not None for b in bindings.values())
+        return evaluate(node, bindings)
+
+    monkeypatch.setattr(parser, "evaluate", walk)
+    x = np.array([1.5])
+    a = exp_matrix(0.7 * J)
+    q = chart_change(abelian, PointRep("U1", x, a), "U2")
+    ov = abelian.atlas.require_overlap("U1", "U2")
+    y, w = ov.push(x, np.zeros(1))
+    assert tangents and not any(tangents)
+    g = InverseGroupMap(abelian.transitions[("U1", "U2")])
+    assert q.x.tobytes() == ov.map_point(x).tobytes() == y.tobytes()
+    assert q.a.tobytes() == (g.value(x) @ a).tobytes()
+    assert w.tolist() == [0.0]
+    # the derivative has the shape a tangent pass gives it, in exact zeros
+    points = np.array([[1.2], [1.5], [1.8]])
+    value, derivative = g.jet(points, np.zeros((2, 1, 1)))
+    assert derivative.shape == (2, 3, 2, 2) and not np.any(derivative)
+    assert value.tobytes() == g.value(points).tobytes()
 
 
 def _one_way(tmp_path, name, edit):

@@ -3,10 +3,16 @@ import dataclasses
 import numpy as np
 import pytest
 
+import localforms.cli
+from localforms.bundle_io import load_bundle, load_tower
+from localforms.cli import main
 from localforms.errors import (DomainError, ExpressionSyntaxError, ShapeError,
                                ValidationError)
-from localforms.expr import Dual, ExprAST, MatLit, Num, parse
+from localforms.expr import (Binary, Call, Dual, ExprAST, MatLit, Num, Unary,
+                             parse)
 from localforms.expr.evaluate import evaluate
+
+from conftest import fixture_path
 
 
 def test_precedence():
@@ -242,3 +248,85 @@ def test_eval_never_returns_the_cached_literal():
         assert np.array_equal(ast.eval([0.5]), want)
         value, tangents = ast.eval_dual([0.5], seeds=[[1.0]])
         assert value.flags.writeable and not np.any(tangents)
+
+
+# ----- one literal table per document -----------------------------------
+
+def _literal_nodes(asts):
+    """Every MatLit node of the trees of `asts`, keyed by identity."""
+    found = {}
+    stack = [ast.root for ast in asts]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, MatLit):
+            found[id(node)] = node
+            stack.extend(entry for row in node.rows for entry in row)
+        elif isinstance(node, Binary):
+            stack += [node.left, node.right]
+        elif isinstance(node, Unary):
+            stack.append(node.operand)
+        elif isinstance(node, Call):
+            stack.extend(node.args)
+    return found
+
+
+def _bundle_asts(data):
+    return ([g.ast for g in data.transitions.values()]
+            + [ast for form in data.forms.values() for ast in form.coeffs]
+            + [ast for ov in data.atlas.overlaps for ast in ov.coord_change])
+
+
+def _tower_asts(tower):
+    return ([ast for level in tower.levels for ast in _bundle_asts(level)]
+            + [spec.phi for spec in tower.connectors.values()])
+
+
+def test_a_literal_text_is_one_node_in_its_document():
+    # each level of the tower spells its nilpotent block in both
+    # transitions and both forms
+    tower = load_tower(fixture_path("tower_unipotent.json"))
+    for level in tower.levels:
+        blocks = [level.transitions[("U1", "U2")].ast.root.args[0].right,
+                  level.transitions[("U2", "U1")].ast.root.args[0].right,
+                  level.forms["U1"].coeffs[0].root.right,
+                  level.forms["U2"].coeffs[0].root.right]
+        assert all(type(block) is MatLit for block in blocks)
+        assert all(block is blocks[0] for block in blocks)
+        n = level.group.n
+        assert blocks[0].constant.tolist() == np.eye(n, k=1).tolist()
+    # a connector's truncation, and its transpose's argument
+    root = tower.connectors[(3, 1)].phi.root
+    assert root.left.left is root.right.args[0]
+
+
+def test_no_literal_node_outlives_its_load():
+    tower = fixture_path("tower_unipotent.json")
+    first, second = (_literal_nodes(_tower_asts(load_tower(tower)))
+                     for _ in range(2))
+    assert first and not first.keys() & second.keys()
+    bundle = fixture_path("abelian.json")
+    first, second = (_literal_nodes(_bundle_asts(load_bundle(bundle)))
+                     for _ in range(2))
+    assert first and not first.keys() & second.keys()
+
+
+def test_relate_reads_its_bundles_with_their_own_tables(monkeypatch,
+                                                         tmp_path):
+    # relate reads one file as both its source and its target bundle
+    seen = []
+    check_related = localforms.cli.check_related
+
+    def spy(source, target, *args):
+        seen.append((source, target))
+        return check_related(source, target, *args)
+
+    monkeypatch.setattr(localforms.cli, "check_related", spy)
+    out = tmp_path / "report.json"
+    assert main(["relate", fixture_path("abelian.json"),
+                 fixture_path("abelian.json"),
+                 fixture_path("morphism_identity.json"),
+                 "--out", str(out)]) == 0
+    (source, target), = seen
+    source_nodes = _literal_nodes(_bundle_asts(source))
+    target_nodes = _literal_nodes(_bundle_asts(target))
+    assert source_nodes and not source_nodes.keys() & target_nodes.keys()

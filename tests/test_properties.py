@@ -21,6 +21,7 @@ from localforms.cli import main
 from localforms.errors import (DomainError, ExpressionSyntaxError,
                                ValidationError)
 from localforms.expr import parse
+from localforms.expr.evaluate import evaluate
 from localforms.expr.parser import _TOKEN_RE, _Parser, _Token, _tokenize
 
 from conftest import fixture_path
@@ -102,12 +103,12 @@ def test_matrix_round_trip_keeps_values(source):
 
 # ----- the tokenizer against a per-position reference -----------------
 
-def _reference_tokenize(source, pattern=_TOKEN_RE):
-    """The tokenizer as one anchored match per token: the reference the
-    one-scan tokenizer must agree with, token for token and error for
-    error."""
+def _reference_tokenize(source, pattern=_TOKEN_RE, pos=0):
+    """The tokenizer as one anchored match per token from `pos`: the
+    reference the one-scan tokenizer must agree with, token for token and
+    error for error.  A literal token's text must read as plain tokens, one
+    anchored match each, and raises where it does not."""
     tokens = []
-    pos = 0
     while pos < len(source):
         match = pattern.match(source, pos)
         if match is None:
@@ -117,6 +118,9 @@ def _reference_tokenize(source, pattern=_TOKEN_RE):
             at = len(source) - len(stripped)
             raise ExpressionSyntaxError(
                 f"unexpected character '{source[at]}'", at)
+        if match.lastgroup == "mat":
+            _reference_tokenize(source[:match.end()], _DESCENT_TOKEN_RE,
+                                match.start())
         tokens.append((match.lastgroup, match.group(match.lastgroup),
                        match.start(match.lastgroup), match.end()))
         pos = match.end()
@@ -144,6 +148,14 @@ texts = st.text(
 @SETTINGS
 @given(texts)
 def test_tokenizer_matches_per_position_reference(source):
+    assert _outcome(_tokenize, source) \
+        == _outcome(_reference_tokenize, source)
+
+
+@pytest.mark.parametrize("source", [
+    "[[.]]", "[[1..]] $", "([[1, .]] +", "[[1.]]", "[[1.5, .5e3], [1e5, 3.]]",
+    "x1 [[1, 2.], [3.., 4]] [[.]]", "[[1e5.]]", "[[e1.]]"])
+def test_tokenizer_matches_the_reference_on_points(source):
     assert _outcome(_tokenize, source) \
         == _outcome(_reference_tokenize, source)
 
@@ -184,13 +196,16 @@ def _assert_parses_as_descent(source):
 _numbers = ["0", "1", "2.5", ".5", "3.", "007", "1e-3", "2E+2", "1e400", "1e",
             "9" * 400]
 # an entry: a number, negated with or without spaces, blanks around it, or
-# anything else that keeps the literal from being one token
+# anything else that keeps the literal from being one token; the last row
+# is made of the characters of the literal token's rows but is no number
 _entries = st.sampled_from(
     _numbers
     + [sign + number for sign in ("-", "- ", "-\t", "--")
        for number in _numbers]
     + [" 1", "1 ", " - 1 ", "\n0\t", "x1", "2^2", "-x2", "(1)", "+1", "",
-       "1 2"])
+       "1 2"]
+    + ["1.2.3", "1e+", ".", "e1", "1e5e5", "+.5", "- -1", "1 e3", "1..",
+       "3.."])
 
 
 def _literal_step(inner):
@@ -245,6 +260,48 @@ def test_literal_token_errors(source, outcome):
     got = _parsed(_Parser, source)
     assert got[0] is kind and got[1].startswith(message) and got[2] == position
     assert got == _parsed(_DescentParser, source)
+
+
+# number-only literals that are one token: a number, negated with or
+# without blanks, blanks around it
+_number_entries = st.tuples(
+    st.sampled_from(["", "", "-", "- ", "-\t", " - "]),
+    st.sampled_from(["0", "1", "2.5", ".5", "3.", "007", "1e-3", "2E+2",
+                     "0.0", "5e-324", "1e308", "0.1",
+                     "1.7976931348623157e308"]),
+    st.sampled_from(["", "", " ", "\n"])).map("".join)
+_number_literals = st.integers(1, 3).flatmap(
+    lambda width: st.lists(st.lists(_number_entries, min_size=width,
+                                    max_size=width),
+                           min_size=1, max_size=3)).map(
+    lambda rows: "[" + ", ".join("[" + ",".join(row) + "]"
+                                 for row in rows) + "]")
+
+
+@SETTINGS
+@given(_number_literals)
+def test_literal_constant_is_the_descent_value(source):
+    # the constant of the one-token literal, bit for bit and sign for sign,
+    # against the entries of the descent's tree evaluated one by one
+    assert [token.kind for token in _tokenize(source)] == ["mat", "end"]
+    literal = _Parser(source).parse()
+    tree = _DescentParser(source).parse()
+    want = np.array([[evaluate(entry, {}).primal for entry in row]
+                     for row in tree.rows])
+    assert literal.constant.tobytes() == want.tobytes()
+    assert np.array_equal(np.signbit(literal.constant), np.signbit(want))
+    assert literal == tree
+
+
+def test_negated_zero_entries_keep_their_sign():
+    source = "[[-0, - 0, 0], [-\t0.0, 0.0, - .0]]"
+    constant = _Parser(source).parse().constant
+    assert np.signbit(constant).tolist() == [[True, True, False],
+                                             [True, False, True]]
+    tree = _DescentParser(source).parse()
+    assert np.signbit([[evaluate(entry, {}).primal for entry in row]
+                       for row in tree.rows]).tolist() \
+        == np.signbit(constant).tolist()
 
 
 def test_literal_token_builds_the_descent_tree():

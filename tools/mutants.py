@@ -92,9 +92,18 @@ MUTANTS = [
      "}",
      "a coordinate or the matrix parameter g hides a param of its name"),
     ("literal-too-large-built", SRC + "expr/parser.py",
-     "\n                or not all(map(math.isfinite, values.values()))):",
-     "):",
+     "            if not math.isfinite(value):\n                return None\n",
+     "",
      "a number too large for a float is a syntax error, also in a literal"),
+    ("literal-entry-unchecked", SRC + "expr/parser.py",
+     "match = _ENTRY_RE.fullmatch(entry)", "match = _ENTRY_RE.search(entry)",
+     "a literal's entries are numbers or negated numbers: [[1, +2]] is a "
+     "syntax error, not a literal"),
+    ("literal-table-kept", SRC + "bundle_io.py",
+     "params, literals = doc[\"params\"], {}\n    atlas",
+     "params, literals = doc[\"params\"], "
+     "load_tower.__dict__.setdefault(\"literals\", {})\n    atlas",
+     "a document's literal table lives as long as its loader call"),
     ("unwritable-out-exit-1", SRC + "cli.py",
      'f"{exc.strerror or exc}", file=sys.stderr)\n            return 2',
      'f"{exc.strerror or exc}", file=sys.stderr)\n            return 1',

@@ -23,9 +23,11 @@ inputs exit 2: a morphism whose `source_n` does not match, under
 `relate`, `push` and `assoc`, a path junction outside its overlap and a
 path that names an unknown chart.  `REACH` adds inputs for code that no
 other case enters: four matrix-literal errors (an entry too large, a
-negated one, a ragged literal, a literal in a row position), another
-syntax error, a schema type error, a domain error that names its sample
-point, a path curve that uses every scalar function and '^', a
+negated one, a ragged literal, a literal in a row position), four literals
+that scan as one token but are no number-only literal (entries `+2`, `1e`
+and `1.2.3`, and a '.' that no number takes), one number-only literal
+spelled with blanks and split signs, another syntax error, a schema type
+error, a domain error that names its sample point, a path curve that uses every scalar function and '^', a
 transition that uses `inv`, a `--tolerance` flag, a `push` whose target
 transitions fail the morphism cocycle, and a declared identity
 transition that passes and one that fails; most are copies of a fixture
@@ -116,6 +118,19 @@ REACH = (
     ("literal-in-row-position", ["verify", (
         "abelian.json", ("transitions", "U1,U2"),
         "mexp(x1*[[[0,-1]],[1,0]])")]),
+    # rows of the literal token's characters whose entries are no numbers,
+    # a '.' that no number takes, and a literal spelled with blanks
+    ("literal-entry-plus", ["verify", (
+        "abelian.json", ("forms", "U1", 0), "sin(x1)*[[1, +2]]")]),
+    ("literal-entry-bare-exponent", ["verify", (
+        "abelian.json", ("forms", "U1", 0), "sin(x1)*[[1e, 2]]")]),
+    ("literal-entry-two-points", ["verify", (
+        "abelian.json", ("forms", "U1", 0), "sin(x1)*[[1.2.3, 0]]")]),
+    ("literal-stray-point", ["verify", (
+        "abelian.json", ("forms", "U1", 0), "sin(x1)*[[1.., 0]] $")]),
+    ("literal-blanks-and-split-signs", ["verify", (
+        "abelian.json", ("forms", "U1", 0),
+        "sin(x1)*[[ 1 , - 2.5 ], [ .5, 3. ]]")]),
     ("syntax-error", ["verify", (
         "abelian.json", ("forms", "U1", 0), f"sin(x1*{J}")]),
     ("schema-type-error", ["verify", (

@@ -24,8 +24,8 @@ _NUMBER = r"\d+(?:\.\d*)?(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?"
 _PLAIN = (rf"(?P<num>{_NUMBER})"
           r"|(?P<ident>[A-Za-z_][A-Za-z_0-9]*)"
           r"|(?P<punct>[-+*/^(),\[\]])")
-# a row of the characters numbers, signs, blanks and commas are made of, such
-# as [1, -2.5, - 0]; `_Parser.literal` checks that its entries are numbers
+# a row of the characters that numbers, signs, blanks and commas are made of,
+# such as [1, -2.5, - 0]; `_Parser.literal` checks that its entries are numbers
 _ROW = r"\[[\d.eE+\-\s,]*\]"
 # A matrix literal made only of such rows is one token.  Its text is the
 # opening '[' alone, so a message that names the token reads as it would for

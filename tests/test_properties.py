@@ -15,7 +15,7 @@ import tempfile
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from localforms.cli import main
 from localforms.errors import (DomainError, ExpressionSyntaxError,
@@ -280,6 +280,7 @@ _number_literals = st.integers(1, 3).flatmap(
 
 @SETTINGS
 @given(_number_literals)
+@example("[[-0, - 0, 0], [-\t0.0, 0.0, - .0]]")
 def test_literal_constant_is_the_descent_value(source):
     # the constant of the one-token literal, bit for bit and sign for sign,
     # against the entries of the descent's tree evaluated one by one
@@ -291,17 +292,6 @@ def test_literal_constant_is_the_descent_value(source):
     assert literal.constant.tobytes() == want.tobytes()
     assert np.array_equal(np.signbit(literal.constant), np.signbit(want))
     assert literal == tree
-
-
-def test_negated_zero_entries_keep_their_sign():
-    source = "[[-0, - 0, 0], [-\t0.0, 0.0, - .0]]"
-    constant = _Parser(source).parse().constant
-    assert np.signbit(constant).tolist() == [[True, True, False],
-                                             [True, False, True]]
-    tree = _DescentParser(source).parse()
-    assert np.signbit([[evaluate(entry, {}).primal for entry in row]
-                       for row in tree.rows]).tolist() \
-        == np.signbit(constant).tolist()
 
 
 def test_literal_token_builds_the_descent_tree():

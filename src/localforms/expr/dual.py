@@ -9,7 +9,7 @@ at once (for example one per coordinate), and any axis of either may have
 length 1.  The tangent is None when it is identically zero (constants,
 and every value of an evaluation without seeds).
 
-Shapes are not checked here: `nodes.infer_shape` checks every tree once,
+Shapes are not checked here: each node's `shape` checks its tree once,
 when its `ExprAST` is built, so the operations below only compute.  All
 arithmetic propagates tangents by the exact product and chain rules,
 never by finite differences.

@@ -15,10 +15,9 @@ from typing import Dict, Mapping, NamedTuple, Tuple
 import numpy as np
 
 from ..errors import DomainError, ExpressionSyntaxError, ValidationError
-from .evaluate import evaluate
 from .dual import Dual
 from .nodes import (Binary, Call, MatLit, Name, Node, Num, Shape, Unary,
-                    MATRIX_FUNCTIONS, SCALAR_FUNCTIONS, infer_shape)
+                    MATRIX_FUNCTIONS, SCALAR_FUNCTIONS)
 
 _NUMBER = r"\d+(?:\.\d*)?(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?"
 _PLAIN = (rf"(?P<num>{_NUMBER})"
@@ -220,12 +219,10 @@ class _Parser:
 
     def literal(self, token):
         """The number-only matrix literal scanned as one `token`, built from
-        its text as the descent would build it: Num and Unary(Num) entries,
-        one node per distinct entry text, and its constant from float() of
-        each entry's number, negated for a leading '-' (-0 stays -0.0);
-        None if an entry is not a number or a negated number, or is too
-        large for a float, or the literal is ragged.  A literal text met
-        before gives the node built then."""
+        its text as the descent would build it, Num and Unary(Num) entries,
+        one node per distinct entry text; None if an entry is not a number
+        or a negated number, or is too large for a float, or the literal is
+        ragged.  A literal text met before gives the node built then."""
         text = self.source[token.pos:token.end]
         literal = self.literals.get(text)
         if literal is not None:
@@ -233,7 +230,7 @@ class _Parser:
         rows = [row.split(",") for row in _ROWS_RE.findall(text)]
         if len(set(map(len, rows))) != 1:
             return None
-        nodes, values = {}, {}
+        nodes = {}
         for entry in set().union(*rows):
             match = _ENTRY_RE.fullmatch(entry)
             if match is None:
@@ -242,11 +239,8 @@ class _Parser:
             if not math.isfinite(value):
                 return None
             nodes[entry] = Unary(Num(value)) if match[1] else Num(value)
-            values[entry] = -value if match[1] else value
-        flat = [values[entry] for row in rows for entry in row]
         literal = self.literals[text] = MatLit(
-            tuple(tuple(map(nodes.__getitem__, row)) for row in rows),
-            np.array(flat).reshape(len(rows), -1))
+            tuple(tuple(map(nodes.__getitem__, row)) for row in rows))
         return literal
 
     def split(self, at):
@@ -282,7 +276,7 @@ class ExprAST:
     def __post_init__(self):
         shapes: Dict[str, Shape] = dict.fromkeys(self.coords)
         shapes.update(self.matrix_params)
-        object.__setattr__(self, "shape", infer_shape(self.root, shapes))
+        object.__setattr__(self, "shape", self.root.shape(shapes))
 
     def to_source(self):
         return str(self.root)
@@ -304,7 +298,7 @@ class ExprAST:
         a domain violation names its sample point."""
         with np.errstate(all="ignore"):
             try:
-                return evaluate(self.root, bindings)
+                return self.root.evaluate(bindings)
             except DomainError as exc:
                 if exc.index is None:
                     raise

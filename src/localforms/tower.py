@@ -137,9 +137,9 @@ class TowerSpec:
 
 def _first_violation(diff, tolerance, message):
     """Raise with the residual of the first sample whose residual matrix
-    exceeds the tolerance."""
+    is not within the tolerance; a NaN residual fails."""
     residuals = np.linalg.norm(diff, axis=(-2, -1))
-    bad = residuals > tolerance
+    bad = ~(residuals <= tolerance)
     if bad.any():
         raise TowerInvariantViolation(
             f"{message} by {residuals[np.argmax(bad)]:.3e}")

@@ -87,6 +87,14 @@ def test_forms_to_christoffel_requires_expression_forms():
         forms_to_christoffel(composite)
 
 
+def test_forms_to_christoffel_requires_matrix_literal_coefficients():
+    # monopole_k1's dx2 coefficient on U_N is a scalar times a literal
+    bundle = load_fixture("monopole_k1.json", grid=3, random=3)
+    with pytest.raises(ShapeError, match="^coefficient on 'U_N' is not a "
+                       "matrix literal$"):
+        forms_to_christoffel(bundle)
+
+
 def test_forms_to_christoffel_requires_forms_of_the_fiber_size():
     bundle = load_fixture("sphere_frame.json", grid=3, random=3)
     wider = dataclasses.replace(bundle, group=GroupSpec("GL(3)", 3))

@@ -1045,6 +1045,22 @@ def test_a_broken_connector_is_reported_as_the_tower_invariant(tmp_path):
         "connectors (3,1) vs (2,1).(3,2) differ by ")
 
 
+def test_a_nan_transition_fails_the_tower_invariant(tmp_path):
+    # exp(1000 x1) - exp(1000 x1) is inf - inf: NaN at every overlap sample,
+    # which must fail the projection check, not pass it
+    path = _variant(tmp_path, "tower_unipotent.json", _set(
+        "levels", 0, "transitions", "U1,U2",
+        value="mexp(x1*[[0,1],[0,0]]) "
+              "+ (exp(1000*x1) - exp(1000*x1))*[[1,0],[0,1]]"))
+    code, report = run(tmp_path, "tower", path)
+    assert code == 1
+    assert [(c["name"], c["passed"]) for c in report["checks"]] \
+        == [("tower-invariants", False)]
+    assert report["tower_invariant_error"] == (
+        "transition ('U1', 'U2') at level 1 deviates from the projected "
+        "level-2 transition by nan")
+
+
 @pytest.mark.parametrize("g_11, failing", [
     ("[[1, 0], [0, 1]]", []),
     ("[[1, 0], [0, 2]]", ["cocycle:identity:U1"]),

@@ -11,7 +11,7 @@ from localforms.connection import (PointRep, TangentRep, chart_change,
                                    gauge_transform, global_form_eval,
                                    horizontal_lift)
 from localforms.errors import DomainError, ValidationError
-from localforms.expr import ExprAST, parse, parser
+from localforms.expr import ExprAST, parse
 from localforms.lie import (ConstGroupMap, ExprGroupMap, InverseGroupMap,
                             ProductGroupMap, adjoint, exp_matrix, inverse,
                             log_diff_left)
@@ -183,13 +183,13 @@ def test_a_chart_switch_without_a_tangent_walks_values_only(abelian,
     # with no tangent the push and the transition's jet take a zero seed,
     # and a zero seed binds no tangent: every walk is a walk of values
     tangents = []
-    evaluate = parser.evaluate
+    evaluate = ExprAST._walk
 
-    def walk(node, bindings):
+    def walk(ast, bindings, points=None):
         tangents.extend(b.tangent is not None for b in bindings.values())
-        return evaluate(node, bindings)
+        return evaluate(ast, bindings, points)
 
-    monkeypatch.setattr(parser, "evaluate", walk)
+    monkeypatch.setattr(ExprAST, "_walk", walk)
     x = np.array([1.5])
     a = exp_matrix(0.7 * J)
     q = chart_change(abelian, PointRep("U1", x, a), "U2")

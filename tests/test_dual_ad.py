@@ -1,8 +1,9 @@
 """Forward-mode derivative correctness against central finite differences.
 
-The randomized corpus draws expressions from a generator tuned to stay
-inside every function's domain, then compares eval_dual directional
-derivatives with a central difference at h = 1e-5.
+The randomized corpora draw expressions from a generator tuned to stay
+inside every function's domain, then compare eval_dual directional
+derivatives with a central difference at h = 1e-5.  The second corpus
+wraps those expressions in tan and atan2, which the first never draws.
 """
 
 import numpy as np
@@ -80,6 +81,35 @@ def test_randomized_corpus_matches_central_differences():
         assert abs(tangents[0] - fd) <= 1e-7 * max(1.0, abs(fd)), source
         checked += 1
     assert checked == N_CASES
+
+
+def _trig_expr(rng):
+    """tan or atan2 of expressions of the first corpus, each argument kept
+    away from tan's poles and atan2's origin."""
+    a = _expr(rng, int(rng.integers(0, 3)))
+    b = _expr(rng, int(rng.integers(0, 3)))
+    return (f"tan(0.5 * sin({a}))", f"atan2({a}, 1.5 + ({b})^2)",
+            f"atan2(1.5 + ({a})^2, {b})")[rng.integers(0, 3)]
+
+
+def test_tan_and_atan2_match_central_differences():
+    rng = np.random.default_rng(2025)
+    checked = 0
+    for _ in range(20 * 150):
+        if checked == 150:
+            break
+        source = _trig_expr(rng)
+        ast = parse(source, COORDS)
+        x = rng.uniform(-2.0, 2.0, 3)
+        v = rng.normal(size=3)
+        v /= np.linalg.norm(v)
+        fd = _usable(ast, x, v)
+        if fd is None:
+            continue
+        _, tangents = ast.eval_dual(x, seeds=[v])
+        assert abs(tangents[0] - fd) <= 1e-7 * max(1.0, abs(fd)), source
+        checked += 1
+    assert checked == 150, "corpus generator starved"
 
 
 def test_multiple_seeds_in_one_pass():

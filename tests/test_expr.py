@@ -1,4 +1,5 @@
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -10,7 +11,6 @@ from localforms.errors import (DomainError, ExpressionSyntaxError, ShapeError,
                                ValidationError)
 from localforms.expr import (Binary, Call, Dual, ExprAST, MatLit, Num, Unary,
                              parse)
-from localforms.expr.evaluate import evaluate
 
 from conftest import fixture_path
 
@@ -34,6 +34,7 @@ def test_scalar_functions():
     ast = parse("sin(x1)^2 + cos(x1)^2", ["x1"])
     assert ast.eval([0.7]) == pytest.approx(1.0, abs=1e-15)
     assert parse("atan2(1, 1)", []).eval([]) == pytest.approx(np.pi / 4)
+    assert parse("atan2(1, 0)", []).eval([]) == pytest.approx(np.pi / 2)
     assert parse("sqrt(x1)", ["x1"]).eval([9.0]) == 3.0
     assert parse("log(exp(x1))", ["x1"]).eval([1.3]) == pytest.approx(1.3)
 
@@ -142,6 +143,23 @@ def test_tree_built_without_parse_is_checked():
         ExprAST(MatLit(((Num(1.0), Num(2.0)), (Num(3.0),))), ())
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda: parse("x1 + x2", ["x1", "x2"]).eval([1.0, 2.0, 3.0]),
+     "expected 2 coordinates, got 3"),
+    (lambda: parse("x1 + x2", ["x1", "x2"]).eval_dual(
+        [1.0, 2.0], seeds=[[1.0, 0.0, 0.0]]), "seed dimension mismatch"),
+    (lambda: parse("g", [], matrix_params={"g": (2, 2)}).eval([]),
+     "unbound identifier 'g'"),
+    # trees built by hand reach what the parser never builds
+    (lambda: ExprAST(Binary("%", Num(1.0), Num(2.0)), ()),
+     "unknown operator '%'"),
+    (lambda: ExprAST(Call("foo", (Num(1.0),)), ()), "unknown function 'foo'"),
+], ids=["coordinates", "seeds", "unbound", "operator", "function"])
+def test_library_calls_name_what_they_reject(call, message):
+    with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+        call()
+
+
 def test_shape_mismatch_rejected():
     with pytest.raises(ShapeError):
         parse("[[1, 2], [3, 4]] + 1", [])
@@ -202,7 +220,7 @@ def _entrywise(lit):
     value = np.empty((len(lit.rows), len(lit.rows[0])))
     for i, row in enumerate(lit.rows):
         for j, entry in enumerate(row):
-            value[i, j] = evaluate(entry, {}).primal
+            value[i, j] = entry.evaluate({}).primal
     return value
 
 
@@ -212,7 +230,7 @@ def test_constant_matrix_literal_is_built_once_read_only():
     assert constant is not None and not constant.flags.writeable
     with pytest.raises(ValueError):
         constant[0, 0] = 7.0
-    assert evaluate(ast.root, {}).primal is constant
+    assert ast.root.evaluate({}).primal is constant
     assert ast.to_source() == "[[1, -2.5], [-0, 0.1]]"
     assert ast.root == parse("[[1, -2.5], [-0, 0.1]]", []).root
     # an entry that is not a (negated) number keeps the entrywise walk

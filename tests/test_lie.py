@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from localforms.errors import (GroupMismatchError, LevelOutOfRange,
-                               SingularMatrixError)
+                               ShapeError, SingularMatrixError)
 from localforms.expr import parse
 from localforms.lie import (ComposedGroupMap, ConstGroupMap, ExprGroupMap,
                             GroupMorphismSpec, GroupSpec, InverseGroupMap,
@@ -210,6 +210,12 @@ def test_morphism_dimension_checks():
         phi.induced(np.eye(3))
     with pytest.raises(GroupMismatchError):
         _squaring().compose(_conjugation(np.eye(3)))
+
+
+def test_a_jet_direction_has_the_shape_of_its_argument():
+    with pytest.raises(ShapeError,
+                       match="^matrix tangent shape does not match primal$"):
+        identity_morphism(2).jet(np.eye(2), np.zeros((3, 3)))
 
 
 def test_composed_group_map():

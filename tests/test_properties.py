@@ -21,7 +21,6 @@ from localforms.cli import main
 from localforms.errors import (DomainError, ExpressionSyntaxError,
                                ValidationError)
 from localforms.expr import parse
-from localforms.expr.evaluate import evaluate
 from localforms.expr.parser import _TOKEN_RE, _Parser, _Token, _tokenize
 
 from conftest import fixture_path
@@ -287,7 +286,7 @@ def test_literal_constant_is_the_descent_value(source):
     assert [token.kind for token in _tokenize(source)] == ["mat", "end"]
     literal = _Parser(source).parse()
     tree = _DescentParser(source).parse()
-    want = np.array([[evaluate(entry, {}).primal for entry in row]
+    want = np.array([[entry.evaluate({}).primal for entry in row]
                      for row in tree.rows])
     assert literal.constant.tobytes() == want.tobytes()
     assert np.array_equal(np.signbit(literal.constant), np.signbit(want))

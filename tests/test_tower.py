@@ -11,7 +11,7 @@ from localforms.connection import (CallableForm, PointRep, TangentRep,
                                    check_compatibility)
 from localforms.errors import (LevelOutOfRange, TowerInvariantViolation,
                                ValidationError)
-from localforms.expr import parse
+from localforms.expr import ExprAST, parse
 from localforms.lie import ConstGroupMap, GroupMap, GroupMorphismSpec, GroupSpec
 from localforms.report import Report, max_residual
 from localforms.tower import (check_tower_related, limit_consistency_residual,
@@ -544,12 +544,10 @@ def test_tower_levels_without_one_plan_and_atlas_are_rejected(change):
 
 def test_loading_infers_each_connector_shape_once(monkeypatch):
     # parse infers the shape and keeps it; the loader's check reads it
-    import localforms.expr.parser
     roots = []
-    infer_shape = localforms.expr.parser.infer_shape
-    monkeypatch.setattr(localforms.expr.parser, "infer_shape",
-                        lambda node, shapes: roots.append(node)
-                        or infer_shape(node, shapes))
+    post_init = ExprAST.__post_init__
+    monkeypatch.setattr(ExprAST, "__post_init__",
+                        lambda ast: roots.append(ast.root) or post_init(ast))
     tower = load_tower(fixture_path("tower_unipotent.json"))
     for phi in tower.connectors.values():
         assert sum(root is phi.phi.root for root in roots) == 1

@@ -5,7 +5,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from localforms.bundle_io import load_bundle, load_path
+from localforms.bundle_io import (load_bundle, load_morphism, load_path,
+                                  load_tower)
 from localforms.cli import main
 from localforms.connection import PathSegment, PointRep, parallel_transport
 from localforms.connection.points import chart_change
@@ -13,6 +14,7 @@ from localforms.connection.transport import CHUNK
 from localforms.errors import PathDiscontinuityError, ValidationError
 from localforms.expr import parse
 from localforms.lie import exp_matrix
+from localforms.morphism import associated_connection, pushforward_connection
 
 from conftest import Case, case_id, expected, fixture_path, load_fixture
 
@@ -277,3 +279,57 @@ def test_transport_needs_a_finite_invertible_start(tmp_path, capsys, a0,
     assert code == 2
     assert err.startswith(f"error: '{path}': a0") and needle in err
     assert err.count("\n") == 1 and "Traceback" not in err
+
+
+# ----- morphisms carry horizontal curves to horizontal curves ------------
+#
+# If omega and theta are related through (phi, h), b = h phi(a) solves
+# theta's transport equation whenever a solves omega's, so transporting
+# h(x_0) phi(a_0) under theta gives h(x_T) phi(transport_omega(a_0)).
+
+
+@pytest.mark.parametrize("name, construct", [
+    ("morphism_gauge.json", "push"),
+    ("morphism_squaring.json", "assoc"),
+    ("morphism_identity.json", "assoc"),
+])
+def test_a_morphism_carries_transport_to_transport(name, construct):
+    omega = load_fixture("monopole_k1.json")
+    (equator,), _ = _path(omega, "path_monopole_equator.json")
+    m, target_transitions = load_morphism(fixture_path(name), omega.atlas,
+                                          omega.params)
+    theta = (pushforward_connection(omega, m, target_transitions)
+             if construct == "push"
+             else associated_connection(omega, m.phi, m.target_group))
+    h = m.h_map(equator.chart)
+    a0 = omega.group.sample_group(np.random.default_rng(5))
+    # the whole loop, and a part of it: over the loop, h turns by pi, and
+    # a pushforward that adds dh h^-1 in place of subtracting it ends at
+    # the same rotation
+    for t1 in (equator.t1, 0.3):
+        path = [dataclasses.replace(equator, t1=t1)]
+        (x0, x_end), _ = path[0].at([path[0].t0, t1])
+        for steps in (100, 1000, 10000):
+            b = parallel_transport(theta, path,
+                                   h.value(x0) @ m.phi.apply(a0), steps)
+            want = h.value(x_end) @ m.phi.apply(
+                parallel_transport(omega, path, a0, steps))
+            # RK4's global error falls as steps^-4, down to rounding
+            assert np.abs(b - want).max() \
+                <= 2e-6 * (100 / steps) ** 4 + 1e-13
+
+
+def test_tower_transport_projects_to_every_level():
+    # truncation to a leading block commutes with every operation of an
+    # upper-triangular RK4 step, so the projected transport is exact
+    tower = load_tower(fixture_path("tower_unipotent.json"))
+    top = tower.level(tower.depth)
+    path = [PathSegment("U1", (parse("0.2 + 1.5*t", ["t"]),))]
+    a0 = top.group.sample_group(np.random.default_rng(5))
+    for steps in (100, 1000):
+        at_top = parallel_transport(top, path, a0, steps)
+        for i in range(1, tower.depth):
+            phi = tower.connector(tower.depth, i)
+            got = parallel_transport(tower.level(i), path, phi.apply(a0),
+                                     steps)
+            assert np.array_equal(got, phi.apply(at_top))

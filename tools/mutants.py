@@ -87,6 +87,22 @@ MUTANTS = [
      "                    or data.sample_plan != self.levels[0].sample_plan):",
      "if False:",
      "a tower's levels share one atlas and one sample plan"),
+    ("tower-nan-passes", SRC + "tower.py",
+     "bad = ~(residuals <= tolerance)", "bad = residuals > tolerance",
+     "a tower invariant whose residual is NaN fails"),
+    # the expression nodes: shape rules, evaluation, literal values
+    ("transpose-shape-unswapped", SRC + "expr/nodes.py",
+     "return (shapes[0][1], shapes[0][0])", "return shapes[0]",
+     "transpose swaps rows and columns"),
+    ("product-shape-right-rows", SRC + "expr/nodes.py",
+     "return (left[0], right[1])", "return (right[0], right[1])",
+     "a matrix product has the left factor's rows"),
+    ("literal-negated-entry-sign", SRC + "expr/nodes.py",
+     "return -float(node.operand.value)", "return float(node.operand.value)",
+     "a negated literal entry is negative"),
+    ("atan2-arguments-swapped", SRC + "expr/nodes.py",
+     "Dual.atan2(args[0], args[1])", "Dual.atan2(args[1], args[0])",
+     "atan2(y, x) takes y first"),
     ("param-over-variable", SRC + "expr/parser.py",
      "\n                 if name not in coords and name not in matrix_params}",
      "}",
@@ -133,6 +149,12 @@ MUTANTS = [
      "schema is not SIZE or 1 <= value <= MAX_SIZE",
      "schema is not SIZE or 0 <= value <= MAX_SIZE",
      "group sizes and dimensions are positive"),
+    ("tan-derivative-sec", SRC + "expr/dual.py",
+     "1.0 / np.cos(p) ** 2 * t", "1.0 / np.cos(p) * t",
+     "tan' = sec^2"),
+    ("atan2-x-tangent-sign", SRC + "expr/dual.py",
+     "_neg(_mul(x.tangent, y.primal))", "_mul(x.tangent, y.primal)",
+     "d atan2(y, x) = (x dy - y dx) / (x^2 + y^2)"),
     # the matrix kernels: the 2x2 closed forms and their Frechet derivative,
     # then the Pade-13 Frechet pass
     ("expm2-cos-for-cosh", SRC + "expr/dual.py",

@@ -66,7 +66,7 @@ def parallel_transport(data: LocalConnectionData,
     """The group part a0 transported along the path, `steps` RK4 steps per
     segment.  Every junction, in one chart or between two, goes through
     chart_change, and the previous segment's end must land within
-    JUNCTION_TOLERANCE of the next one's start."""
+    JUNCTION_TOLERANCE of the next one's start; a NaN point lands nowhere."""
     if steps < 1:
         raise ValidationError(
             f"transport needs at least one step, got {steps}")
@@ -76,7 +76,8 @@ def parallel_transport(data: LocalConnectionData,
         (x_start, x_end), _ = segment.at([segment.t0, segment.t1])
         if prev is not None:
             q = chart_change(data, PointRep(*prev, a), segment.chart)
-            if np.linalg.norm(q.x - x_start) > JUNCTION_TOLERANCE:
+            # not <=, so that a NaN distance fails too
+            if not np.linalg.norm(q.x - x_start) <= JUNCTION_TOLERANCE:
                 raise PathDiscontinuityError(
                     f"segments disagree at junction "
                     f"'{prev[0]}'->'{segment.chart}'")

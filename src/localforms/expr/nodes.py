@@ -233,6 +233,25 @@ class MatLit(Node):
         return f"[{rows}]"
 
 
+@dataclass(frozen=True)
+class Bind(Node):
+    """`body` with `name` bound to the value of `value`, which is evaluated
+    once however often the body names it; the binding hides an outer one
+    of the same name inside the body only.  No document spells a Bind: it
+    is built by composing trees, so it has no source text."""
+
+    name: str
+    value: Node
+    body: Node
+
+    def shape(self, names) -> Shape:
+        return self.body.shape({**names, self.name: self.value.shape(names)})
+
+    def evaluate(self, bindings) -> Dual:
+        return self.body.evaluate(
+            {**bindings, self.name: self.value.evaluate(bindings)})
+
+
 def _entry_value(node):
     """The value of a number or a negated number; None for anything else."""
     if isinstance(node, Num):

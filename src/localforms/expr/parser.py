@@ -279,6 +279,9 @@ class ExprAST:
         object.__setattr__(self, "shape", self.root.shape(shapes))
 
     def to_source(self):
+        """The tree printed back as source text.  A tree that holds a Bind
+        (a composition, see `GroupMorphismSpec.of`) has none: the Bind
+        prints as its dataclass repr, which no parse reads."""
         return str(self.root)
 
     def _bindings(self, points, seeds):

@@ -21,7 +21,7 @@ from .connection import (DEFAULT_TOLERANCE, CallableForm, LocalConnectionData,
                          check_relation)
 from .errors import (AtlasMismatchError, GroupMismatchError,
                      MorphismCocycleViolation)
-from .lie import (ComposedGroupMap, ConstGroupMap, GroupMap, GroupMorphismSpec,
+from .lie import (ConstGroupMap, ExprGroupMap, GroupMap, GroupMorphismSpec,
                   GroupSpec, inverse)
 from .report import Report, max_residual
 
@@ -141,8 +141,11 @@ def associated_connection(omega: LocalConnectionData, phi: GroupMorphismSpec,
                           target_group: GroupSpec) -> LocalConnectionData:
     """Connection on the associated bundle for phi: the pushforward with no
     gauge (every h_a the unit), so forms phibar(omega_a) and transitions
-    phi . g_ab."""
-    transitions = {key: ComposedGroupMap(phi, g)
+    phi . g_ab, each one tree.  The groups are checked first, so that a
+    phi of the wrong source size fails with that message, not a shape error
+    of the composed tree."""
+    m = MorphismData(phi, {}, target_group)
+    m.require_groups(omega)
+    transitions = {key: ExprGroupMap(g.chart, phi.of(g.ast))
                    for key, g in omega.transitions.items()}
-    return pushforward_connection(omega, MorphismData(phi, {}, target_group),
-                                  transitions, check=False)
+    return pushforward_connection(omega, m, transitions, check=False)

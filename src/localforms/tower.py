@@ -65,8 +65,10 @@ class TowerSpec:
     def connector(self, j, i) -> GroupMorphismSpec:
         """Morphism from level j down to level i, composing declared
         connectors when the pair itself is not declared."""
+        bottom = self.level(i)
+        self.level(j)  # each level exists, or LevelOutOfRange
         if j == i:
-            return identity_morphism(self.level(i).group.n)
+            return identity_morphism(bottom.group.n)
         if j < i:
             raise LevelOutOfRange(f"no connector upward from {j} to {i}")
         if (j, i) in self.connectors:

@@ -923,6 +923,13 @@ _SINGULAR_PHI = {"source_n": 2, "target_n": 2, "phi": "inv(g - g)"}
         {"chart": "U_N", "curve": ["0.2", "t"]},
         {"chart": "U_S", "curve": ["3.141592653589793 - 0.2", "1 + t"]}]}],
      "error: point [0.2, 1.0] outside overlap domain U_N->U_S"),
+    # the second segment starts at NaN, which lands within no distance
+    (["transport", "abelian.json", {"segments": [
+        {"chart": "U1", "curve": ["0.2 + 1.3*t"]},
+        {"chart": "U2", "curve": [
+            "1.5 + 0.5*t + (exp(1000*(1-t)) - exp(1000*(1-t)))"]}]},
+      "--steps", "100"],
+     "error: segments disagree at junction 'U1'->'U2'"),
     # phi is singular everywhere: loading evaluates it at the identity,
     # which fails with no sample to name; {last} is the morphism file
     (["assoc", "monopole_k1.json", _SINGULAR_PHI],
@@ -939,7 +946,8 @@ _SINGULAR_PHI = {"source_n": 2, "target_n": 2, "phi": "inv(g - g)"}
     (["assoc", "monopole_k1.json", _SINGULAR_PHI | {"phi": "2*g"}],
      "error: '{last}': phi does not map the identity to the identity "
      "(off by 1.414e+00)"),
-], ids=["transport-junction", "assoc", "relate", "push", "non-unital"])
+], ids=["transport-junction", "transport-junction-nan", "assoc", "relate",
+        "push", "non-unital"])
 def test_error_messages_print_plain_numbers(tmp_path, capsys, argv, line):
     _assert_usage_error(tmp_path, capsys, argv, line)
 

@@ -3,12 +3,11 @@ import pytest
 
 from localforms.errors import (GroupMismatchError, LevelOutOfRange,
                                ShapeError, SingularMatrixError)
-from localforms.expr import parse
-from localforms.lie import (ComposedGroupMap, ConstGroupMap, ExprGroupMap,
-                            GroupMorphismSpec, GroupSpec, InverseGroupMap,
-                            ProductGroupMap, adjoint, ensure_invertible,
-                            exp_matrix, identity_morphism, inverse,
-                            log_diff_left)
+from localforms.expr import Binary, parse
+from localforms.lie import (ConstGroupMap, ExprGroupMap, GroupMorphismSpec,
+                            GroupSpec, InverseGroupMap, ProductGroupMap,
+                            adjoint, ensure_invertible, exp_matrix,
+                            identity_morphism, inverse, log_diff_left)
 
 J = np.array([[0.0, -1.0], [1.0, 0.0]])
 
@@ -202,6 +201,26 @@ def test_morphism_composition_chain_rule():
     assert np.allclose(phi.induced(J), 4.0 * J, atol=1e-12)
 
 
+def test_a_chain_of_squarings_walks_each_inner_tree_once(monkeypatch):
+    # squaring composed 20 times is g^(2^20), one tree that binds each
+    # link's value once: a walk takes 20 products, not 2^20
+    phi = _squaring()
+    for _ in range(19):
+        phi = _squaring().compose(phi)
+    products = []
+    evaluate = Binary.evaluate
+    monkeypatch.setattr(Binary, "evaluate", lambda self, bindings:
+                        products.append(self) or evaluate(self, bindings))
+    t = 0.3 / 2 ** 20
+    g = exp_matrix(t * J)
+    assert np.allclose(phi.apply(g), exp_matrix(0.3 * J), atol=1e-9)
+    assert len(products) == 20
+    # on SO(2), the derivative of g^N along J is N g^(N-1) J
+    assert np.allclose(phi.jet(g, J)[1] / 2 ** 20,
+                       exp_matrix((0.3 - t) * J) @ J, rtol=0, atol=1e-8)
+    assert len(products) == 40
+
+
 def test_morphism_dimension_checks():
     phi = _squaring()
     with pytest.raises(GroupMismatchError):
@@ -221,7 +240,7 @@ def test_a_jet_direction_has_the_shape_of_its_argument():
 def test_composed_group_map():
     phi = _squaring()
     g = ExprGroupMap("U", parse("mexp(x1 * [[0,-1],[1,0]])", ["x1"]))
-    composed = ComposedGroupMap(phi, g)
+    composed = ExprGroupMap(g.chart, phi.of(g.ast))
     t = 0.6
     assert np.allclose(composed.value([t]), exp_matrix(2 * t * J),
                        atol=1e-13)
@@ -251,8 +270,8 @@ def test_jet_is_value_and_derivative_bit_for_bit():
         (ConstGroupMap(exp_matrix(0.4 * J)), np.zeros((2, 5, 2, 2))),
         (ProductGroupMap(f, h), df @ hx + fx @ dh),
         (InverseGroupMap(f), -inverse(fx) @ df @ inverse(fx)),
-        (ComposedGroupMap(square, f), square.jet(fx, df)[1]),
-        (ComposedGroupMap(fourth, h),
+        (ExprGroupMap(f.chart, square.of(f.ast)), square.jet(fx, df)[1]),
+        (ExprGroupMap(h.chart, fourth.of(h.ast)),
          square.jet(square.apply(hx), square.jet(hx, dh)[1])[1]),
     ]
     for g, want in cases:

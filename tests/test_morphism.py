@@ -7,10 +7,10 @@ from localforms.atlas import Overlap, sample
 from localforms.connection import CallableForm, check_compatibility
 from localforms.errors import AtlasMismatchError, MorphismCocycleViolation
 from localforms.expr import parse
-from localforms.lie import (ComposedGroupMap, ExprGroupMap, GroupMap,
-                            GroupMorphismSpec, GroupSpec, InverseGroupMap,
-                            ProductGroupMap, adjoint, batch_shape, exp_matrix,
-                            inverse, log_diff_left)
+from localforms.lie import (ExprGroupMap, GroupMap, GroupMorphismSpec,
+                            GroupSpec, InverseGroupMap, ProductGroupMap,
+                            adjoint, batch_shape, exp_matrix, inverse,
+                            log_diff_left)
 from localforms.morphism import (MorphismData, associated_connection,
                                  check_morphism_cocycle, check_related,
                                  pushforward_connection)
@@ -62,6 +62,27 @@ class _AtPushed(GroupMap):
         return self.inner.jet(*self.overlap.push(x, v))
 
 
+@dataclasses.dataclass(frozen=True)
+class _Mapped(GroupMap):
+    """phi . f for a map f with no expression tree: phi's jet at f's jet."""
+
+    phi: GroupMorphismSpec
+    inner: GroupMap
+
+    def value(self, x):
+        return self.phi.apply(self.inner.value(x))
+
+    def jet(self, x, v):
+        return self.phi.jet(*self.inner.jet(x, v))
+
+
+def _after(phi, g):
+    """phi . g: one tree for an expression map, else a _Mapped."""
+    if isinstance(g, ExprGroupMap):
+        return ExprGroupMap(g.chart, phi.of(g.ast))
+    return _Mapped(phi, g)
+
+
 def _completed_transitions(source, m):
     """Target transition family generated by the morphism data itself:
     h_a . phi(g_ab) . h_b(psi x)^-1 on each declared overlap."""
@@ -70,7 +91,7 @@ def _completed_transitions(source, m):
         ov = source.atlas.require_overlap(a, b)
         pulled = _AtPushed(m.h_map(b), ov)
         out[(a, b)] = ProductGroupMap(
-            ProductGroupMap(m.h_map(a), ComposedGroupMap(m.phi, g)),
+            ProductGroupMap(m.h_map(a), _after(m.phi, g)),
             InverseGroupMap(pulled))
     return out
 
@@ -101,7 +122,7 @@ def test_morphism_cocycle_evaluates_h_b_at_the_moved_point():
     assert check_morphism_cocycle(m, source,
                                   _completed_transitions(source, m)).passed
     at_x = {(a, b): ProductGroupMap(ProductGroupMap(
-        m.h_map(a), ComposedGroupMap(m.phi, g)), InverseGroupMap(m.h_map(b)))
+        m.h_map(a), _after(m.phi, g)), InverseGroupMap(m.h_map(b)))
         for (a, b), g in source.transitions.items()}
     report = check_morphism_cocycle(m, source, at_x)
     assert all(c.max_residual > 1e-3 for c in report.checks)
@@ -174,7 +195,7 @@ def test_pushforward_transitivity():
     final = pushforward_connection(mid, m2, t2)
 
     # composite morphism: phi = phi2 . phi1, h_a = h2_a . phi2(h1_a)
-    h12 = {c: ProductGroupMap(h2[c], ComposedGroupMap(phi2, h1[c]))
+    h12 = {c: ProductGroupMap(h2[c], _after(phi2, h1[c]))
            for c in source.atlas.charts}
     m12 = MorphismData(phi2.compose(phi1), h12, group)
     t12 = _completed_transitions(source, m12)
@@ -216,7 +237,7 @@ def test_logdiff_naturality_under_morphisms():
     phi = _squaring_phi()
     g = ExprGroupMap("U", parse("mexp((x1^2 - sin(x1)) * [[0,-1],[1,0]])",
                                 ["x1"]))
-    composed = ComposedGroupMap(phi, g)
+    composed = ExprGroupMap(g.chart, phi.of(g.ast))
     for _ in range(20):
         x = rng.uniform(0.1, 1.9, 1)
         v = rng.normal(size=1)
@@ -372,7 +393,7 @@ def test_atlas_memo_does_not_freeze_a_mapped_array():
     source = load_fixture("abelian.json", grid=3, random=0)
     pts = source.points("U1")
     held = np.stack([np.eye(2)] * len(pts))
-    image = source.atlas.value(ComposedGroupMap(_identity_phi(), Held()), pts)
+    image = source.atlas.value(_Mapped(_identity_phi(), Held()), pts)
     assert not image.flags.writeable and held.flags.writeable
 
 

@@ -35,8 +35,13 @@ def test_structure():
     assert [tower.level(i).group.n for i in range(1, 5)] == [2, 3, 4, 5]
     with pytest.raises(LevelOutOfRange):
         tower.level(5)
-    with pytest.raises(LevelOutOfRange):
-        tower.connector(2, 3)
+    for (j, i), message in [((2, 3), "no connector upward from 2 to 3"),
+                            ((5, 5), "level 5 of a depth-4 tower"),
+                            ((9, 1), "level 9 of a depth-4 tower"),
+                            ((3, 0), "level 0 of a depth-4 tower"),
+                            ((4, -1), "level -1 of a depth-4 tower")]:
+        with pytest.raises(LevelOutOfRange, match=f"^{message}$"):
+            tower.connector(j, i)
 
 
 def test_validate_passes():
@@ -54,6 +59,30 @@ def test_connector_lookup_and_chaining():
     identity = tower.connector(3, 3)
     g = tower.level(3).group.sample_group(rng)
     assert np.allclose(identity.apply(g), g)
+
+
+def test_a_composed_chain_is_its_links_bit_for_bit(tmp_path):
+    # a depth-16 tower that declares only the consecutive connectors: the
+    # undeclared (16, 1) is one tree over its 15 links, and its apply and
+    # jet give the bits of the links applied one after another
+    doc = load_tool("make_fixtures").tower(16)
+    doc["connectors"] = {f"{j},{j - 1}": doc["connectors"][f"{j},{j - 1}"]
+                         for j in range(2, 17)}
+    path = tmp_path / "tower.json"
+    path.write_text(json.dumps(doc))
+    tower = load_tower(str(path))
+    assert len(tower.connectors) == 15
+    group = tower.level(16).group
+    rng = np.random.default_rng(16)
+    g, e = group.sample_group(rng, (5,)), group.sample_algebra(rng, (5,))
+    value, jet = g, (g, e)
+    for j in range(16, 1, -1):
+        value = tower.connector(j, j - 1).apply(value)
+        jet = tower.connector(j, j - 1).jet(*jet)
+    chain = tower.connector(16, 1)
+    assert chain.apply(g).tobytes() == value.tobytes()
+    assert [a.tobytes() for a in chain.jet(g, e)] \
+        == [a.tobytes() for a in jet]
 
 
 def test_connectors_are_homomorphisms():
@@ -447,13 +476,25 @@ def test_each_connector_walks_once_per_phase(monkeypatch):
 
 def test_undeclared_connector_walks_its_chain_links(monkeypatch):
     # without (3,1), the (4,1) check applies the chain (2,1).(3,2) to the
-    # mid-chain image (4,3)(g_4): one more walk of each link
+    # mid-chain image (4,3)(g_4): one walk of one composed tree, which
+    # evaluates each link's tree once more
     tower = _tower(grid=3, random=3)
     tower = dataclasses.replace(tower, connectors={
         key: phi for key, phi in tower.connectors.items() if key != (3, 1)})
     calls = _morphism_walks(monkeypatch)
+    evaluated = []
+    for cls in {type(phi.phi.root) for phi in tower.connectors.values()}:
+        monkeypatch.setattr(cls, "evaluate",
+                            lambda self, bindings, walk=cls.evaluate:
+                            evaluated.append(self) or walk(self, bindings))
     tower.validate()
+    declared = tower.connectors.values()
     assert {key: sum(phi is walked for walked in calls)
+            for key, phi in tower.connectors.items()} \
+        == dict.fromkeys(tower.connectors, 1)
+    assert len([walked for walked in calls
+                if not any(walked is phi for phi in declared)]) == 1
+    assert {key: sum(phi.phi.root is node for node in evaluated)
             for key, phi in tower.connectors.items()} \
         == {(2, 1): 2, (3, 2): 2, (4, 1): 1, (4, 2): 1, (4, 3): 1}
 

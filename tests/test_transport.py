@@ -288,19 +288,25 @@ def test_transport_needs_a_finite_invertible_start(tmp_path, capsys, a0,
 # h(x_0) phi(a_0) under theta gives h(x_T) phi(transport_omega(a_0)).
 
 
-@pytest.mark.parametrize("name, construct", [
-    ("morphism_gauge.json", "push"),
-    ("morphism_squaring.json", "assoc"),
-    ("morphism_identity.json", "assoc"),
-])
+MORPHISMS = [("morphism_gauge.json", "push"),
+             ("morphism_squaring.json", "assoc"),
+             ("morphism_identity.json", "assoc")]
+
+
+def _related(omega, m, target_transitions, construct):
+    """theta, the connection related to omega through m."""
+    return (pushforward_connection(omega, m, target_transitions)
+            if construct == "push"
+            else associated_connection(omega, m.phi, m.target_group))
+
+
+@pytest.mark.parametrize("name, construct", MORPHISMS)
 def test_a_morphism_carries_transport_to_transport(name, construct):
     omega = load_fixture("monopole_k1.json")
     (equator,), _ = _path(omega, "path_monopole_equator.json")
     m, target_transitions = load_morphism(fixture_path(name), omega.atlas,
                                           omega.params)
-    theta = (pushforward_connection(omega, m, target_transitions)
-             if construct == "push"
-             else associated_connection(omega, m.phi, m.target_group))
+    theta = _related(omega, m, target_transitions, construct)
     h = m.h_map(equator.chart)
     a0 = omega.group.sample_group(np.random.default_rng(5))
     # the whole loop, and a part of it: over the loop, h turns by pi, and
@@ -317,6 +323,43 @@ def test_a_morphism_carries_transport_to_transport(name, construct):
             # RK4's global error falls as steps^-4, down to rounding
             assert np.abs(b - want).max() \
                 <= 2e-6 * (100 / steps) ** 4 + 1e-13
+
+
+@pytest.mark.parametrize("dropped", [None, "U_N,U_S", "U_S,U_N"])
+@pytest.mark.parametrize("name, construct", MORPHISMS)
+def test_a_morphism_carries_transport_across_a_chart_switch(
+        tmp_path, name, construct, dropped):
+    # the junction U_N -> U_S switches chart in both bundles, through the
+    # inverse of g_ab at x, or with one transition dropped from the bundle
+    # and the morphism's target transitions, through g_ba at psi(x); the
+    # associated bundle's transitions are phi's tree after g_ab's
+    files = []
+    for fixture, key in (("monopole_k1.json", "transitions"),
+                         (name, "target_transitions")):
+        doc = json.load(open(fixture_path(fixture)))
+        doc.get(key, {}).pop(dropped, None)
+        files.append(tmp_path / fixture)
+        files[-1].write_text(json.dumps(doc))
+    omega = load_bundle(str(files[0]))
+    m, target_transitions = load_morphism(str(files[1]), omega.atlas,
+                                          omega.params)
+    theta = _related(omega, m, target_transitions, construct)
+    path = [PathSegment("U_N", (parse("1.0 + 0.6*t", ["t"]),
+                                parse("0.5 + t", ["t"]))),
+            PathSegment("U_S", (parse("3.141592653589793 - 1.6 - 0.5*t",
+                                      ["t"]),
+                                parse("1.5 + t", ["t"])))]
+    (x0, _), _ = path[0].at([0.0, 1.0])
+    (_, x_end), _ = path[1].at([0.0, 1.0])
+    a0 = omega.group.sample_group(np.random.default_rng(5))
+    for steps in (100, 1000, 10000):
+        b = parallel_transport(theta, path,
+                               m.h_map("U_N").value(x0) @ m.phi.apply(a0),
+                               steps)
+        want = m.h_map("U_S").value(x_end) @ m.phi.apply(
+            parallel_transport(omega, path, a0, steps))
+        assert np.abs(b - want).max() \
+            <= 2e-6 * (100 / steps) ** 4 + 1e-13
 
 
 def test_tower_transport_projects_to_every_level():

@@ -69,9 +69,18 @@ MUTANTS = [
      "a = q.a", "a = a",
      "transport changes chart through the transition"),
     ("junction-no-continuity-check", SRC + "connection/transport.py",
-     "if np.linalg.norm(q.x - x_start) > JUNCTION_TOLERANCE:",
+     "if not np.linalg.norm(q.x - x_start) <= JUNCTION_TOLERANCE:",
      "if False:",
      "consecutive path segments meet at their junction"),
+    ("junction-nan-passes", SRC + "connection/transport.py",
+     "if not np.linalg.norm(q.x - x_start) <= JUNCTION_TOLERANCE:",
+     "if np.linalg.norm(q.x - x_start) > JUNCTION_TOLERANCE:",
+     "a junction whose distance is NaN is no junction"),
+    ("chart-switch-no-inverse", SRC + "connection/points.py",
+     "InverseGroupMap(data.transitions[(p.chart, target)])",
+     "data.transitions[(p.chart, target)]",
+     "a switch from chart a to chart b takes the inverse of a declared "
+     "g_ab"),
     ("transport-chunk-ticks-restart", SRC + "connection/transport.py",
      "        tick = ticks[-1]\n", "",
      "each chunk of RK4 steps goes on from the previous chunk's last node"),
@@ -91,6 +100,14 @@ MUTANTS = [
      "bad = ~(residuals <= tolerance)", "bad = residuals > tolerance",
      "a tower invariant whose residual is NaN fails"),
     # the expression nodes: shape rules, evaluation, literal values
+    ("bind-value-unbound", SRC + "expr/nodes.py",
+     "self.body.evaluate(\n"
+     "            {**bindings, self.name: self.value.evaluate(bindings)})",
+     "self.body.evaluate(bindings)",
+     "a composed tree walks the outer map on the inner one's value"),
+    ("compose-order-swapped", SRC + "lie.py",
+     "self.of(other.phi))", "other.of(self.phi))",
+     "self.compose(other) is self after other"),
     ("transpose-shape-unswapped", SRC + "expr/nodes.py",
      "return (shapes[0][1], shapes[0][0])", "return shapes[0]",
      "transpose swaps rows and columns"),

@@ -10,7 +10,9 @@ case list is built from this working tree: every case of
 and at `--grid 15`, and every command (set-up included) of
 `perfbench/inputs.build_plan` for each workload at seeds 101 and 202, and
 `tower` on a depth-16 tower from `perfbench/inputs.tower_doc`, on its
-mutated twin (17x16 truncation literals) and on two copies with one
+mutated twin (17x16 truncation literals), on a copy of each that keeps
+only the consecutive connectors (j, j-1), so that every other connector
+is a composed chain of up to 15 links, and on two copies with one
 connector swapped for a shifted diagonal block, (16,15) in one and (16,2)
 in the other, which fail `validate`, so the first violation's
 `tower_invariant_error` is compared too, and `transport --steps 10000`,
@@ -196,10 +198,13 @@ def build_cases(workdir):
     mf = inputs._load_make_fixtures()
     for mutated in (False, True):
         name = f"tower_d{DEEP_TOWER}" + ("_mutated" if mutated else "")
-        path = inputs._write(
-            Path(workdir) / f"{name}.json",
-            inputs.tower_doc(mf, DEEP_TOWER, 1.25, 0.375, mutated))
+        doc = inputs.tower_doc(mf, DEEP_TOWER, 1.25, 0.375, mutated)
+        path = inputs._write(Path(workdir) / f"{name}.json", doc)
         cases.append((f"deep:{name}", ["tower", path]))
+        doc["connectors"] = {key: phi for key, phi in doc["connectors"].items()
+                             if _consecutive(key)}
+        path = inputs._write(Path(workdir) / f"{name}_consecutive.json", doc)
+        cases.append((f"consecutive:{name}", ["tower", path]))
     for j, i in SHIFTED:
         doc = inputs.tower_doc(mf, DEEP_TOWER, 1.25, 0.375)
         doc["connectors"][f"{j},{i}"]["phi"] = shifted_block(j, i)

@@ -66,7 +66,7 @@ def parallel_transport(data: LocalConnectionData,
     """The group part a0 transported along the path, `steps` RK4 steps per
     segment.  Every junction, in one chart or between two, goes through
     chart_change, and the previous segment's end must land within
-    JUNCTION_TOLERANCE of the next one's start; a NaN point lands nowhere."""
+    JUNCTION_TOLERANCE of the next one's start."""
     if steps < 1:
         raise ValidationError(
             f"transport needs at least one step, got {steps}")
